@@ -11,11 +11,12 @@ they can be played against each other.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
 from .errors import ShapeMismatchError, TooLargeError
-from .gf2 import Gf2Matrix, Gf2System, SpanSolver, all_row_vectors
+from .gf2 import Gf2Matrix, Gf2System, SpanSolver
 from .persistence import Bar, Barcode, SampledModule, composite_map, validate_module
 from .scalar import NEG_INF, POS_INF, Scalar, ZERO
 
@@ -56,14 +57,38 @@ def _max_bipartite(n_left: int, n_right: int, adj: Sequence[Sequence[int]]
     match_l = [-1] * n_left
     match_r = [-1] * n_right
 
-    def augment(u: int, seen: List[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_r[v] == -1 or augment(match_r[v], seen):
-                    match_r[v] = u
-                    match_l[u] = v
-                    return True
+    def augment(root: int, seen: List[bool]) -> bool:
+        """Kuhn's depth-first augmenting path search, on an explicit stack.
+
+        Visits neighbours in the same order as the recursive formulation,
+        so it finds the same matching, but deep paths cannot overflow the
+        interpreter's stack.  path_u[k] is the left vertex at depth k,
+        next_at[k] its next neighbour to try, path_v[k] the right vertex
+        through which depth k+1 was entered.
+        """
+        path_u, next_at, path_v = [root], [0], []
+        while path_u:
+            nbrs = adj[path_u[-1]]
+            pos = next_at[-1]
+            while pos < len(nbrs) and seen[nbrs[pos]]:
+                pos += 1
+            if pos == len(nbrs):
+                path_u.pop()
+                next_at.pop()
+                if path_v:
+                    path_v.pop()
+                continue
+            v = nbrs[pos]
+            seen[v] = True
+            next_at[-1] = pos + 1
+            path_v.append(v)
+            if match_r[v] == -1:
+                for uu, vv in zip(path_u, path_v):
+                    match_r[vv] = uu
+                    match_l[uu] = vv
+                return True
+            path_u.append(match_r[v])
+            next_at.append(0)
         return False
 
     size = 0
@@ -274,7 +299,7 @@ class _Regions:
 
     def region_at(self, x: Scalar) -> int:
         """Region holding points just to the right of x."""
-        return sum(1 for c in self.cuts if not (x < c))
+        return bisect_right(self.cuts, x)
 
     def boundary(self, r: int) -> Scalar:
         """Left boundary of region r (-inf for the first region)."""
@@ -283,17 +308,23 @@ class _Regions:
     def comp(self, a: int, b: int, parity: int) -> Gf2Matrix:
         return composite_map(self.module, self.reps[a], self.reps[b], parity)
 
-    def shift_target(self, other: "_Regions", r: int, delta: Scalar) -> int:
+    def shift(self, r: int, delta: Scalar, target: "_Regions") -> int:
+        """Region of `target` that region r lands in when shifted by delta."""
         b = self.boundary(r)
         if b.is_neg_inf:
             return 0
-        return other.region_at(b + delta)
+        return target.region_at(b + delta)
 
-    def shift_self(self, r: int, delta2: Scalar) -> int:
-        b = self.boundary(r)
-        if b.is_neg_inf:
-            return 0
-        return self.region_at(b + delta2)
+
+def _shift_tables(regions1: _Regions, regions2: _Regions, delta: Scalar):
+    """Region shift maps phi (1 -> 2 by delta), psi (2 -> 1 by delta) and
+    phi2, psi2 (each module into itself by 2 delta)."""
+    two_delta = delta + delta
+    phi = [regions1.shift(r, delta, regions2) for r in range(regions1.n)]
+    psi = [regions2.shift(t, delta, regions1) for t in range(regions2.n)]
+    phi2 = [regions1.shift(r, two_delta, regions1) for r in range(regions1.n)]
+    psi2 = [regions2.shift(t, two_delta, regions2) for t in range(regions2.n)]
+    return phi, psi, phi2, psi2
 
 
 def interleaving_candidates(m1: SampledModule, m2: SampledModule) -> List[Scalar]:
@@ -320,11 +351,7 @@ def _enumerate_chain(regions1: _Regions, regions2: _Regions, parity: int,
     R1, R2 = regions1.n, regions2.n
     d1 = [d[parity] for d in regions1.dims]
     d2 = [d[parity] for d in regions2.dims]
-    phi = [regions1.shift_target(regions2, r, delta) for r in range(R1)]
-    psi = [regions2.shift_target(regions1, t, delta) for t in range(R2)]
-    two_delta = delta + delta
-    phi2 = [regions1.shift_self(r, two_delta) for r in range(R1)]
-    psi2 = [regions2.shift_self(t, two_delta) for t in range(R2)]
+    phi, psi, phi2, psi2 = _shift_tables(regions1, regions2, delta)
 
     # G[t] has shape (d1[psi[t]], d2[t]); dole out unknown ids
     g_offset = []
@@ -348,7 +375,7 @@ def _enumerate_chain(regions1: _Regions, regions2: _Regions, parity: int,
                 for s in range(d2[t + 1]):
                     if a2.entry(s, j):
                         coeffs ^= 1 << g_bit(t + 1, i, s)
-                for s in range(d2[t]):
+                for s in range(d1[psi[t]]):
                     if c1x.entry(i, s):
                         coeffs ^= 1 << g_bit(t, s, j)
                 base.add(coeffs, 0)
@@ -411,7 +438,7 @@ def _enumerate_chain(regions1: _Regions, regions2: _Regions, parity: int,
     def f_candidates(r: int, prev: Optional[Gf2Matrix]):
         nrows, ncols = d2[phi[r]], d1[r]
         if r == 0:
-            rows_options = [list(all_row_vectors(ncols)) for _ in range(nrows)]
+            rows_options = [list(range(1 << ncols)) for _ in range(nrows)]
         else:
             a1 = regions1.comp(r - 1, r, parity)
             target = (regions2.comp(phi[r - 1], phi[r], parity) @ prev)
@@ -544,11 +571,7 @@ def verify_interleaving(cert: InterleavingCertificate, m1: SampledModule,
     R1, R2 = regions1.n, regions2.n
     if len(cert.forward_maps) != R1 or len(cert.backward_maps) != R2:
         raise ShapeMismatchError("certificate map count does not match the regions")
-    phi = [regions1.shift_target(regions2, r, delta) for r in range(R1)]
-    psi = [regions2.shift_target(regions1, t, delta) for t in range(R2)]
-    two_delta = delta + delta
-    phi2 = [regions1.shift_self(r, two_delta) for r in range(R1)]
-    psi2 = [regions2.shift_self(t, two_delta) for t in range(R2)]
+    phi, psi, phi2, psi2 = _shift_tables(regions1, regions2, delta)
 
     for parity in (0, 1):
         for r in range(R1):

@@ -75,15 +75,6 @@ class Gf2Matrix:
             out.append(acc)
         return Gf2Matrix(tuple(out), other.ncols)
 
-    def transpose(self) -> "Gf2Matrix":
-        return Gf2Matrix(
-            tuple(
-                sum(((self.rows[i] >> j) & 1) << i for i in range(self.nrows))
-                for j in range(self.ncols)
-            ),
-            self.nrows,
-        )
-
     def rank(self) -> int:
         return gf2_rank(list(self.rows), self.ncols)
 
@@ -241,10 +232,6 @@ class Gf2System:
                 rest &= rest - 1
             x |= acc << pivot
         return x
-
-
-def all_row_vectors(width: int) -> Iterator[int]:
-    yield from range(1 << width)
 
 
 def all_matrices(nrows: int, ncols: int) -> Iterator[Gf2Matrix]:

@@ -109,6 +109,31 @@ def random_matrix(rng: random.Random, nrows: int, ncols: int) -> Gf2Matrix:
     return Gf2Matrix(tuple(rng.randrange(1 << ncols) for _ in range(nrows)), ncols)
 
 
+def random_basis_change(rng: random.Random, n: int) -> Tuple[Gf2Matrix, Gf2Matrix]:
+    """A random n x n invertible matrix and its inverse, for any n.
+
+    The matrix is a product of 3n random row additions; the inverse applies
+    the same additions in reverse order, since each is its own inverse.
+    """
+    steps = [tuple(rng.sample(range(n), 2)) for _ in range(3 * n)] if n >= 2 else []
+    fwd = [1 << i for i in range(n)]
+    inv = [1 << i for i in range(n)]
+    for a, b in steps:
+        fwd[a] ^= fwd[b]
+    for a, b in reversed(steps):
+        inv[a] ^= inv[b]
+    return Gf2Matrix(tuple(fwd), n), Gf2Matrix(tuple(inv), n)
+
+
+def scramble(rng: random.Random, m: SampledModule) -> SampledModule:
+    """An isomorphic copy of m in a random basis at every sample and parity."""
+    changes = [tuple(random_basis_change(rng, d) for d in dims) for dims in m.dims]
+    maps = tuple(
+        tuple(changes[i + 1][p][0] @ pair[p] @ changes[i][p][1] for p in (0, 1))
+        for i, pair in enumerate(m.maps))
+    return SampledModule(m.spectrum, m.samples, m.dims, maps)
+
+
 def random_invertible(rng: random.Random, n: int) -> Gf2Matrix:
     if n == 0:
         return Gf2Matrix((), 0)

@@ -16,13 +16,50 @@ from .scalar import Scalar
 
 SCHEMA_VERSION = 1
 
+# Readers take the JSON path of the object they read ("bars[0]"), so that a
+# malformed document is refused with a ValueError naming what is wrong and
+# where, never with a KeyError or TypeError from deep inside.
 
-def scalar_to_str(s: Scalar) -> str:
-    return str(s)
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def scalar_from_str(text: str) -> Scalar:
-    return Scalar.parse(text)
+def _field(d: Any, key: str, path: str) -> Any:
+    if not isinstance(d, dict):
+        raise ValueError(f"{path or 'document'}: expected a JSON object")
+    if key not in d:
+        raise ValueError(f"missing key {_join(path, key)}")
+    return d[key]
+
+
+def _array(d: Any, key: str, path: str) -> list:
+    value = _field(d, key, path)
+    if not isinstance(value, list):
+        raise ValueError(f"{_join(path, key)}: expected a JSON array")
+    return value
+
+
+def _scalar(text: Any, path: str) -> Scalar:
+    if not isinstance(text, str):
+        raise ValueError(f"{path}: expected a scalar string, got {text!r}")
+    try:
+        return Scalar.parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _int(value: Any, path: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: expected an integer, got {value!r}") from None
+
+
+def _pair(value: Any, path: str) -> list:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"{path}: expected a two-element array")
+    return value
 
 
 def spectrum_to_dict(sp: Spectrum) -> Dict[str, Any]:
@@ -32,12 +69,14 @@ def spectrum_to_dict(sp: Spectrum) -> Dict[str, Any]:
     }
 
 
-def spectrum_from_dict(d: Dict[str, Any]) -> Spectrum:
-    lo, hi = d["horizon"]
+def spectrum_from_dict(d: Dict[str, Any], path: str = "spectrum") -> Spectrum:
+    points = _array(d, "points", path)
+    where = _join(path, "horizon")
+    lo, hi = _pair(_field(d, "horizon", path), where)
     return Spectrum(
-        tuple(Scalar.parse(p) for p in d["points"]),
-        Scalar.parse(lo),
-        Scalar.parse(hi),
+        tuple(_scalar(p, f"{path}.points[{i}]") for i, p in enumerate(points)),
+        _scalar(lo, f"{where}[0]"),
+        _scalar(hi, f"{where}[1]"),
     )
 
 
@@ -52,11 +91,11 @@ def bar_to_dict(b: Bar) -> Dict[str, Any]:
     return d
 
 
-def bar_from_dict(d: Dict[str, Any]) -> Bar:
+def bar_from_dict(d: Dict[str, Any], path: str = "") -> Bar:
     return Bar(
-        Scalar.parse(d["birth"]),
-        Scalar.parse(d["death"]),
-        int(d["parity"]),
+        _scalar(_field(d, "birth", path), _join(path, "birth")),
+        _scalar(_field(d, "death", path), _join(path, "death")),
+        _int(_field(d, "parity", path), _join(path, "parity")),
         bool(d.get("truncated", False)),
     )
 
@@ -71,9 +110,11 @@ def barcode_to_dict(b: Barcode) -> Dict[str, Any]:
 
 def barcode_from_dict(d: Dict[str, Any]) -> Barcode:
     _check_version(d)
+    spectrum = spectrum_from_dict(_field(d, "spectrum", ""))
+    bars = _array(d, "bars", "")
     return Barcode(
-        spectrum_from_dict(d["spectrum"]),
-        tuple(bar_from_dict(bd) for bd in d["bars"]),
+        spectrum,
+        tuple(bar_from_dict(bd, f"bars[{i}]") for i, bd in enumerate(bars)),
     )
 
 
@@ -89,18 +130,28 @@ def module_to_dict(m: SampledModule) -> Dict[str, Any]:
 
 def module_from_dict(d: Dict[str, Any]) -> SampledModule:
     _check_version(d)
-    dims = tuple((int(a), int(b)) for a, b in d["dims"])
+    spectrum = spectrum_from_dict(_field(d, "spectrum", ""))
+    samples = _array(d, "samples", "")
+    dims = []
+    for i, pair in enumerate(_array(d, "dims", "")):
+        a, b = _pair(pair, f"dims[{i}]")
+        dims.append((_int(a, f"dims[{i}][0]"), _int(b, f"dims[{i}][1]")))
     maps = []
-    for i, pair in enumerate(d["maps"]):
+    for i, pair in enumerate(_array(d, "maps", "")):
+        if i >= len(dims):
+            raise ValueError(f"maps[{i}]: more map pairs than dims allow")
+        pair = _pair(pair, f"maps[{i}]")
         mats = []
         for parity in (0, 1):
-            ncols = dims[i][parity]
-            mats.append(Gf2Matrix.from_rows(pair[parity], ncols=ncols))
+            rows = pair[parity]
+            if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+                raise ValueError(f"maps[{i}][{parity}]: expected an array of 0/1 rows")
+            mats.append(Gf2Matrix.from_rows(rows, ncols=dims[i][parity]))
         maps.append((mats[0], mats[1]))
     return SampledModule(
-        spectrum_from_dict(d["spectrum"]),
-        tuple(Scalar.parse(s) for s in d["samples"]),
-        dims,
+        spectrum,
+        tuple(_scalar(s, f"samples[{i}]") for i, s in enumerate(samples)),
+        tuple(dims),
         tuple(maps),
     )
 
@@ -112,7 +163,7 @@ def loads(text: str):
         raise ValueError("expected a JSON object")
     if "bars" in d:
         return barcode_from_dict(d)
-    if "samples" in d:
+    if any(key in d for key in ("samples", "dims", "maps")):
         return module_from_dict(d)
     raise ValueError("document is neither a barcode nor a module")
 

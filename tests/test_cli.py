@@ -166,3 +166,68 @@ def test_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("CPV_SEED", "5")
     assert run(["suite", "--quick"]) == 0
     assert "(seed 5, quick)" in capsys.readouterr().out
+
+
+def _barcode_doc():
+    sp = Spectrum.of([1, 2], 0, 3)
+    return json.loads(dumps(Barcode(sp, (Bar.of(1, 2), Bar(rational(2), POS_INF, 1)))))
+
+
+def _module_doc():
+    return json.loads(dumps(module_from_barcode(Barcode(Spectrum.of([1], 0, 2),
+                                                        (Bar.of(1, 1),)))))
+
+
+def _drop(path):
+    """Mutator deleting the key at a path of keys and indices."""
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        del doc[last]
+    return mutate
+
+
+def _scalar_horizon(doc):
+    doc["spectrum"]["horizon"] = "9"
+
+
+BARCODE_FAULTS = [
+    (_drop(["bars", 0, "death"]), "bars[0].death"),
+    (_drop(["bars", 1, "birth"]), "bars[1].birth"),
+    (_drop(["bars", 0, "parity"]), "bars[0].parity"),
+    (_drop(["spectrum", "points"]), "spectrum.points"),
+    (_drop(["spectrum", "horizon"]), "spectrum.horizon"),
+    (_scalar_horizon, "spectrum.horizon"),
+]
+MODULE_FAULTS = [
+    (_drop(["samples"]), "samples"),
+    (_drop(["dims"]), "dims"),
+    (_drop(["maps"]), "maps"),
+    (_drop(["spectrum", "points"]), "spectrum.points"),
+    (_scalar_horizon, "spectrum.horizon"),
+]
+COMMANDS = [
+    (["depth", "{doc}"], BARCODE_FAULTS, _barcode_doc),
+    (["distance", "{doc}", "{good}"], BARCODE_FAULTS, _barcode_doc),
+    (["spectral", "{doc}", "--class", "0"], BARCODE_FAULTS, _barcode_doc),
+    (["reduce", "{doc}"], MODULE_FAULTS, _module_doc),
+    (["verify", "{doc}"], MODULE_FAULTS, _module_doc),
+]
+
+
+@pytest.mark.parametrize("argv,faults,make", COMMANDS,
+                         ids=[c[0][0] for c in COMMANDS])
+def test_schema_errors_name_the_json_path(tmp_path, capsys, argv, faults, make):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(make()))
+    for mutate, where in faults:
+        doc = make()
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        args = [a.format(doc=bad, good=good) for a in argv]
+        assert main(args) == 2, (args, where)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and where in captured.err, captured.err

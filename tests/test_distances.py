@@ -6,6 +6,7 @@ from contact_barcodes.errors import ShapeMismatchError, TooLargeError
 from contact_barcodes.gf2 import Gf2Matrix
 from contact_barcodes.distances import (
     InterleavingCertificate,
+    _max_bipartite,
     bar_cost,
     bottleneck_distance,
     endpoint_gap,
@@ -24,7 +25,12 @@ from contact_barcodes.persistence import (
     decompose,
     module_from_barcode,
 )
-from contact_barcodes.random_instances import random_barcode, random_module, random_spectrum
+from contact_barcodes.random_instances import (
+    random_barcode,
+    random_module,
+    random_spectrum,
+    scramble,
+)
 from contact_barcodes.scalar import NEG_INF, POS_INF, ZERO, rational
 
 
@@ -252,3 +258,81 @@ def test_certificate_shape_mismatch():
         tuple((Gf2Matrix.identity(1), Gf2Matrix.identity(0)) for _ in range(2)))
     with pytest.raises(ShapeMismatchError):
         verify_interleaving(cert, m, m)
+
+
+def test_interleaving_backward_squares_on_unequal_dimensions():
+    # The backward naturality equations once summed over the wrong module's
+    # dimension; wherever d2[t] != d1[psi[t]] the search then refuted
+    # interleavings that exist (here it answered 3/2).
+    sp = Spectrum.of(["8/3", 5, "23/3", 8], 0, 9)
+    one = Barcode(sp, (Bar.of("8/3", 5), Bar.of("8/3", 8), Bar.of(5, "23/3")))
+    other = Barcode(sp, (Bar.of("8/3", 8), Bar.of(5, "23/3")))
+    graded, _ = bottleneck_distance(one, other, graded=True)
+    assert graded == rational(7, 6)
+    m1, m2 = module_from_barcode(one), module_from_barcode(other)
+    assert interleaving_distance_bruteforce(m1, m2) == graded
+    cert = find_interleaving(m1, m2, graded)
+    assert cert is not None and verify_interleaving(cert, m1, m2) == []
+
+
+def test_interleaving_equals_graded_bottleneck_on_scrambled_pairs():
+    # half the pairs are one barcode in two random bases, the rest keep the
+    # infinite bars and redraw the finite ones; three or four bars make the
+    # dimensions of the regions differ
+    rng = random.Random(43)
+    for k in range(30):
+        one = random_barcode(rng, max_bars=4, max_points=8)
+        while len(one.bars) < 3:
+            one = random_barcode(rng, max_bars=4, max_points=8)
+        points = one.spectrum.points
+        other = one
+        if k % 2 and len(points) >= 2:
+            bars = [b for b in one.bars if not b.is_finite]
+            while len(bars) < rng.randint(0, 4):
+                i = rng.randrange(len(points) - 1)
+                j = rng.randrange(i + 1, len(points))
+                bars.append(Bar(points[i], points[j], rng.randint(0, 1)))
+            other = Barcode(one.spectrum, tuple(bars))
+        m1 = scramble(rng, module_from_barcode(one))
+        m2 = scramble(rng, module_from_barcode(other))
+        graded, _ = bottleneck_distance(one, other, graded=True)
+        assert interleaving_distance_bruteforce(m1, m2) == graded
+
+
+def recursive_max_bipartite(n_left, n_right, adj):
+    """Kuhn's algorithm with the recursive augment it was first written with."""
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+
+    def augment(u, seen):
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                if match_r[v] == -1 or augment(match_r[v], seen):
+                    match_r[v] = u
+                    match_l[u] = v
+                    return True
+        return False
+
+    size = sum(1 for u in range(n_left) if augment(u, [False] * n_right))
+    return size, match_l
+
+
+def test_max_bipartite_matches_recursive_search():
+    rng = random.Random(47)
+    for _ in range(200):
+        n_left, n_right = rng.randint(0, 9), rng.randint(0, 9)
+        adj = [rng.sample(range(n_right), rng.randint(0, n_right))
+               for _ in range(n_left)]
+        assert _max_bipartite(n_left, n_right, adj) == \
+            recursive_max_bipartite(n_left, n_right, adj)
+
+
+def test_max_bipartite_long_augmenting_path():
+    # every augmenting path of the last vertex runs through all the others,
+    # deeper than the interpreter's default recursion limit
+    n = 1500
+    adj = [[u + 1, u] for u in range(n - 1)] + [[n - 1]]
+    size, match_l = _max_bipartite(n, n, adj)
+    assert size == n
+    assert sorted(match_l) == list(range(n))

@@ -2,21 +2,25 @@ import random
 
 import pytest
 
+from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
 from contact_barcodes.errors import EmptyHorizonError, IndexOutOfRangeError, NonUniqueSnapError
 from contact_barcodes.gf2 import Gf2Matrix
-from contact_barcodes.oracles import brute_force_decompose
+from contact_barcodes.oracles import brute_force_decompose, rank_formula_decompose
 from contact_barcodes.persistence import (
     Bar,
     Barcode,
     SampledModule,
     Spectrum,
+    _graded_counts,
+    _sample_positions,
     _snap_point,
     decompose,
     module_from_barcode,
     rank_invariant,
     validate_module,
 )
-from contact_barcodes.random_instances import random_barcode, random_module
+from contact_barcodes.random_instances import random_barcode, random_module, scramble
+from contact_barcodes.serialization import dumps
 from contact_barcodes.scalar import NEG_INF, POS_INF, ZERO, rational
 
 
@@ -240,3 +244,103 @@ def test_parity_never_mixes():
                 count = sum(1 for b in code.bars
                             if b.parity == parity and b.contains(s))
                 assert count == m.dims[idx][parity]
+
+
+# -- the sweep against the rank formula, at width -----------------------------
+
+
+def wide_barcode(rng, n_points, n_bars):
+    """Bars of every kind over n_points spectrum points, horizon sometimes
+    touching the extreme points."""
+    points = sorted(rng.sample(range(1, 4 * n_points), n_points))
+    lo = points[0] - rng.choice((0, 1))
+    hi = points[-1] + rng.choice((0, 1))
+    spectrum = Spectrum.of([rational(p, 2) for p in points], rational(lo, 2),
+                           rational(hi, 2))
+    pts = spectrum.points
+    bars = []
+    for _ in range(n_bars):
+        parity = 0 if rng.random() < 0.7 else 1
+        kind = rng.random()
+        if kind < 0.1:
+            bars.append(Bar(NEG_INF, rng.choice(pts), parity))
+        elif kind < 0.2:
+            bars.append(Bar(rng.choice(pts), POS_INF, parity))
+        elif kind < 0.25:
+            bars.append(Bar(NEG_INF, POS_INF, parity))
+        else:
+            i = rng.randrange(len(pts) - 1)
+            j = rng.randrange(i + 1, min(i + 12, len(pts)))
+            bars.append(Bar(pts[i], pts[j], parity))
+    return Barcode(spectrum, tuple(bars))
+
+
+def test_sweep_agrees_with_rank_formula_oracle():
+    rng = random.Random(144)
+    widest = 0
+    for density, n_points, n_bars in ((1, 110, 60), (2, 55, 45), (1, 100, 70), (2, 50, 30)):
+        source = wide_barcode(rng, n_points, n_bars)
+        m = scramble(rng, module_from_barcode(source, grid_density_hint=density))
+        assert m.n_samples >= 100
+        widest = max(widest, max(max(d) for d in m.dims))
+        code = decompose(m)
+        assert code.same_bars(rank_formula_decompose(m))
+        assert code.same_bars(source)
+        kinds = {(b.parity, b.birth.is_neg_inf, b.death.is_pos_inf) for b in code.bars}
+        assert {(0, True, False), (0, False, True), (1, False, False)} <= kinds
+    assert 12 <= widest <= 20
+
+
+def test_sweep_agrees_with_rank_formula_on_random_modules():
+    rng = random.Random(145)
+    for _ in range(60):
+        m = random_module(rng, max_points=6, max_dim=3, density=rng.choice((1, 2)))
+        assert decompose(m).same_bars(rank_formula_decompose(m))
+
+
+def test_graded_counts_match_bar_containment():
+    rng = random.Random(146)
+    for _ in range(40):
+        b = random_barcode(rng, max_bars=10, max_points=8)
+        m = module_from_barcode(b, grid_density_hint=rng.choice((1, 2)))
+        assert _graded_counts(b.bars, m.samples) == \
+            [b.graded_dim_at(s) for s in m.samples]
+        for i in range(m.n_samples - 1):
+            assert m.points_between(i) == tuple(
+                p for p in m.spectrum.points if m.samples[i] < p < m.samples[i + 1])
+
+
+def bar_testing_module(b, grid_density_hint=1):
+    """module_from_barcode as first written: every bar tested at every sample."""
+    samples = _sample_positions(b.spectrum, grid_density_hint)
+    alive = []
+    for s in samples:
+        by_parity = ([], [])
+        for idx, bar in enumerate(b.bars):
+            if bar.contains(s):
+                by_parity[bar.parity].append(idx)
+        alive.append(by_parity)
+    dims = tuple((len(a0), len(a1)) for a0, a1 in alive)
+    maps = []
+    for i in range(len(samples) - 1):
+        pair = []
+        for parity in (0, 1):
+            src, dst = alive[i][parity], alive[i + 1][parity]
+            col_of = {bar_idx: c for c, bar_idx in enumerate(src)}
+            rows = tuple((1 << col_of[bar_idx]) if bar_idx in col_of else 0
+                         for bar_idx in dst)
+            pair.append(Gf2Matrix(rows, len(src)))
+        maps.append((pair[0], pair[1]))
+    return SampledModule(b.spectrum, tuple(samples), dims, tuple(maps))
+
+
+def test_event_sweep_module_matches_bar_testing_construction():
+    rng = random.Random(147)
+    codes = [random_barcode(rng, max_bars=12, max_points=8) for _ in range(40)]
+    codes += [wide_barcode(rng, 30, 25) for _ in range(3)]
+    codes += [ellipsoid_barcode(EllipsoidParams.of(axes, T))
+              for axes, T in (([1], 5), ([1, "3/2"], 9), (["2/3", 1, "5/4"], 5))]
+    for b in codes:
+        density = rng.choice((1, 2, 3))
+        assert dumps(module_from_barcode(b, density)) == \
+            dumps(bar_testing_module(b, density))
