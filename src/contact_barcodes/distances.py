@@ -1,21 +1,30 @@
 """Bottleneck distance with witness matchings, and a brute-force
 delta-interleaving search over sampled modules.
 
-The bottleneck side works on barcodes: candidate values are endpoint
-differences and half-lengths, feasibility at a candidate is a bipartite
-matching problem, and the infimum is attained at a candidate.  The
-interleaving side works directly on SampledModules, enumerating GF(2)
-interleaving maps region by region; the two routes are kept independent so
-they can be played against each other.
+The bottleneck side works on barcodes.  Every bar, infinite bars included,
+is a vertex of one bipartite graph padded with ghosts for the diagonal;
+the candidate values are the pair costs and the half-lengths, ranked once
+among the sorted finite values, and feasibility at a rank is a perfect
+matching.  The infimum is attained at a candidate.  The interleaving side
+works directly on SampledModules, enumerating GF(2) interleaving maps
+region by region; the two routes are kept independent so they can be
+played against each other.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from itertools import product
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
-from .errors import ShapeMismatchError, TooLargeError
+from .errors import (
+    HorizonMismatchError,
+    InvalidModuleError,
+    ShapeMismatchError,
+    TooLargeError,
+)
 from .gf2 import Gf2Matrix, Gf2System, SpanSolver
 from .persistence import Bar, Barcode, SampledModule, composite_map, validate_module
 from .scalar import NEG_INF, POS_INF, Scalar, ZERO
@@ -33,10 +42,6 @@ def endpoint_gap(x: Scalar, y: Scalar) -> Scalar:
 
 def bar_cost(a: Bar, b: Bar) -> Scalar:
     return max(endpoint_gap(a.birth, b.birth), endpoint_gap(a.death, b.death))
-
-
-def half_length(b: Bar) -> Scalar:
-    return b.half_length()
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,161 +103,83 @@ def _max_bipartite(n_left: int, n_right: int, adj: Sequence[Sequence[int]]
     return size, match_l
 
 
-def _finite_matching(left: Sequence[Bar], right: Sequence[Bar], delta: Scalar
-                     ) -> Optional[List[Tuple[Optional[int], Optional[int]]]]:
-    """Perfect matching of finite bars at cost <= delta, ghosts included."""
-    n1, n2 = len(left), len(right)
-    size = n1 + n2
-    # left vertices: bars of b1, then one ghost per bar of b2;
-    # right vertices: bars of b2, then one ghost per bar of b1.
-    adj: List[List[int]] = [[] for _ in range(size)]
-    for i, a in enumerate(left):
-        for j, b in enumerate(right):
-            if not (delta < bar_cost(a, b)):
-                adj[i].append(j)
-        if not (delta < half_length(a)):
-            adj[i].append(n2 + i)
-    for gi in range(n2):
-        if not (delta < half_length(right[gi])):
-            adj[n1 + gi].append(gi)
-        for gj in range(n1):
-            adj[n1 + gi].append(n2 + gj)
-    matched, match_l = _max_bipartite(size, size, adj)
-    if matched != size:
-        return None
-    pairs: List[Tuple[Optional[int], Optional[int]]] = []
-    for i in range(n1):
-        v = match_l[i]
-        pairs.append((i, v) if v < n2 else (i, None))
-    for gi in range(n2):
-        v = match_l[n1 + gi]
-        if v < n2:
-            pairs.append((None, v))
-    return pairs
+T = TypeVar("T")
 
 
-def _sorted_pairing(xs: List[Tuple[Scalar, int]], ys: List[Tuple[Scalar, int]]
-                    ) -> Tuple[Scalar, List[Tuple[int, int]]]:
-    xs = sorted(xs)
-    ys = sorted(ys)
-    worst = ZERO
-    pairs = []
-    for (vx, i), (vy, j) in zip(xs, ys):
-        worst = max(worst, endpoint_gap(vx, vy))
-        pairs.append((i, j))
-    return worst, pairs
+def _first_feasible(n: int, probe: Callable[[int], Optional[T]]
+                    ) -> Optional[Tuple[int, T]]:
+    """Least k in range(n) at which probe(k) is not None, with that result.
 
-
-def _bottleneck_ungraded(b1: Barcode, b2: Barcode
-                         ) -> Tuple[Scalar, Optional[Matching]]:
-    neg1, pos1, full1, fin1 = _split(b1)
-    neg2, pos2, full2, fin2 = _split(b2)
-    if len(neg1) != len(neg2) or len(pos1) != len(pos2) or len(full1) != len(full2):
-        return POS_INF, None
-
-    pairs: List[Tuple[Optional[int], Optional[int]]] = []
-    worst = ZERO
-    for (i, a), (j, b) in zip(full1, full2):
-        pairs.append((i, j))
-    w, pp = _sorted_pairing([(b1.bars[i].death, i) for i, _ in neg1],
-                            [(b2.bars[j].death, j) for j, _ in neg2])
-    worst = max(worst, w)
-    pairs.extend(pp)
-    w, pp = _sorted_pairing([(b1.bars[i].birth, i) for i, _ in pos1],
-                            [(b2.bars[j].birth, j) for j, _ in pos2])
-    worst = max(worst, w)
-    pairs.extend(pp)
-
-    left = [bar for _, bar in fin1]
-    right = [bar for _, bar in fin2]
-    candidates: Set[Scalar] = {ZERO, worst}
-    for a in left:
-        candidates.add(half_length(a))
-        for b in right:
-            candidates.add(endpoint_gap(a.birth, b.birth))
-            candidates.add(endpoint_gap(a.death, b.death))
-    for b in right:
-        candidates.add(half_length(b))
-    grid = sorted(c for c in candidates if c.is_finite and not (c < worst))
-    lo, hi = 0, len(grid) - 1
-    best: Optional[Tuple[Scalar, List]] = None
+    The probe must fail below some threshold and succeed from it on.
+    Returns None when it fails on all of range(n).
+    """
+    lo, hi = 0, n - 1
+    best: Optional[Tuple[int, T]] = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        res = _finite_matching(left, right, grid[mid])
+        res = probe(mid)
         if res is not None:
-            best = (grid[mid], res)
+            best = (mid, res)
             hi = mid - 1
         else:
             lo = mid + 1
-    if best is None:
-        return POS_INF, None
-    delta, fin_pairs = best
-    index1 = [i for i, _ in fin1]
-    index2 = [j for j, _ in fin2]
-    for li, rj in fin_pairs:
-        pairs.append((index1[li] if li is not None else None,
-                      index2[rj] if rj is not None else None))
-    return delta, Matching(tuple(pairs), delta)
+    return best
 
 
-def _split(b: Barcode):
-    neg, pos, full, fin = [], [], [], []
-    for i, bar in enumerate(b.bars):
-        if bar.birth.is_neg_inf and bar.death.is_pos_inf:
-            full.append((i, bar))
-        elif bar.birth.is_neg_inf:
-            neg.append((i, bar))
-        elif bar.death.is_pos_inf:
-            pos.append((i, bar))
-        else:
-            fin.append((i, bar))
-    return neg, pos, full, fin
-
-
-def matching_feasible(b1: Barcode, b2: Barcode, delta: Scalar) -> bool:
-    """Whether some matching of cost <= delta exists (ungraded)."""
-    if delta.is_pos_inf:
-        return True
-    if delta < ZERO:
-        return False
-    neg1, pos1, full1, fin1 = _split(b1)
-    neg2, pos2, full2, fin2 = _split(b2)
-    if len(neg1) != len(neg2) or len(pos1) != len(pos2) or len(full1) != len(full2):
-        return False
-    w1, _ = _sorted_pairing([(b1.bars[i].death, i) for i, _ in neg1],
-                            [(b2.bars[j].death, j) for j, _ in neg2])
-    w2, _ = _sorted_pairing([(b1.bars[i].birth, i) for i, _ in pos1],
-                            [(b2.bars[j].birth, j) for j, _ in pos2])
-    if delta < w1 or delta < w2:
-        return False
-    return _finite_matching([bar for _, bar in fin1],
-                            [bar for _, bar in fin2], delta) is not None
+def _infinite_kinds(b: Barcode, graded: bool) -> Counter:
+    return Counter((bar.birth.is_neg_inf, bar.death.is_pos_inf,
+                    bar.parity if graded else 0)
+                   for bar in b.bars if not bar.is_finite)
 
 
 def bottleneck_distance(b1: Barcode, b2: Barcode, graded: bool = False
                         ) -> Tuple[Scalar, Optional[Matching]]:
     """Infimal delta admitting a matching of cost <= delta, with a witness.
 
-    Returns +inf (and no witness) when the infinite-bar classes cannot be
-    matched.  With graded=True bars may only match within their parity.
+    Returns +inf (and no witness) when the barcodes differ in how many
+    infinite bars of each kind they hold; otherwise the distance is finite.
+    With graded=True bars may only match within their parity, and the
+    kinds are counted per parity.
+
+    Left vertices are the bars of b1, then one ghost per bar of b2; right
+    vertices the bars of b2, then one ghost per bar of b1.  A bar meets the
+    ghost standing for it at its half-length (+inf for an infinite bar) and
+    ghosts meet each other at 0.  Costs are ranked once among the sorted
+    finite values, so the binary search probes with int comparisons.
     """
-    if not graded:
-        return _bottleneck_ungraded(b1, b2)
-    worst = ZERO
-    all_pairs: List[Tuple[Optional[int], Optional[int]]] = []
-    for parity in (0, 1):
-        idx1 = [i for i, bar in enumerate(b1.bars) if bar.parity == parity]
-        idx2 = [j for j, bar in enumerate(b2.bars) if bar.parity == parity]
-        sub1 = Barcode(b1.spectrum, tuple(b1.bars[i] for i in idx1))
-        sub2 = Barcode(b2.spectrum, tuple(b2.bars[j] for j in idx2))
-        delta, matching = _bottleneck_ungraded(sub1, sub2)
-        if matching is None:
-            return POS_INF, None
-        worst = max(worst, delta)
-        for li, rj in matching.pairs:
-            all_pairs.append((idx1[li] if li is not None else None,
-                              idx2[rj] if rj is not None else None))
-    return worst, Matching(tuple(all_pairs), worst)
+    if _infinite_kinds(b1, graded) != _infinite_kinds(b2, graded):
+        return POS_INF, None
+    left, right = b1.bars, b2.bars
+    n1, n2 = len(left), len(right)
+    costs = [[POS_INF if graded and a.parity != b.parity else bar_cost(a, b)
+              for b in right] for a in left]
+    halves1 = [a.half_length() for a in left]
+    halves2 = [b.half_length() for b in right]
+    values = sorted({ZERO}
+                    | {c for row in costs for c in row if c.is_finite}
+                    | {h for h in halves1 + halves2 if h.is_finite})
+    rank = {v: k for k, v in enumerate(values)}
+    rank[POS_INF] = len(values)
+    cost_ranks = [[rank[c] for c in row] for row in costs]
+    half_ranks1 = [rank[h] for h in halves1]
+    half_ranks2 = [rank[h] for h in halves2]
+    size = n1 + n2
+    ghosts1 = list(range(n2, size))
+
+    def probe(k: int) -> Optional[List[int]]:
+        adj = [[j for j, c in enumerate(row) if c <= k]
+               + ([n2 + i] if half_ranks1[i] <= k else [])
+               for i, row in enumerate(cost_ranks)]
+        adj += [([g] if half_ranks2[g] <= k else []) + ghosts1 for g in range(n2)]
+        matched, match_l = _max_bipartite(size, size, adj)
+        return match_l if matched == size else None
+
+    # the last rank admits every edge of finite cost, and equal kind counts
+    # give a perfect matching of finite cost, so some rank succeeds
+    k, match_l = _first_feasible(len(values), probe)
+    pairs = [(i, v if v < n2 else None) for i, v in enumerate(match_l[:n1])]
+    pairs += [(None, v) for v in match_l[n1:] if v < n2]
+    return values[k], Matching(tuple(pairs), values[k])
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +208,12 @@ class _Regions:
     def __init__(self, m: SampledModule):
         issues = validate_module(m)
         if issues:
-            raise ValueError("invalid module: " + "; ".join(issues))
+            raise InvalidModuleError("invalid module: " + "; ".join(issues))
         if m.n_samples == 0:
-            raise ValueError("module has no samples")
+            raise InvalidModuleError("module has no samples")
         self.module = m
         cuts: List[Scalar] = []
-        reps: List[int] = [0] if m.n_samples else []
+        reps: List[int] = [0]
         for i in range(m.n_samples - 1):
             between = m.points_between(i)
             if between:
@@ -340,13 +267,18 @@ def interleaving_candidates(m1: SampledModule, m2: SampledModule) -> List[Scalar
     return sorted(out)
 
 
-def _enumerate_chain(regions1: _Regions, regions2: _Regions, parity: int,
-                     delta: Scalar, budget: List[int]):
-    """Yield (F maps, solved G system) pairs satisfying every constraint.
+_SEARCH_BUDGET = 400_000
 
-    F maps are searched depth-first along the forward naturality chain;
-    G equations are accumulated incrementally so contradictions prune the
-    search as early as possible.
+
+def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
+                  delta: Scalar
+                  ) -> Optional[Tuple[List[Gf2Matrix], List[Gf2Matrix]]]:
+    """The first (F maps, G maps) pair satisfying every constraint, or None.
+
+    F maps are searched depth-first along the forward naturality chain, on
+    an explicit stack with one frame per region; G equations are accumulated
+    incrementally so contradictions prune the search as early as possible.
+    Each F candidate tried costs one unit of the search budget.
     """
     R1, R2 = regions1.n, regions2.n
     d1 = [d[parity] for d in regions1.dims]
@@ -380,21 +312,21 @@ def _enumerate_chain(regions1: _Regions, regions2: _Regions, parity: int,
                         coeffs ^= 1 << g_bit(t, s, j)
                 base.add(coeffs, 0)
                 if not base.consistent:
-                    return
+                    return None
 
     # rank obstructions that need no enumeration at all
     for r in range(R1):
         need = regions1.comp(r, phi2[r], parity).rank()
         if need > d2[phi[r]]:
-            return
+            return None
         if need > regions1.comp(psi[phi[r]], phi2[r], parity).rank():
-            return
+            return None
     for t in range(R2):
         need = regions2.comp(t, psi2[t], parity).rank()
         if need > d1[psi[t]]:
-            return
+            return None
         if need > regions2.comp(phi[psi[t]], psi2[t], parity).rank():
-            return
+            return None
 
     # equations carrying F[r] enter the system at DFS depth r
     e3_by_depth: List[List[int]] = [[] for _ in range(R1)]
@@ -457,55 +389,52 @@ def _enumerate_chain(regions1: _Regions, regions2: _Regions, parity: int,
                 rows_options.append(opts)
         return rows_options
 
-    def dfs(r: int, prev: Optional[Gf2Matrix], system: Gf2System,
-            stack: List[Gf2Matrix]):
-        if r == R1:
-            sol = system.solve()
+    def g_maps(sol: int) -> List[Gf2Matrix]:
+        gs = []
+        for t in range(R2):
+            rows = []
+            for i in range(d1[psi[t]]):
+                acc = 0
+                for j in range(d2[t]):
+                    acc |= ((sol >> g_bit(t, i, j)) & 1) << j
+                rows.append(acc)
+            gs.append(Gf2Matrix(tuple(rows), d2[t]))
+        return gs
+
+    # frames[r] walks the F candidates of region r under the system built
+    # from fs[:r]; fs holds the F map chosen in each region below the top
+    frames = [(product(*f_candidates(0, None)), base)]
+    fs: List[Gf2Matrix] = []
+    budget = _SEARCH_BUDGET
+    while frames:
+        r = len(frames) - 1
+        candidates, system = frames[-1]
+        rows = next(candidates, None)
+        if rows is None:
+            frames.pop()
+            if fs:
+                fs.pop()
+            continue
+        budget -= 1
+        if budget <= 0:
+            raise TooLargeError("interleaving search budget exhausted")
+        fmat = Gf2Matrix(rows, d1[r])
+        sub = system.copy()
+        if not add_e2(sub, r, fmat):
+            continue
+        if not all(add_e3(sub, t, fmat) for t in e3_by_depth[r]):
+            continue
+        if r + 1 == R1:
+            sol = sub.solve()
             if sol is not None:
-                gs = []
-                for t in range(R2):
-                    rows = []
-                    for i in range(d1[psi[t]]):
-                        acc = 0
-                        for j in range(d2[t]):
-                            acc |= ((sol >> g_bit(t, i, j)) & 1) << j
-                        rows.append(acc)
-                    gs.append(Gf2Matrix(tuple(rows), d2[t]))
-                yield list(stack), gs
-            return
-        rows_options = f_candidates(r, prev)
+                return fs + [fmat], g_maps(sol)
+            continue
+        rows_options = f_candidates(r + 1, fmat)
         if rows_options is None:
-            return
-
-        def rec(i: int, rows: List[int]):
-            if i == len(rows_options):
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    raise TooLargeError("interleaving search budget exhausted")
-                fmat = Gf2Matrix(tuple(rows), d1[r])
-                sub = system.copy()
-                if not add_e2(sub, r, fmat):
-                    return
-                ok = True
-                for t in e3_by_depth[r]:
-                    if not add_e3(sub, t, fmat):
-                        ok = False
-                        break
-                if not ok:
-                    return
-                stack.append(fmat)
-                yield from dfs(r + 1, fmat, sub, stack)
-                stack.pop()
-                return
-            for row in rows_options[i]:
-                yield from rec(i + 1, rows + [row])
-
-        yield from rec(0, [])
-
-    yield from dfs(0, None, base, [])
-
-
-_SEARCH_BUDGET = 400_000
+            continue
+        fs.append(fmat)
+        frames.append((product(*rows_options), sub))
+    return None
 
 
 def find_interleaving(m1: SampledModule, m2: SampledModule, delta: Scalar
@@ -517,11 +446,7 @@ def find_interleaving(m1: SampledModule, m2: SampledModule, delta: Scalar
     _check_enumeration_bound(m1, m2)
     per_parity = []
     for parity in (0, 1):
-        budget = [_SEARCH_BUDGET]
-        found = None
-        for fs, gs in _enumerate_chain(regions1, regions2, parity, delta, budget):
-            found = (fs, gs)
-            break
+        found = _search_chain(regions1, regions2, parity, delta)
         if found is None:
             return None
         per_parity.append(found)
@@ -548,19 +473,11 @@ def interleaving_distance_bruteforce(m1: SampledModule, m2: SampledModule
     must share a horizon; the search enumerates interleaving maps directly.
     """
     if (m1.spectrum.lo, m1.spectrum.hi) != (m2.spectrum.lo, m2.spectrum.hi):
-        raise ValueError("modules must share one horizon")
+        raise HorizonMismatchError("modules must share one horizon")
     _check_enumeration_bound(m1, m2)
     grid = interleaving_candidates(m1, m2)
-    lo, hi = 0, len(grid) - 1
-    best: Optional[Scalar] = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if find_interleaving(m1, m2, grid[mid]) is not None:
-            best = grid[mid]
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return best if best is not None else POS_INF
+    found = _first_feasible(len(grid), lambda k: find_interleaving(m1, m2, grid[k]))
+    return POS_INF if found is None else grid[found[0]]
 
 
 def verify_interleaving(cert: InterleavingCertificate, m1: SampledModule,

@@ -21,6 +21,18 @@ class IndexOutOfRangeError(DomainError, IndexError):
     """A sample index is outside the module's grid."""
 
 
+class InvalidModuleError(DomainError, ValueError):
+    """A module fails validation, so no operation on it is defined."""
+
+
+class HorizonMismatchError(DomainError, ValueError):
+    """Two modules that must share one horizon do not."""
+
+
+class NonPositiveDeltaError(DomainError, ValueError):
+    """A scale parameter that must be positive is not."""
+
+
 class TooLargeError(DomainError):
     """An enumeration bound was exceeded; the brute-force search refuses to run."""
 

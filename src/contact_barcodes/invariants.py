@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
 from .distances import bottleneck_distance
-from .errors import InPiSpanError
+from .errors import InPiSpanError, NonPositiveDeltaError
 from .persistence import Bar, Barcode, Spectrum
 from .scalar import POS_INF, Scalar, ZERO
 
@@ -126,7 +126,7 @@ def covering_number(points: Iterable[Scalar], delta: Scalar
     group is grown maximally and its center placed at the group's midpoint.
     """
     if not (ZERO < delta):
-        raise ValueError("delta must be positive")
+        raise NonPositiveDeltaError("delta must be positive")
     pts = sorted(set(points))
     for p in pts:
         if not p.is_finite:
@@ -163,7 +163,7 @@ def translated_point_lower_bound(b_id: Barcode, delta: Scalar) -> int:
     one length per ball.
     """
     if not (ZERO < delta):
-        raise ValueError("delta must be positive")
+        raise NonPositiveDeltaError("delta must be positive")
     endpoints = bar_endpoint_set(b_id, delta)
     k, _ = covering_number(endpoints, delta)
     return k

@@ -136,14 +136,14 @@ def _make_bar(m: SampledModule, i: int, j: int, k: int, parity: int) -> Bar:
 
 
 def _pair_cost(a: Optional[Bar], b: Optional[Bar]) -> Scalar:
-    from .distances import bar_cost, half_length
+    from .distances import bar_cost
 
     if a is None and b is None:
         return ZERO
     if a is None:
-        return half_length(b)
+        return b.half_length()
     if b is None:
-        return half_length(a)
+        return a.half_length()
     return bar_cost(a, b)
 
 

@@ -31,6 +31,7 @@ from typing import Iterable, List, Sequence, Tuple
 from .errors import (
     EmptyHorizonError,
     IndexOutOfRangeError,
+    InvalidModuleError,
     NonUniqueSnapError,
 )
 from .gf2 import Gf2Matrix
@@ -277,7 +278,7 @@ def decompose(m: SampledModule) -> Barcode:
     """
     issues = validate_module(m)
     if issues:
-        raise ValueError("cannot decompose an invalid module: " + "; ".join(issues))
+        raise InvalidModuleError("cannot decompose an invalid module: " + "; ".join(issues))
     k = m.n_samples
     bars: List[Bar] = []
     for parity in (0, 1):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .gf2 import Gf2Matrix, invertible_matrices
-from .persistence import Bar, Barcode, SampledModule, Spectrum
+from .persistence import Bar, Barcode, SampledModule, Spectrum, _sample_positions
 from .scalar import NEG_INF, POS_INF, Scalar, rational
 
 
@@ -65,29 +65,16 @@ def random_barcode(rng: random.Random, max_bars: int = 8, max_points: int = 6,
 def random_module(rng: random.Random, max_points: int = 4, max_dim: int = 2,
                   spectrum: Optional[Spectrum] = None,
                   density: int = 1) -> SampledModule:
-    """A valid random module: random dims per region, random matrices
-    across spectrum points, random invertible matrices inside regions."""
+    """A valid random module on the sample grid of `module_from_barcode`:
+    random dims per region, random matrices across spectrum points, random
+    invertible matrices inside regions."""
     if spectrum is None:
         spectrum = random_spectrum(rng, max_points=max_points)
-    points, lo, hi = spectrum.points, spectrum.lo, spectrum.hi
-    if not points:
-        cells = [(lo, hi)]
-    else:
-        gaps = [b - a for a, b in zip(points, points[1:])]
-        pad = min(gaps) if gaps else rational(1)
-        left = lo if lo < points[0] else points[0] - pad
-        right = hi if points[-1] < hi else points[-1] + pad
-        cells = [(left, points[0])] + list(zip(points, points[1:])) + [(points[-1], right)]
-    samples: List[Scalar] = []
-    region_of: List[int] = []
-    for r, (a, b) in enumerate(cells):
-        width = b - a
-        for t in range(1, density + 1):
-            samples.append(a + width * Fraction(t, density + 1))
-            region_of.append(r)
+    samples = _sample_positions(spectrum, density)
+    region_of = [i // density for i in range(len(samples))]
 
     region_dims = []
-    for _ in range(len(cells)):
+    for _ in range(len(samples) // density):
         total = rng.randint(0, max_dim)
         d0 = rng.randint(0, total)
         region_dims.append((d0, total - d0))

@@ -87,7 +87,7 @@ def criterion_3_decompose_oracle(seed: int, quick: bool) -> Tuple[bool, str]:
         fast = decompose(m)
         slow = brute_force_decompose(m)
         if not fast.same_bars(slow):
-            return False, f"module {done}: rank formula disagrees with basis search"
+            return False, f"module {done}: sweep disagrees with basis search"
         done += 1
     return True, f"{n} modules of total dimension <= 4 agree with basis enumeration"
 

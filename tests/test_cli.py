@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -231,3 +232,41 @@ def test_schema_errors_name_the_json_path(tmp_path, capsys, argv, faults, make):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and where in captured.err, captured.err
+
+
+def _invalid_module_doc():
+    doc = _module_doc()
+    doc["samples"][0] = "1/1"  # collides with the spectrum point
+    return doc
+
+
+def _module_on_horizon(hi):
+    return json.loads(dumps(module_from_barcode(Barcode(Spectrum.of([1], 0, hi), ()))))
+
+
+DOMAIN_FAILURES = [
+    ("reduce-invalid-module", ["reduce", "{a}"], _invalid_module_doc, _module_doc),
+    ("interleave-horizons", ["interleave", "{a}", "{b}"],
+     lambda: _module_on_horizon(2), lambda: _module_on_horizon(3)),
+    ("cover-delta-0", ["cover", "{a}", "--delta", "0"], _barcode_doc, _barcode_doc),
+    ("bound-delta-0", ["bound", "{a}", "--delta", "0"], _barcode_doc, _barcode_doc),
+]
+
+
+@pytest.mark.parametrize("argv,make_a,make_b", [c[1:] for c in DOMAIN_FAILURES],
+                         ids=[c[0] for c in DOMAIN_FAILURES])
+def test_domain_failures_exit_1(tmp_path, capsys, argv, make_a, make_b):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(make_a()))
+    b.write_text(json.dumps(make_b()))
+    assert main([arg.format(a=a, b=b) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_quick_suite_stdout_is_pinned(capsys):
+    # the behaviour gate: stdout of the quick battery at seed 0, byte for byte
+    pinned = Path(__file__).parent / "data" / "suite_quick_seed0.txt"
+    assert run(["suite", "--quick", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")

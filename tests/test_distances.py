@@ -13,7 +13,6 @@ from contact_barcodes.distances import (
     find_interleaving,
     interleaving_candidates,
     interleaving_distance_bruteforce,
-    matching_feasible,
     verify_interleaving,
 )
 from contact_barcodes.oracles import exhaustive_bottleneck
@@ -142,19 +141,134 @@ def test_zero_distance_means_equal_bars():
         assert (d == ZERO) == b1.same_bars(b2)
 
 
-def test_feasibility_monotone_and_search_consistent():
-    rng = random.Random(29)
-    for _ in range(40):
-        b1 = random_barcode(rng, max_bars=4, max_points=4)
-        b2 = random_barcode(rng, max_bars=4, max_points=4)
-        d, _ = bottleneck_distance(b1, b2)
-        grid = sorted({ZERO, rational(1, 2), rational(1), rational(2),
-                       rational(4), rational(8), d} - {POS_INF})
-        state = [matching_feasible(b1, b2, g) for g in grid]
-        assert state == sorted(state)  # False... then True...
-        if d.is_finite:
-            for g, ok in zip(grid, state):
-                assert ok == (not (g < d))
+def only_parity(b, parity):
+    return Barcode(b.spectrum, tuple(bar for bar in b.bars if bar.parity == parity))
+
+
+def reference_feasibility(b1, b2, graded=False):
+    """Feasibility of a matching of cost <= delta, as a predicate on delta,
+    by the split-and-sort formulation: each parity on its own when graded,
+    the infinite bars of each kind paired in sorted order, and the finite
+    bars by a perfect matching probed with Fraction comparisons."""
+    if graded:
+        parts = [reference_feasibility(only_parity(b1, p), only_parity(b2, p))
+                 for p in (0, 1)]
+        return lambda delta: all(part(delta) for part in parts)
+
+    def kinds(b):
+        out = {}
+        for bar in b.bars:
+            out.setdefault((bar.birth.is_neg_inf, bar.death.is_pos_inf), []).append(bar)
+        return out
+
+    kinds1, kinds2 = kinds(b1), kinds(b2)
+    worst = ZERO
+    for kind in ((True, True), (True, False), (False, True)):
+        xs, ys = kinds1.get(kind, []), kinds2.get(kind, [])
+        if len(xs) != len(ys):
+            return lambda delta: delta.is_pos_inf
+        key = Bar.sort_key if kind != (True, False) else (lambda bar: bar.death)
+        for a, b in zip(sorted(xs, key=key), sorted(ys, key=key)):
+            worst = max(worst, bar_cost(a, b))
+    left, right = kinds1.get((False, False), []), kinds2.get((False, False), [])
+    n1, n2 = len(left), len(right)
+    costs = [[bar_cost(a, b) for b in right] for a in left]
+
+    def feasible(delta):
+        if delta < worst:
+            return False
+        adj = [[j for j, c in enumerate(row) if not (delta < c)]
+               + ([n2 + i] if not (delta < a.half_length()) else [])
+               for i, (a, row) in enumerate(zip(left, costs))]
+        adj += [([j] if not (delta < b.half_length()) else []) + list(range(n2, n2 + n1))
+                for j, b in enumerate(right)]
+        return recursive_max_bipartite(n1 + n2, n1 + n2, adj)[0] == n1 + n2
+
+    return feasible
+
+
+def reference_bottleneck(b1, b2, feasible):
+    """Least candidate (endpoint gap or half-length) at which the predicate
+    holds, by binary search; +inf when none does."""
+    candidates = {ZERO} | {bar.half_length() for bar in b1.bars + b2.bars}
+    for end in ("birth", "death"):
+        ends1 = {getattr(bar, end) for bar in b1.bars}
+        ends2 = {getattr(bar, end) for bar in b2.bars}
+        candidates |= {endpoint_gap(x, y) for x in ends1 for y in ends2}
+    grid = sorted(c for c in candidates if c.is_finite) + [POS_INF]
+    lo, hi = 0, len(grid) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(grid[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return grid[lo]
+
+
+def wide_barcode(rng, n_bars, spectrum, infinite_kinds):
+    """n_bars bars on the spectrum: the given (birth, death) infinite kinds,
+    the rest finite, with random parities and finite ends."""
+    points = spectrum.points
+    bars = []
+    for birth_inf, death_inf in infinite_kinds:
+        birth = NEG_INF if birth_inf else rng.choice(points)
+        death = POS_INF if death_inf else rng.choice(points)
+        bars.append(Bar(birth, death, rng.randint(0, 1)))
+    while len(bars) < n_bars:
+        i = rng.randrange(len(points) - 1)
+        j = rng.randrange(i + 1, len(points))
+        bars.append(Bar(points[i], points[j], rng.randint(0, 1)))
+    return Barcode(spectrum, tuple(bars))
+
+
+def witness_cost(b1, b2, matching, graded):
+    """Cost of a witness, checking that it covers every bar exactly once."""
+    lefts = [li for li, _ in matching.pairs if li is not None]
+    rights = [rj for _, rj in matching.pairs if rj is not None]
+    assert sorted(lefts) == list(range(len(b1.bars)))
+    assert sorted(rights) == list(range(len(b2.bars)))
+    worst = ZERO
+    for li, rj in matching.pairs:
+        if li is None:
+            cost = b2.bars[rj].half_length()
+        elif rj is None:
+            cost = b1.bars[li].half_length()
+        elif graded and b1.bars[li].parity != b2.bars[rj].parity:
+            cost = POS_INF
+        else:
+            cost = bar_cost(b1.bars[li], b2.bars[rj])
+        worst = max(worst, cost)
+    return worst
+
+
+def test_agrees_with_split_and_sort_reference_on_wide_barcodes():
+    # 10 to 60 bars a side, too many for the exhaustive oracle; most pairs
+    # share their infinite kinds, the rest may not, so both the finite
+    # search and the +inf refusal are exercised, graded and ungraded.  The
+    # reference's feasibility must also switch on exactly at the distance.
+    rng = random.Random(53)
+    kinds = [(True, False), (False, True), (True, True)]
+    finite = 0
+    for trial in range(200):
+        sp = random_spectrum(rng, max_points=12, min_points=3)
+        inf1 = [rng.choice(kinds) for _ in range(rng.randint(0, 4))]
+        inf2 = list(inf1) if trial % 4 else [rng.choice(kinds) for _ in range(len(inf1))]
+        b1 = wide_barcode(rng, rng.randint(10, 60), sp, inf1)
+        b2 = wide_barcode(rng, rng.randint(10, 60), sp, inf2)
+        for graded in (False, True):
+            d, matching = bottleneck_distance(b1, b2, graded=graded)
+            feasible = reference_feasibility(b1, b2, graded=graded)
+            assert d == reference_bottleneck(b1, b2, feasible), (trial, graded)
+            grid = sorted({ZERO, rational(1, 2), rational(1), rational(2), d})
+            assert [feasible(g) for g in grid] == [not (g < d) for g in grid]
+            if matching is None:
+                assert d == POS_INF
+                continue
+            finite += 1
+            assert matching.cost == d
+            assert witness_cost(b1, b2, matching, graded) == d
+    assert finite > 200
 
 
 # -- interleavings ----------------------------------------------------------
@@ -297,6 +411,33 @@ def test_interleaving_equals_graded_bottleneck_on_scrambled_pairs():
         m2 = scramble(rng, module_from_barcode(other))
         graded, _ = bottleneck_distance(one, other, graded=True)
         assert interleaving_distance_bruteforce(m1, m2) == graded
+
+
+def test_interleaving_on_400_regions():
+    # the search once recursed once per region and overflowed the stack here
+    sp = Spectrum.of(list(range(400)), 0, 399)
+    one = Barcode(sp, (Bar.of(0, 399, 0), Bar.of(1, 3, 1)))
+    other = Barcode(sp, (Bar.of(1, 399, 0), Bar.of(1, 2, 1)))
+    m1, m2 = module_from_barcode(one), module_from_barcode(other)
+    graded, _ = bottleneck_distance(one, other, graded=True)
+    assert graded == rational(1)
+    cert = find_interleaving(m1, m2, graded)
+    assert cert is not None and verify_interleaving(cert, m1, m2) == []
+    assert find_interleaving(m1, m2, rational(1, 2)) is None
+
+
+def test_search_backs_out_of_later_regions():
+    # one barcode in two random bases: at delta = 2 the search takes F maps
+    # in early regions that dead-end further along the chain, so it must
+    # unwind those regions before the certificate it returns is consistent
+    sp = Spectrum.of([3, 5, "23/3", "26/3", 10], 3, 10)
+    code = Barcode(sp, (Bar.of(3, "23/3"), Bar.of(5, 10)))
+    rng = random.Random(1241)
+    m1 = scramble(rng, module_from_barcode(code))
+    m2 = scramble(rng, module_from_barcode(code))
+    for delta in interleaving_candidates(m1, m2):
+        cert = find_interleaving(m1, m2, delta)
+        assert cert is not None and verify_interleaving(cert, m1, m2) == [], delta
 
 
 def recursive_max_bipartite(n_left, n_right, adj):
