@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatchError,
     TooLargeError,
 )
-from .gf2 import Gf2Matrix, Gf2System, SpanSolver
+from .gf2 import Echelon, Gf2Matrix, Gf2System
 from .persistence import Bar, Barcode, SampledModule, composite_map, validate_module
 from .scalar import NEG_INF, POS_INF, Scalar, ZERO
 
@@ -295,7 +295,7 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
     def g_bit(t: int, i: int, j: int) -> int:
         return g_offset[t] + i * d2[t] + j
 
-    base = Gf2System(n_unknowns)
+    base = Gf2System()
 
     # backward naturality chain is independent of F
     for t in range(R2 - 1):
@@ -333,7 +333,7 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
     for t in range(R2):
         e3_by_depth[psi[t]].append(t)
 
-    fwd_solvers = [None] * max(R1 - 1, 0)
+    fwd_echelons = [None] * max(R1 - 1, 0)
 
     def add_e2(system: Gf2System, r: int, fmat: Gf2Matrix) -> bool:
         u = phi2[r]
@@ -374,17 +374,17 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
         else:
             a1 = regions1.comp(r - 1, r, parity)
             target = (regions2.comp(phi[r - 1], phi[r], parity) @ prev)
-            solver = fwd_solvers[r - 1]
-            if solver is None:
-                solver = SpanSolver(list(a1.rows), a1.ncols)
-                fwd_solvers[r - 1] = solver
+            echelon = fwd_echelons[r - 1]
+            if echelon is None:
+                echelon = Echelon(a1.rows)
+                fwd_echelons[r - 1] = echelon
             rows_options = []
             for i in range(nrows):
-                part = solver.express(target.rows[i])
+                part = echelon.express(target.rows[i])
                 if part is None:
                     return None
                 opts = [part]
-                for null_mask in solver.nullspace:
+                for null_mask in echelon.nullspace:
                     opts = opts + [o ^ null_mask for o in opts]
                 rows_options.append(opts)
         return rows_options
@@ -444,6 +444,12 @@ def find_interleaving(m1: SampledModule, m2: SampledModule, delta: Scalar
         return None
     regions1, regions2 = _Regions(m1), _Regions(m2)
     _check_enumeration_bound(m1, m2)
+    return _certificate(regions1, regions2, delta)
+
+
+def _certificate(regions1: _Regions, regions2: _Regions, delta: Scalar
+                 ) -> Optional[InterleavingCertificate]:
+    """find_interleaving on modules already validated and bounded."""
     per_parity = []
     for parity in (0, 1):
         found = _search_chain(regions1, regions2, parity, delta)
@@ -475,8 +481,10 @@ def interleaving_distance_bruteforce(m1: SampledModule, m2: SampledModule
     if (m1.spectrum.lo, m1.spectrum.hi) != (m2.spectrum.lo, m2.spectrum.hi):
         raise HorizonMismatchError("modules must share one horizon")
     _check_enumeration_bound(m1, m2)
+    regions1, regions2 = _Regions(m1), _Regions(m2)
     grid = interleaving_candidates(m1, m2)
-    found = _first_feasible(len(grid), lambda k: find_interleaving(m1, m2, grid[k]))
+    found = _first_feasible(len(grid),
+                            lambda k: _certificate(regions1, regions2, grid[k]))
     return POS_INF if found is None else grid[found[0]]
 
 

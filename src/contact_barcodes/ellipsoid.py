@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
-from .errors import OnSpectrumError
+from .errors import InvalidEllipsoidError, OnSpectrumError
 from .persistence import Bar, Barcode, Spectrum
 from .scalar import POS_INF, Scalar, ScalarLike, ZERO, as_scalar
 
@@ -31,16 +31,16 @@ class EllipsoidParams:
 
     def __post_init__(self):
         if not self.axes:
-            raise ValueError("need at least one axis")
+            raise InvalidEllipsoidError("need at least one axis")
         prev = None
         for a in self.axes:
             if not (a.is_finite and ZERO < a):
-                raise ValueError("axes must be positive rationals")
+                raise InvalidEllipsoidError("axes must be positive rationals")
             if prev is not None and a < prev:
-                raise ValueError("axes must be sorted ascending")
+                raise InvalidEllipsoidError("axes must be sorted ascending")
             prev = a
         if not (self.horizon.is_finite and ZERO < self.horizon):
-            raise ValueError("horizon must be a positive rational")
+            raise InvalidEllipsoidError("horizon must be a positive rational")
 
     @classmethod
     def of(cls, axes, horizon: ScalarLike) -> "EllipsoidParams":

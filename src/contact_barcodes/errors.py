@@ -33,6 +33,10 @@ class NonPositiveDeltaError(DomainError, ValueError):
     """A scale parameter that must be positive is not."""
 
 
+class InvalidEllipsoidError(DomainError, ValueError):
+    """Ellipsoid axes or horizon break their preconditions."""
+
+
 class TooLargeError(DomainError):
     """An enumeration bound was exceeded; the brute-force search refuses to run."""
 

@@ -1,12 +1,15 @@
 """Bit-packed linear algebra over GF(2).
 
 Matrices store one int per row; bit j of a row is the entry in column j.
+There is one Gaussian elimination, `Echelon.reduce`: the rank, the
+inverse, the span witnesses of the interleaving search, its incremental
+linear systems and the sweep of `persistence.decompose` all run on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,35 +79,20 @@ class Gf2Matrix:
         return Gf2Matrix(tuple(out), other.ncols)
 
     def rank(self) -> int:
-        return gf2_rank(list(self.rows), self.ncols)
+        return len(Echelon(self.rows).pivots)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.ncols
 
     def inverse(self) -> "Gf2Matrix":
-        """Invert via Gauss-Jordan on [self | I]."""
+        """The matrix whose row i combines self's rows into unit vector i."""
         if self.nrows != self.ncols:
             raise ValueError("only square matrices can be inverted")
-        n = self.ncols
-        work = list(self.rows)
-        inv = [1 << i for i in range(n)]
-        row_idx = 0
-        for col in range(n):
-            pivot = None
-            for r in range(row_idx, n):
-                if (work[r] >> col) & 1:
-                    pivot = r
-                    break
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            work[row_idx], work[pivot] = work[pivot], work[row_idx]
-            inv[row_idx], inv[pivot] = inv[pivot], inv[row_idx]
-            for r in range(n):
-                if r != row_idx and ((work[r] >> col) & 1):
-                    work[r] ^= work[row_idx]
-                    inv[r] ^= inv[row_idx]
-            row_idx += 1
-        return Gf2Matrix(tuple(inv), n)
+        echelon = Echelon(self.rows)
+        if echelon.nullspace:
+            raise ValueError("matrix is singular")
+        return Gf2Matrix(tuple(echelon.express(1 << i) for i in range(self.ncols)),
+                         self.ncols)
 
     def is_partial_permutation(self) -> bool:
         """True when every row and every column carries at most one 1."""
@@ -118,119 +106,87 @@ class Gf2Matrix:
         return True
 
 
-def gf2_rank(rows: List[int], n_cols: int) -> int:
-    """Rank over GF(2) via Gaussian elimination on int bitsets."""
-    work = rows[:]
-    rank = 0
-    row_idx = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(row_idx, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[row_idx], work[pivot] = work[pivot], work[row_idx]
-        for r in range(len(work)):
-            if r != row_idx and ((work[r] >> col) & 1):
-                work[r] ^= work[row_idx]
-        rank += 1
-        row_idx += 1
-        if row_idx == len(work):
-            break
-    return rank
+class Echelon:
+    """Top-bit pivots of a set of row vectors, each tagged with its origin.
 
-
-class SpanSolver:
-    """Expresses target vectors as XOR combinations of a fixed list of rows.
-
-    Used to solve x . A = b for a row vector x: a solution is a combination
-    of A's rows hitting b, and the solution set is that particular witness
-    plus the left nullspace of A.
+    pivots maps a bit position to the one kept vector whose top set bit it
+    is, paired with a tag: the mask of input rows whose XOR gives that
+    vector.  Built from a row list, row i carries tag 1 << i, and the tags
+    of the rows that reduce to zero form a basis of the left nullspace.
     """
 
-    def __init__(self, rows: Sequence[int], width: int):
-        self.width = width
-        self.n = len(rows)
-        # (vector, witness-combination) pairs in echelon form
-        self.basis: List[Tuple[int, int]] = []
+    __slots__ = ("pivots", "nullspace")
+
+    def __init__(self, rows: Iterable[int] = ()):
+        self.pivots: Dict[int, Tuple[int, int]] = {}
         self.nullspace: List[int] = []
         for i, row in enumerate(rows):
-            vec, wit = self._reduce(row, 1 << i)
-            if vec:
-                self.basis.append((vec, wit))
-                self.basis.sort(key=lambda p: -(p[0].bit_length()))
-            else:
-                self.nullspace.append(wit)
+            vec, tag = self.insert(row, 1 << i)
+            if not vec:
+                self.nullspace.append(tag)
 
-    def _reduce(self, vec: int, wit: int) -> Tuple[int, int]:
-        for bvec, bwit in self.basis:
-            if vec & (1 << (bvec.bit_length() - 1)):
-                vec ^= bvec
-                wit ^= bwit
-        return vec, wit
+    def reduce(self, vec: int, tag: int = 0) -> Tuple[int, int]:
+        """XOR pivots into vec while its top bit has one; returns (vec, tag).
+
+        The result is 0 exactly when vec lies in the span of the pivots.
+        """
+        pivots = self.pivots
+        while vec:
+            pivot = pivots.get(vec.bit_length() - 1)
+            if pivot is None:
+                break
+            vec ^= pivot[0]
+            tag ^= pivot[1]
+        return vec, tag
+
+    def insert(self, vec: int, tag: int = 0) -> Tuple[int, int]:
+        """Reduce vec and keep the result as a pivot unless it is 0."""
+        vec, tag = self.reduce(vec, tag)
+        if vec:
+            self.pivots[vec.bit_length() - 1] = (vec, tag)
+        return vec, tag
 
     def express(self, target: int) -> Optional[int]:
-        """Combination mask c with XOR_{i in c} rows[i] == target, or None."""
-        vec, wit = self._reduce(target, 0)
-        return wit if vec == 0 else None
+        """The tag of a combination of pivots equal to target, or None."""
+        vec, tag = self.reduce(target)
+        return tag if vec == 0 else None
 
 
 class Gf2System:
-    """Incremental GF(2) linear system over a fixed set of unknowns.
+    """Incremental GF(2) linear system.
 
-    Rows are added one at a time; `consistent` flips to False as soon as a
-    contradictory equation arrives.  Supports cheap copy for backtracking.
+    The equation coeffs . x = rhs is the vector coeffs << 1 | rhs in an
+    Echelon; `consistent` flips to False as soon as one reduces to exactly
+    1, i.e. 0 = 1.  Copying for backtracking copies one dict.
     """
 
-    def __init__(self, n_unknowns: int):
-        self.n = n_unknowns
-        self.rows: List[int] = []  # bit n is the RHS
-        self.pivots: List[int] = []
+    def __init__(self):
+        self.echelon = Echelon()
         self.consistent = True
 
     def copy(self) -> "Gf2System":
-        dup = Gf2System(self.n)
-        dup.rows = self.rows[:]
-        dup.pivots = self.pivots[:]
+        dup = Gf2System()
+        dup.echelon.pivots = self.echelon.pivots.copy()
         dup.consistent = self.consistent
         return dup
 
     def add(self, coeffs: int, rhs: int) -> bool:
         """Add the equation coeffs . x = rhs; returns consistency."""
-        if not self.consistent:
-            return False
-        row = coeffs | (rhs << self.n)
-        # Descending pivot order: XOR with a row only introduces lower bits,
-        # so one pass fully clears every pivot position.
-        for pivot, existing in sorted(zip(self.pivots, self.rows), reverse=True):
-            if (row >> pivot) & 1:
-                row ^= existing
-        coeff_part = row & ((1 << self.n) - 1)
-        if coeff_part == 0:
-            if row >> self.n:
-                self.consistent = False
-            return self.consistent
-        self.rows.append(row)
-        self.pivots.append(coeff_part.bit_length() - 1)
-        return True
+        if self.consistent:
+            self.consistent = self.echelon.insert(coeffs << 1 | rhs)[0] != 1
+        return self.consistent
 
     def solve(self) -> Optional[int]:
         """A particular solution (free unknowns set to 0), or None."""
         if not self.consistent:
             return None
         x = 0
-        # Every row's non-pivot bits sit strictly below its pivot, so solving
+        # Every pivot's other bits sit strictly below its top bit, so solving
         # in ascending pivot order sees only already-determined unknowns.
-        for pivot, row in sorted(zip(self.pivots, self.rows)):
-            acc = (row >> self.n) & 1
-            rest = (row & ((1 << self.n) - 1)) & ~(1 << pivot)
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                acc ^= (x >> j) & 1
-                rest &= rest - 1
-            x |= acc << pivot
+        pivots = self.echelon.pivots
+        for top in sorted(pivots):
+            row = pivots[top][0]
+            x |= (((row & (x << 1)).bit_count() ^ row) & 1) << (top - 1)
         return x
 
 

@@ -34,7 +34,7 @@ from .errors import (
     InvalidModuleError,
     NonUniqueSnapError,
 )
-from .gf2 import Gf2Matrix
+from .gf2 import Echelon, Gf2Matrix
 from .scalar import NEG_INF, POS_INF, Scalar, ScalarLike, as_scalar, rational
 
 Parity = int  # 0 or 1; the Z/2 supergrading
@@ -263,10 +263,10 @@ def decompose(m: SampledModule) -> Barcode:
     space at sample i in which each vector is tagged with its birth sample
     b, arranged so that the vectors born at or before b span the image of
     the composite map from sample b to sample i.  Crossing to sample i+1,
-    the images of the basis vectors are reduced oldest first against the
-    images already kept (pivots on the top set bit); an image that reduces
-    to zero is the youngest of a dependent set, so its bar ends at sample i
-    (the elder rule).  The surviving images keep their births, and unit
+    the images of the basis vectors are inserted oldest first into an
+    `Echelon` of the images already kept; an image that reduces to zero
+    is the youngest of a dependent set, so its bar ends at sample i (the
+    elder rule).  The surviving images keep their births, and unit
     vectors at the positions no survivor pivots on complete the basis as
     bars born at sample i+1.  Each step costs O(d^2) word operations for
     per-sample dimension d.
@@ -288,24 +288,20 @@ def decompose(m: SampledModule) -> Barcode:
         basis = [(1 << c, 0) for c in range(m.dims[0][parity])] if k else []
         for i in range(k - 1):
             rows = m.maps[i][parity].rows
-            pivots = {}
+            images = Echelon()
             kept = []
             for vec, birth in basis:
                 image = 0
                 for r, row in enumerate(rows):
                     if (row & vec).bit_count() & 1:
                         image |= 1 << r
-                while image:
-                    top = image.bit_length() - 1
-                    pivot = pivots.get(top)
-                    if pivot is None:
-                        pivots[top] = image
-                        kept.append((image, birth))
-                        break
-                    image ^= pivot
+                image = images.insert(image)[0]
+                if image:
+                    kept.append((image, birth))
                 else:
                     spans.append((birth, i))
-            kept.extend((1 << c, i + 1) for c in range(len(rows)) if c not in pivots)
+            kept.extend((1 << c, i + 1) for c in range(len(rows))
+                        if c not in images.pivots)
             basis = kept
         spans.extend((birth, k - 1) for _, birth in basis)
         for i, j in spans:

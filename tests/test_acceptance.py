@@ -6,12 +6,15 @@ and `cpv suite` exercise identical runs.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
 from contact_barcodes.suite import CRITERIA, run_criterion
 
 SEED = int(os.environ.get("CPV_SEED", "0"))
+# stdout of `cpv suite --seed 0`, one line per criterion, then the summary
+PINNED = Path(__file__).parent / "data" / "suite_seed0.txt"
 
 
 @pytest.mark.parametrize(
@@ -26,3 +29,6 @@ def test_criterion(number, name, capsys):
         print(f"\n{status} criterion {number:2d} [{result.seconds:7.2f}s] "
               f"{name}: {result.detail}", end="")
     assert result.passed, f"criterion {number} ({name}): {result.detail}"
+    if SEED == 0:
+        pinned = PINNED.read_text(encoding="utf-8").splitlines()[number - 1]
+        assert f"PASS criterion {number:2d} {name}: {result.detail}" == pinned

@@ -250,6 +250,10 @@ DOMAIN_FAILURES = [
      lambda: _module_on_horizon(2), lambda: _module_on_horizon(3)),
     ("cover-delta-0", ["cover", "{a}", "--delta", "0"], _barcode_doc, _barcode_doc),
     ("bound-delta-0", ["bound", "{a}", "--delta", "0"], _barcode_doc, _barcode_doc),
+    ("ellipsoid-axes-unsorted", ["ellipsoid", "-a", "2", "-a", "1", "-T", "3"],
+     _barcode_doc, _barcode_doc),
+    ("ellipsoid-horizon-0", ["ellipsoid", "-a", "1", "-T", "0"],
+     _barcode_doc, _barcode_doc),
 ]
 
 

@@ -6,13 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contact_barcodes.gf2 import (
+    Echelon,
     Gf2Matrix,
     Gf2System,
-    SpanSolver,
     all_matrices,
-    gf2_rank,
     invertible_matrices,
 )
+from contact_barcodes.random_instances import random_basis_change
 
 
 def span_size(rows, ncols):
@@ -29,7 +29,7 @@ def span_size(rows, ncols):
 @given(st.lists(st.integers(min_value=0, max_value=31), max_size=5))
 def test_rank_counts_span(rows):
     # the rowspan of a rank-r set has exactly 2^r elements
-    assert 1 << gf2_rank(list(rows), 5) == span_size(rows, 5)
+    assert 1 << Gf2Matrix(tuple(rows), 5).rank() == span_size(rows, 5)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 12 - 1),
@@ -95,7 +95,7 @@ def test_span_solver_express_and_nullspace():
         nrows = rng.randint(1, 4)
         width = rng.randint(1, 4)
         rows = [rng.randrange(1 << width) for _ in range(nrows)]
-        solver = SpanSolver(rows, width)
+        solver = Echelon(rows)
         for mask in solver.nullspace:
             acc = 0
             for i in range(nrows):
@@ -120,7 +120,7 @@ def test_gf2_system_against_enumeration():
     rng = random.Random(11)
     for _ in range(60):
         n = rng.randint(1, 5)
-        sys_ = Gf2System(n)
+        sys_ = Gf2System()
         eqs = []
         for _ in range(rng.randint(0, 6)):
             coeffs = rng.randrange(1 << n)
@@ -150,3 +150,178 @@ def test_all_matrices_enumerates_everything():
     mats = list(all_matrices(2, 2))
     assert len(mats) == 16
     assert len(set(mats)) == 16
+
+
+# The formulations the package used before every elimination went through
+# Echelon, kept here as references: a column-by-column rank, Gauss-Jordan
+# on [A | I], a span solver whose basis is re-sorted after every insert,
+# and a system that sorts its pivots on every equation.
+
+def reference_rank(rows, n_cols):
+    work = rows[:]
+    rank = 0
+    row_idx = 0
+    for col in range(n_cols):
+        pivot = None
+        for r in range(row_idx, len(work)):
+            if (work[r] >> col) & 1:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        work[row_idx], work[pivot] = work[pivot], work[row_idx]
+        for r in range(len(work)):
+            if r != row_idx and ((work[r] >> col) & 1):
+                work[r] ^= work[row_idx]
+        rank += 1
+        row_idx += 1
+        if row_idx == len(work):
+            break
+    return rank
+
+
+def reference_inverse(rows, n):
+    """Rows of the inverse, or None when singular."""
+    work = list(rows)
+    inv = [1 << i for i in range(n)]
+    row_idx = 0
+    for col in range(n):
+        pivot = None
+        for r in range(row_idx, n):
+            if (work[r] >> col) & 1:
+                pivot = r
+                break
+        if pivot is None:
+            return None
+        work[row_idx], work[pivot] = work[pivot], work[row_idx]
+        inv[row_idx], inv[pivot] = inv[pivot], inv[row_idx]
+        for r in range(n):
+            if r != row_idx and ((work[r] >> col) & 1):
+                work[r] ^= work[row_idx]
+                inv[r] ^= inv[row_idx]
+        row_idx += 1
+    return tuple(inv)
+
+
+class ReferenceSpanSolver:
+    def __init__(self, rows):
+        self.basis = []
+        self.nullspace = []
+        for i, row in enumerate(rows):
+            vec, wit = self._reduce(row, 1 << i)
+            if vec:
+                self.basis.append((vec, wit))
+                self.basis.sort(key=lambda p: -(p[0].bit_length()))
+            else:
+                self.nullspace.append(wit)
+
+    def _reduce(self, vec, wit):
+        for bvec, bwit in self.basis:
+            if vec & (1 << (bvec.bit_length() - 1)):
+                vec ^= bvec
+                wit ^= bwit
+        return vec, wit
+
+    def express(self, target):
+        vec, wit = self._reduce(target, 0)
+        return wit if vec == 0 else None
+
+
+class ReferenceSystem:
+    def __init__(self, n_unknowns):
+        self.n = n_unknowns
+        self.rows = []
+        self.pivots = []
+        self.consistent = True
+
+    def add(self, coeffs, rhs):
+        if not self.consistent:
+            return False
+        row = coeffs | (rhs << self.n)
+        for pivot, existing in sorted(zip(self.pivots, self.rows), reverse=True):
+            if (row >> pivot) & 1:
+                row ^= existing
+        coeff_part = row & ((1 << self.n) - 1)
+        if coeff_part == 0:
+            if row >> self.n:
+                self.consistent = False
+            return self.consistent
+        self.rows.append(row)
+        self.pivots.append(coeff_part.bit_length() - 1)
+        return True
+
+    def solve(self):
+        if not self.consistent:
+            return None
+        x = 0
+        for pivot, row in sorted(zip(self.pivots, self.rows)):
+            acc = (row >> self.n) & 1
+            rest = (row & ((1 << self.n) - 1)) & ~(1 << pivot)
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                acc ^= (x >> j) & 1
+                rest &= rest - 1
+            x |= acc << pivot
+        return x
+
+
+def _rows_with_dependencies(rng, nrows, ncols):
+    """Random rows where about a third are XORs of earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 1 / 3:
+            acc = 0
+            for row in rng.sample(rows, rng.randint(1, len(rows))):
+                acc ^= row
+            rows.append(acc)
+        else:
+            rows.append(rng.randrange(1 << ncols))
+    return rows
+
+
+def test_kernels_agree_with_reference_formulations_at_width_64():
+    rng = random.Random(64)
+    invertible = 0
+    for case in range(3000):
+        ncols = rng.randint(1, 64)
+        if case % 3 == 0:
+            # square: invertible by row additions, or random with dependencies
+            if case % 2:
+                mat, inv = random_basis_change(rng, ncols)
+                rows = list(mat.rows)
+            else:
+                rows = _rows_with_dependencies(rng, ncols, ncols)
+                inv = None
+            want = reference_inverse(rows, ncols)
+            if want is None:
+                with pytest.raises(ValueError):
+                    Gf2Matrix(tuple(rows), ncols).inverse()
+            else:
+                got = Gf2Matrix(tuple(rows), ncols).inverse()
+                assert got.rows == want
+                assert inv is None or inv.rows == want
+                invertible += 1
+        else:
+            rows = _rows_with_dependencies(rng, rng.randint(1, 64), ncols)
+        assert Gf2Matrix(tuple(rows), ncols).rank() == reference_rank(rows, ncols)
+
+        echelon, ref = Echelon(rows), ReferenceSpanSolver(rows)
+        assert echelon.nullspace == ref.nullspace
+        for _ in range(4):
+            inside = 0
+            for row in rng.sample(rows, rng.randint(0, len(rows))):
+                inside ^= row
+            for target in (inside, rng.randrange(1 << ncols)):
+                assert echelon.express(target) == ref.express(target)
+
+        system, ref_system = Gf2System(), ReferenceSystem(ncols)
+        planted = rng.randrange(1 << ncols)
+        noisy = rng.random() < 0.5
+        for row in rows:
+            rhs = (row & planted).bit_count() & 1
+            if noisy and rng.random() < 0.1:
+                rhs ^= 1
+            assert system.add(row, rhs) == ref_system.add(row, rhs)
+        assert system.consistent == ref_system.consistent
+        assert system.solve() == ref_system.solve()
+    assert invertible > 500
