@@ -9,6 +9,12 @@ matching.  The infimum is attained at a candidate.  The interleaving side
 works directly on SampledModules, enumerating GF(2) interleaving maps
 region by region; the two routes are kept independent so they can be
 played against each other.
+
+Both sides compute on exact int coordinates (`_Coords`): each call scales
+its finitely many rationals by twice the lcm of their denominators, so
+endpoints, gaps, half-lengths, region shifts and candidate deltas are
+Python ints, and infinities are tags, never floats.  Values become
+Scalars again only at the output.
 """
 
 from __future__ import annotations
@@ -16,18 +22,46 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from math import lcm
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .errors import (
     HorizonMismatchError,
+    InfiniteDeltaError,
     InvalidModuleError,
     ShapeMismatchError,
     TooLargeError,
 )
 from .gf2 import Echelon, Gf2Matrix, Gf2System
 from .persistence import Bar, Barcode, SampledModule, composite_map, validate_module
-from .scalar import NEG_INF, POS_INF, Scalar, ZERO
+from .scalar import POS_INF, Scalar, ZERO
+
+
+class _Coords:
+    """Exact int coordinates for the finitely many rationals of one call.
+
+    `scale` is twice the lcm of their denominators, so each value, each
+    difference of two values and half of each difference, times `scale`,
+    is an int.  Scaling by one positive factor keeps every order and
+    equality, so int comparisons decide what Scalar comparisons would.
+    Infinities have no coordinate; callers tag them before mapping.
+    """
+
+    __slots__ = ("scale",)
+
+    def __init__(self, values: Iterable[Scalar]):
+        self.scale = 2 * lcm(*{v.value.denominator for v in values if v.is_finite})
+
+    def of(self, x: Scalar) -> int:
+        """x * scale, for finite x."""
+        q = x.value
+        return q.numerator * (self.scale // q.denominator)
+
+    def scalar(self, n: int) -> Scalar:
+        """The Scalar with coordinate n."""
+        return Scalar(Fraction(n, self.scale))
 
 
 def endpoint_gap(x: Scalar, y: Scalar) -> Scalar:
@@ -132,6 +166,26 @@ def _infinite_kinds(b: Barcode, graded: bool) -> Counter:
                    for bar in b.bars if not bar.is_finite)
 
 
+def _int_bars(bars: Sequence[Bar], coords: _Coords, graded: bool
+              ) -> Tuple[List[Tuple[int, int, int]], List[Optional[int]]]:
+    """(kind, birth, death) int triples and int half-lengths of the bars.
+
+    The kind tags which ends are infinite (and the parity when graded);
+    an infinite end gets coordinate 0, so two bars of one kind are as far
+    apart as their finite ends, and bars of different kinds are infinitely
+    far apart.  An infinite bar's half-length is None.
+    """
+    ends, halves = [], []
+    for bar in bars:
+        birth_inf, death_inf = not bar.birth.is_finite, not bar.death.is_finite
+        x = 0 if birth_inf else coords.of(bar.birth)
+        y = 0 if death_inf else coords.of(bar.death)
+        kind = (bar.parity if graded else 0) << 2 | birth_inf << 1 | death_inf
+        ends.append((kind, x, y))
+        halves.append(None if birth_inf or death_inf else (y - x) // 2)
+    return ends, halves
+
+
 def bottleneck_distance(b1: Barcode, b2: Barcode, graded: bool = False
                         ) -> Tuple[Scalar, Optional[Matching]]:
     """Infimal delta admitting a matching of cost <= delta, with a witness.
@@ -144,22 +198,25 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, graded: bool = False
     Left vertices are the bars of b1, then one ghost per bar of b2; right
     vertices the bars of b2, then one ghost per bar of b1.  A bar meets the
     ghost standing for it at its half-length (+inf for an infinite bar) and
-    ghosts meet each other at 0.  Costs are ranked once among the sorted
-    finite values, so the binary search probes with int comparisons.
+    ghosts meet each other at 0.  Costs are int maxima of endpoint
+    differences in the `_Coords` of all endpoints, with None for +inf;
+    they are ranked once among the sorted finite values, so the binary
+    search probes with int comparisons.  Only the result is a Scalar.
     """
     if _infinite_kinds(b1, graded) != _infinite_kinds(b2, graded):
         return POS_INF, None
     left, right = b1.bars, b2.bars
     n1, n2 = len(left), len(right)
-    costs = [[POS_INF if graded and a.parity != b.parity else bar_cost(a, b)
-              for b in right] for a in left]
-    halves1 = [a.half_length() for a in left]
-    halves2 = [b.half_length() for b in right]
-    values = sorted({ZERO}
-                    | {c for row in costs for c in row if c.is_finite}
-                    | {h for h in halves1 + halves2 if h.is_finite})
+    coords = _Coords(end for bar in left + right for end in (bar.birth, bar.death))
+    ends1, halves1 = _int_bars(left, coords, graded)
+    ends2, halves2 = _int_bars(right, coords, graded)
+    costs = [[max(abs(x - u), abs(y - v)) if kind == other else None
+              for other, u, v in ends2] for kind, x, y in ends1]
+    values = sorted({0}
+                    | {c for row in costs for c in row if c is not None}
+                    | {h for h in halves1 + halves2 if h is not None})
     rank = {v: k for k, v in enumerate(values)}
-    rank[POS_INF] = len(values)
+    rank[None] = len(values)
     cost_ranks = [[rank[c] for c in row] for row in costs]
     half_ranks1 = [rank[h] for h in halves1]
     half_ranks2 = [rank[h] for h in halves2]
@@ -179,7 +236,8 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, graded: bool = False
     k, match_l = _first_feasible(len(values), probe)
     pairs = [(i, v if v < n2 else None) for i, v in enumerate(match_l[:n1])]
     pairs += [(None, v) for v in match_l[n1:] if v < n2]
-    return values[k], Matching(tuple(pairs), values[k])
+    delta = coords.scalar(values[k])
+    return delta, Matching(tuple(pairs), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +272,7 @@ class _Regions:
         self.module = m
         cuts: List[Scalar] = []
         reps: List[int] = [0]
-        for i in range(m.n_samples - 1):
-            between = m.points_between(i)
+        for i, between in enumerate(m.gap_points()):
             if between:
                 cuts.append(between[0])
                 reps.append(i + 1)
@@ -224,47 +281,42 @@ class _Regions:
         self.n = len(reps)
         self.dims = tuple(m.dims[i] for i in reps)
 
-    def region_at(self, x: Scalar) -> int:
-        """Region holding points just to the right of x."""
-        return bisect_right(self.cuts, x)
-
-    def boundary(self, r: int) -> Scalar:
-        """Left boundary of region r (-inf for the first region)."""
-        return NEG_INF if r == 0 else self.cuts[r - 1]
-
     def comp(self, a: int, b: int, parity: int) -> Gf2Matrix:
         return composite_map(self.module, self.reps[a], self.reps[b], parity)
-
-    def shift(self, r: int, delta: Scalar, target: "_Regions") -> int:
-        """Region of `target` that region r lands in when shifted by delta."""
-        b = self.boundary(r)
-        if b.is_neg_inf:
-            return 0
-        return target.region_at(b + delta)
 
 
 def _shift_tables(regions1: _Regions, regions2: _Regions, delta: Scalar):
     """Region shift maps phi (1 -> 2 by delta), psi (2 -> 1 by delta) and
-    phi2, psi2 (each module into itself by 2 delta)."""
-    two_delta = delta + delta
-    phi = [regions1.shift(r, delta, regions2) for r in range(regions1.n)]
-    psi = [regions2.shift(t, delta, regions1) for t in range(regions2.n)]
-    phi2 = [regions1.shift(r, two_delta, regions1) for r in range(regions1.n)]
-    psi2 = [regions2.shift(t, two_delta, regions2) for t in range(regions2.n)]
-    return phi, psi, phi2, psi2
+    phi2, psi2 (each module into itself by 2 delta).
+
+    Region r > 0 starts at cut r - 1 and lands in the target region that
+    holds the points just right of that cut plus the shift; region 0
+    reaches to -inf and lands in region 0.  Cuts and delta are compared
+    in one `_Coords`, so any finite delta works.
+    """
+    if not delta.is_finite:
+        raise InfiniteDeltaError(f"interleaving parameter delta must be finite, got {delta}")
+    coords = _Coords(regions1.cuts + regions2.cuts + (delta,))
+    cuts1 = [coords.of(c) for c in regions1.cuts]
+    cuts2 = [coords.of(c) for c in regions2.cuts]
+    shift = coords.of(delta)
+
+    def table(cuts: List[int], by: int, target: List[int]) -> List[int]:
+        return [0] + [bisect_right(target, c + by) for c in cuts]
+
+    return (table(cuts1, shift, cuts2), table(cuts2, shift, cuts1),
+            table(cuts1, 2 * shift, cuts1), table(cuts2, 2 * shift, cuts2))
 
 
 def interleaving_candidates(m1: SampledModule, m2: SampledModule) -> List[Scalar]:
+    """0, every gap between two of the spectrum points and horizon ends of
+    both modules, and half of every gap, ascending."""
     values = set(m1.spectrum.points) | set(m2.spectrum.points)
     values |= {m1.spectrum.lo, m1.spectrum.hi, m2.spectrum.lo, m2.spectrum.hi}
-    vals = sorted(values)
-    out = {ZERO}
-    for i, a in enumerate(vals):
-        for b in vals[i + 1:]:
-            gap = b - a
-            out.add(gap)
-            out.add(gap / 2)
-    return sorted(out)
+    coords = _Coords(values)
+    xs = sorted(coords.of(v) for v in values)
+    gaps = {b - a for i, a in enumerate(xs) for b in xs[i + 1:]}
+    return [coords.scalar(g) for g in sorted({0} | gaps | {g // 2 for g in gaps})]
 
 
 _SEARCH_BUDGET = 400_000

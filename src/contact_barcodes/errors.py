@@ -33,6 +33,10 @@ class NonPositiveDeltaError(DomainError, ValueError):
     """A scale parameter that must be positive is not."""
 
 
+class InfiniteDeltaError(DomainError, ValueError):
+    """An interleaving parameter that must be finite is infinite."""
+
+
 class InvalidEllipsoidError(DomainError, ValueError):
     """Ellipsoid axes or horizon break their preconditions."""
 

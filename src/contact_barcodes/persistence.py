@@ -17,8 +17,9 @@ the persistence reduction of a chain of linear maps: it carries a basis
 of the current sample's space, each vector tagged with the sample where
 its bar was born, and pushes it through every structure map, keeping the
 older bar whenever two images become dependent (the elder rule).
-Lookups of spectrum points against sample positions, and of sample
-positions against bar endpoints, bisect the sorted sequences.
+The spectrum points of every sample gap come from one merge of the
+samples into the sorted spectrum; sample positions are looked up against
+bar endpoints by bisecting the sorted samples.
 """
 
 from __future__ import annotations
@@ -186,6 +187,30 @@ class SampledModule:
         return points[bisect_right(points, self.samples[i]):
                       bisect_left(points, self.samples[i + 1])]
 
+    def gap_points(self) -> List[Tuple[Scalar, ...]]:
+        """points_between(i) for every gap i, from one merge of the samples
+        into the sorted spectrum.
+
+        The pointer p follows bisect_left(points, s) from sample to sample,
+        so the whole pass is linear when the samples increase; it also
+        steps back, so any sample order gives the answers of
+        points_between.
+        """
+        points = self.spectrum.points
+        n = len(points)
+        gaps: List[Tuple[Scalar, ...]] = []
+        p = 0
+        start = None  # bisect_right(points, previous sample)
+        for s in self.samples:
+            while p < n and points[p] < s:
+                p += 1
+            while p > 0 and not (points[p - 1] < s):
+                p -= 1
+            if start is not None:
+                gaps.append(points[start:p])
+            start = p + 1 if p < n and points[p] == s else p
+        return gaps
+
 
 def validate_module(m: SampledModule) -> List[str]:
     """Collect invariant violations; an empty list means the module is valid."""
@@ -215,8 +240,7 @@ def validate_module(m: SampledModule) -> List[str]:
         above = bisect_right(pts, m.samples[-1])  # samples[-1] < pts[above:]
         for p in pts[:below] + pts[max(below, above):]:
             issues.append(f"spectrum point {p} is not straddled by the samples")
-    for i in range(len(m.samples) - 1):
-        between = m.points_between(i)
+    for i, between in enumerate(m.gap_points()):
         if len(between) > 1:
             issues.append(
                 f"{len(between)} spectrum points between samples {i} and {i + 1}")
@@ -248,7 +272,11 @@ def rank_invariant(m: SampledModule, i: int, j: int) -> Tuple[int, int]:
 
 
 def _snap_point(m: SampledModule, gap_index: int) -> Scalar:
-    between = m.points_between(gap_index)
+    return _only_point(m.points_between(gap_index), gap_index)
+
+
+def _only_point(between: Sequence[Scalar], gap_index: int) -> Scalar:
+    """The one spectrum point `between` holds, for the gap gap_index."""
     if len(between) != 1:
         raise NonUniqueSnapError(
             f"gap between samples {gap_index} and {gap_index + 1} holds "
@@ -280,6 +308,7 @@ def decompose(m: SampledModule) -> Barcode:
     if issues:
         raise InvalidModuleError("cannot decompose an invalid module: " + "; ".join(issues))
     k = m.n_samples
+    gaps = m.gap_points()
     bars: List[Bar] = []
     for parity in (0, 1):
         spans: List[Tuple[int, int]] = []
@@ -305,8 +334,8 @@ def decompose(m: SampledModule) -> Barcode:
             basis = kept
         spans.extend((birth, k - 1) for _, birth in basis)
         for i, j in spans:
-            birth = NEG_INF if i == 0 else _snap_point(m, i - 1)
-            death = POS_INF if j == k - 1 else _snap_point(m, j)
+            birth = NEG_INF if i == 0 else _only_point(gaps[i - 1], i - 1)
+            death = POS_INF if j == k - 1 else _only_point(gaps[j], j)
             bars.append(Bar(birth, death, parity))
     code = Barcode(m.spectrum, tuple(bars))
     counts = _graded_counts(code.bars, m.samples)

@@ -12,7 +12,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from typing import Union
 
 ScalarLike = Union["Scalar", Fraction, int, str]
@@ -23,7 +22,6 @@ _POS = float("inf")
 _NEG = float("-inf")
 
 
-@total_ordering
 @dataclass(frozen=True, slots=True)
 class Scalar:
     value: Union[Fraction, float]
@@ -54,10 +52,42 @@ class Scalar:
 
     # -- order ----------------------------------------------------------
 
+    # Two finite values compare by cross-multiplying numerators and
+    # denominators (both denominators are positive), which skips the
+    # abstract-base-class checks of Fraction's own comparisons; an
+    # infinity compares through its float tag.
+
     def __lt__(self, other: "Scalar") -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.value < other.value
+        a, b = self.value, other.value
+        if a.__class__ is float or b.__class__ is float:
+            return a < b
+        return a.numerator * b.denominator < b.numerator * a.denominator
+
+    def __le__(self, other: "Scalar") -> bool:
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        a, b = self.value, other.value
+        if a.__class__ is float or b.__class__ is float:
+            return a <= b
+        return a.numerator * b.denominator <= b.numerator * a.denominator
+
+    def __gt__(self, other: "Scalar") -> bool:
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        a, b = self.value, other.value
+        if a.__class__ is float or b.__class__ is float:
+            return a > b
+        return a.numerator * b.denominator > b.numerator * a.denominator
+
+    def __ge__(self, other: "Scalar") -> bool:
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        a, b = self.value, other.value
+        if a.__class__ is float or b.__class__ is float:
+            return a >= b
+        return a.numerator * b.denominator >= b.numerator * a.denominator
 
     # -- arithmetic (finite operands only) -------------------------------
 

@@ -1,12 +1,22 @@
+import dataclasses
 import random
+from bisect import bisect_right
+from fractions import Fraction
 
 import pytest
 
-from contact_barcodes.errors import ShapeMismatchError, TooLargeError
+from contact_barcodes.errors import (
+    DomainError,
+    InfiniteDeltaError,
+    ShapeMismatchError,
+    TooLargeError,
+)
 from contact_barcodes.gf2 import Gf2Matrix
 from contact_barcodes.distances import (
     InterleavingCertificate,
+    _Regions,
     _max_bipartite,
+    _shift_tables,
     bar_cost,
     bottleneck_distance,
     endpoint_gap,
@@ -30,7 +40,7 @@ from contact_barcodes.random_instances import (
     random_spectrum,
     scramble,
 )
-from contact_barcodes.scalar import NEG_INF, POS_INF, ZERO, rational
+from contact_barcodes.scalar import NEG_INF, POS_INF, ZERO, Scalar, rational
 
 
 def test_endpoint_gap_conventions():
@@ -271,6 +281,34 @@ def test_agrees_with_split_and_sort_reference_on_wide_barcodes():
     assert finite > 200
 
 
+def test_agrees_with_split_and_sort_reference_on_coprime_denominators():
+    # endpoints are multiples of 1393/985, 99/70 and 1/7, so the int
+    # coordinates scale by twice a large lcm and half-lengths fall on the
+    # 1/(2q) lattice between the endpoint gaps
+    rng = random.Random(59)
+    units = [Fraction(1393, 985), Fraction(99, 70), Fraction(1, 7)]
+    kinds = [(True, False), (False, True), (True, True)]
+    finite = 0
+    for trial in range(60):
+        n_points, points = rng.randint(3, 12), set()
+        while len(points) < n_points:
+            points.add(rng.choice(units) * rng.randint(0, 30))
+        points = sorted(Scalar(p) for p in points)
+        sp = Spectrum(tuple(points), points[0], points[-1])
+        inf1 = [rng.choice(kinds) for _ in range(rng.randint(0, 2))]
+        b1 = wide_barcode(rng, rng.randint(3, 20), sp, inf1)
+        b2 = wide_barcode(rng, rng.randint(3, 20), sp, list(inf1))
+        for graded in (False, True):
+            d, matching = bottleneck_distance(b1, b2, graded=graded)
+            feasible = reference_feasibility(b1, b2, graded=graded)
+            assert d == reference_bottleneck(b1, b2, feasible), (trial, graded)
+            if matching is not None:
+                finite += 1
+                assert matching.cost == d
+                assert witness_cost(b1, b2, matching, graded) == d
+    assert finite > 80
+
+
 # -- interleavings ----------------------------------------------------------
 
 
@@ -477,3 +515,72 @@ def test_max_bipartite_long_augmenting_path():
     size, match_l = _max_bipartite(n, n, adj)
     assert size == n
     assert sorted(match_l) == list(range(n))
+
+
+def reference_shift_tables(regions1, regions2, delta):
+    """The shift tables in Scalar arithmetic: region r > 0 starts at cut
+    r - 1 and lands in the target region right of that cut plus the
+    shift; region 0 lands in region 0."""
+    def table(src, by, target):
+        return [0] + [bisect_right(target.cuts, cut + by) for cut in src.cuts]
+
+    two = delta + delta
+    return (table(regions1, delta, regions2), table(regions2, delta, regions1),
+            table(regions1, two, regions1), table(regions2, two, regions2))
+
+
+def reference_candidates(m1, m2):
+    """interleaving_candidates as a double loop over Scalar gaps."""
+    values = set(m1.spectrum.points) | set(m2.spectrum.points)
+    values |= {m1.spectrum.lo, m1.spectrum.hi, m2.spectrum.lo, m2.spectrum.hi}
+    vals = sorted(values)
+    out = {ZERO}
+    for i, a in enumerate(vals):
+        for b in vals[i + 1:]:
+            out.add(b - a)
+            out.add((b - a) / 2)
+    return sorted(out)
+
+
+def twelfths_spectrum(rng, max_points):
+    n_points, points = rng.randint(1, max_points), set()
+    while len(points) < n_points:
+        q = rng.randint(1, 12)
+        points.add(rational(rng.randint(0, 10 * q), q))
+    points = sorted(points)
+    return Spectrum(tuple(points), rational(0), max(points[-1], rational(10)))
+
+
+def test_shift_tables_and_candidates_match_scalar_reference():
+    # two modules on different spectra with denominators up to 12, probed
+    # at every candidate and at deltas off the candidate grid
+    rng = random.Random(61)
+    for _ in range(40):
+        m1 = random_module(rng, max_dim=2, spectrum=twelfths_spectrum(rng, 7),
+                           density=rng.choice((1, 2)))
+        m2 = random_module(rng, max_dim=2, spectrum=twelfths_spectrum(rng, 7))
+        grid = interleaving_candidates(m1, m2)
+        want = reference_candidates(m1, m2)
+        assert grid == want
+        assert [str(g) for g in grid] == [str(g) for g in want]
+        regions1, regions2 = _Regions(m1), _Regions(m2)
+        extra = [ZERO, rational(1, 7), rational(5, 13), rational(-3, 11)]
+        for delta in grid + extra:
+            assert _shift_tables(regions1, regions2, delta) == \
+                reference_shift_tables(regions1, regions2, delta), delta
+
+
+def test_infinite_delta_is_a_domain_error():
+    assert issubclass(InfiniteDeltaError, DomainError)
+    assert issubclass(InfiniteDeltaError, ValueError)
+    sp = Spectrum.of([1, 2], 0, 3)
+    m = interval_module(sp, (Bar.of(1, 2),))
+    with pytest.raises(InfiniteDeltaError, match="delta must be finite, got inf"):
+        find_interleaving(m, m, POS_INF)
+    cert = find_interleaving(m, m, ZERO)
+    with pytest.raises(InfiniteDeltaError, match="delta must be finite, got inf"):
+        verify_interleaving(dataclasses.replace(cert, delta=POS_INF), m, m)
+    # a module without cuts refuses it the same way
+    flat = interval_module(Spectrum.of([], 0, 3), ())
+    with pytest.raises(InfiniteDeltaError):
+        find_interleaving(flat, flat, POS_INF)

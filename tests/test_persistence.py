@@ -21,7 +21,7 @@ from contact_barcodes.persistence import (
 )
 from contact_barcodes.random_instances import random_barcode, random_module, scramble
 from contact_barcodes.serialization import dumps
-from contact_barcodes.scalar import NEG_INF, POS_INF, ZERO, rational
+from contact_barcodes.scalar import NEG_INF, POS_INF, ZERO, Scalar, rational
 
 
 def ident(n):
@@ -344,3 +344,25 @@ def test_event_sweep_module_matches_bar_testing_construction():
         density = rng.choice((1, 2, 3))
         assert dumps(module_from_barcode(b, density)) == \
             dumps(bar_testing_module(b, density))
+
+
+def test_gap_points_match_points_between():
+    # samples reach past both ends of the spectrum, sit on spectrum points,
+    # leave gaps empty, and (for invalid modules, which validate_module
+    # still reads) run backwards or hit +/-inf
+    rng = random.Random(148)
+    for trial in range(400):
+        points = sorted({rational(rng.randint(0, 48), rng.choice((1, 2, 3, 4)))
+                         for _ in range(rng.randint(0, 8))})
+        sp = Spectrum(tuple(points), rational(0), rational(48))
+        samples = [rational(rng.randint(-8, 60), rng.choice((1, 2, 5)))
+                   for _ in range(rng.randint(0, 10))]
+        samples += [p for p in points if rng.random() < 0.2]
+        if trial % 3:
+            samples.sort()
+        if trial % 11 == 0 and samples:
+            samples[rng.randrange(len(samples))] = rng.choice((NEG_INF, POS_INF))
+        k = len(samples)
+        m = SampledModule(sp, tuple(samples), ((0, 0),) * k,
+                          ((ident(0), ident(0)),) * max(k - 1, 0))
+        assert m.gap_points() == [m.points_between(i) for i in range(k - 1)]

@@ -78,3 +78,25 @@ def test_as_scalar_coercions():
 
 def test_scalars_hash_consistently():
     assert len({rational(1, 2), Scalar(Fraction(2, 4)), ZERO}) == 2
+
+
+def test_comparisons_match_fraction_and_float_order():
+    finite = [Fraction(p, q) for p in range(-7, 8) for q in (1, 2, 3, 7, 12)]
+    grid = [(Scalar(f), f) for f in finite]
+    grid += [(POS_INF, float("inf")), (NEG_INF, float("-inf"))]
+    for a, x in grid:
+        for b, y in grid:
+            assert (a < b) == (x < y)
+            assert (a <= b) == (x <= y)
+            assert (a > b) == (x > y)
+            assert (a >= b) == (x >= y)
+
+
+def test_comparison_with_a_non_scalar_is_not_implemented():
+    for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(ZERO, op)(0) is NotImplemented
+        assert getattr(POS_INF, op)(Fraction(1)) is NotImplemented
+    with pytest.raises(TypeError):
+        ZERO < 1
+    with pytest.raises(TypeError):
+        rational(1, 2) >= Fraction(1, 2)
