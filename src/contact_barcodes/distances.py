@@ -35,7 +35,7 @@ from .errors import (
     TooLargeError,
 )
 from .gf2 import Echelon, Gf2Matrix, Gf2System
-from .persistence import Bar, Barcode, SampledModule, composite_map, validate_module
+from .persistence import Bar, Barcode, SampledModule, _module_issues, composite_map
 from .scalar import POS_INF, Scalar, ZERO
 
 
@@ -264,7 +264,8 @@ class _Regions:
     """Cut-point/region view of a validated SampledModule."""
 
     def __init__(self, m: SampledModule):
-        issues = validate_module(m)
+        gaps = m.gap_points()
+        issues = _module_issues(m, gaps)
         if issues:
             raise InvalidModuleError("invalid module: " + "; ".join(issues))
         if m.n_samples == 0:
@@ -272,7 +273,7 @@ class _Regions:
         self.module = m
         cuts: List[Scalar] = []
         reps: List[int] = [0]
-        for i, between in enumerate(m.gap_points()):
+        for i, between in enumerate(gaps):
             if between:
                 cuts.append(between[0])
                 reps.append(i + 1)

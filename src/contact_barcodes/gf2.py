@@ -12,6 +12,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
+# byte 0 -> digit "0", byte 1 -> digit "1", any other byte -> "x"
+_BASE2_DIGITS = b"01" + b"x" * 254
+
+
 @dataclass(frozen=True, slots=True)
 class Gf2Matrix:
     rows: Tuple[int, ...]
@@ -43,18 +47,18 @@ class Gf2Matrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> "Gf2Matrix":
+        """Pack 0/1 rows.  Each row's entries become bytes, read backwards
+        as base-2 digits: floats, strings and ints outside 0..255 fail in
+        bytes(), and a byte above 1 becomes a digit int() refuses (bools
+        pass as 0 and 1)."""
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        packed = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            acc = 0
-            for j, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                acc |= v << j
-            packed.append(acc)
+        if rows and set(map(len, rows)) != {ncols}:
+            raise ValueError("ragged rows")
+        try:
+            packed = [int(b"0" + bytes(row)[::-1].translate(_BASE2_DIGITS), 2) for row in rows]
+        except (TypeError, ValueError):
+            raise ValueError("entries must be 0 or 1") from None
         return cls(tuple(packed), ncols)
 
     def to_rows(self) -> List[List[int]]:

@@ -18,8 +18,9 @@ of the current sample's space, each vector tagged with the sample where
 its bar was born, and pushes it through every structure map, keeping the
 older bar whenever two images become dependent (the elder rule).
 The spectrum points of every sample gap come from one merge of the
-samples into the sorted spectrum; sample positions are looked up against
-bar endpoints by bisecting the sorted samples.
+samples into the sorted spectrum.  `module_from_barcode` bisects each
+bar's endpoints into the sorted samples; the closing dimension check of
+`decompose` merges the sorted endpoints into them instead.
 """
 
 from __future__ import annotations
@@ -214,6 +215,11 @@ class SampledModule:
 
 def validate_module(m: SampledModule) -> List[str]:
     """Collect invariant violations; an empty list means the module is valid."""
+    return _module_issues(m, m.gap_points())
+
+
+def _module_issues(m: SampledModule, gaps: Sequence[Tuple[Scalar, ...]]) -> List[str]:
+    """validate_module, given the module's gap_points()."""
     issues: List[str] = []
     points = set(m.spectrum.points)
     for i, s in enumerate(m.samples):
@@ -240,7 +246,7 @@ def validate_module(m: SampledModule) -> List[str]:
         above = bisect_right(pts, m.samples[-1])  # samples[-1] < pts[above:]
         for p in pts[:below] + pts[max(below, above):]:
             issues.append(f"spectrum point {p} is not straddled by the samples")
-    for i, between in enumerate(m.gap_points()):
+    for i, between in enumerate(gaps):
         if len(between) > 1:
             issues.append(
                 f"{len(between)} spectrum points between samples {i} and {i + 1}")
@@ -304,11 +310,11 @@ def decompose(m: SampledModule) -> Barcode:
     `oracles.rank_formula_decompose` recomputes the same barcode from the
     inclusion-exclusion of composite ranks.
     """
-    issues = validate_module(m)
+    gaps = m.gap_points()
+    issues = _module_issues(m, gaps)
     if issues:
         raise InvalidModuleError("cannot decompose an invalid module: " + "; ".join(issues))
     k = m.n_samples
-    gaps = m.gap_points()
     bars: List[Bar] = []
     for parity in (0, 1):
         spans: List[Tuple[int, int]] = []
@@ -354,10 +360,17 @@ def _sample_range(bar: Bar, samples: Sequence[Scalar]) -> Tuple[int, int]:
 
 def _graded_counts(bars: Iterable[Bar], samples: Sequence[Scalar]
                    ) -> List[Tuple[int, int]]:
-    """Graded number of bars containing each sample, by a difference array."""
+    """Graded number of bars containing each sample, by a difference array.
+
+    A bar covers the samples from the first one above its birth to the
+    last one below its death (the _sample_range of the bar); both indices
+    come from one merge of the sorted endpoints into the sorted samples.
+    """
+    bars = list(bars)
+    lows = _count_below([bar.birth for bar in bars], samples, strict=False)
+    highs = _count_below([bar.death for bar in bars], samples, strict=True)
     diff = [[0] * (len(samples) + 1) for _ in (0, 1)]
-    for bar in bars:
-        lo, hi = _sample_range(bar, samples)
+    for bar, lo, hi in zip(bars, lows, highs):
         if lo < hi:
             diff[bar.parity][lo] += 1
             diff[bar.parity][hi] -= 1
@@ -367,6 +380,26 @@ def _graded_counts(bars: Iterable[Bar], samples: Sequence[Scalar]
         run[0] += diff[0][idx]
         run[1] += diff[1][idx]
         counts.append((run[0], run[1]))
+    return counts
+
+
+def _count_below(ends: Sequence[Scalar], samples: Sequence[Scalar], strict: bool
+                 ) -> List[int]:
+    """For each end, the number of samples below it (strict) or at most it:
+    bisect_left or bisect_right of the end into the sorted samples, from
+    one pass over the ends in sorted order."""
+    counts = [0] * len(ends)
+    k = len(samples)
+    p = 0
+    for e in sorted(range(len(ends)), key=ends.__getitem__):
+        end = ends[e]
+        if strict:
+            while p < k and samples[p] < end:
+                p += 1
+        else:
+            while p < k and not (end < samples[p]):
+                p += 1
+        counts[e] = p
     return counts
 
 

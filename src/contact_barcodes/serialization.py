@@ -3,12 +3,17 @@
 Scalars serialize as exact strings ("3/2", "-inf", "inf"); GF(2) matrices
 as arrays of 0/1 row arrays.  Every document carries the schema version
 field "cpv": 1.
+
+Documents are written as `json.dumps(..., indent=2)` would write them.
+With an indent, `json` runs its pure-Python encoder, one generator frame
+per matrix entry, so the `maps` of a module are rendered here instead,
+straight from the row bits; the text is the same byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .gf2 import Gf2Matrix
 from .persistence import Bar, Barcode, SampledModule, Spectrum
@@ -50,10 +55,10 @@ def _scalar(text: Any, path: str) -> Scalar:
 
 
 def _int(value: Any, path: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: expected an integer, got {value!r}") from None
+    # JSON integers only: int() would read 1.5 as 1 and "1" as 1
+    if type(value) is not int:
+        raise ValueError(f"{path}: expected an integer, got {value!r}")
+    return value
 
 
 def _pair(value: Any, path: str) -> list:
@@ -118,14 +123,20 @@ def barcode_from_dict(d: Dict[str, Any]) -> Barcode:
     )
 
 
-def module_to_dict(m: SampledModule) -> Dict[str, Any]:
+def _module_head(m: SampledModule) -> Dict[str, Any]:
+    """Every key of a module document but "maps", which comes last."""
     return {
         "cpv": SCHEMA_VERSION,
         "spectrum": spectrum_to_dict(m.spectrum),
         "samples": [str(s) for s in m.samples],
         "dims": [list(d) for d in m.dims],
-        "maps": [[mat.to_rows() for mat in pair] for pair in m.maps],
     }
+
+
+def module_to_dict(m: SampledModule) -> Dict[str, Any]:
+    d = _module_head(m)
+    d["maps"] = [[mat.to_rows() for mat in pair] for pair in m.maps]
+    return d
 
 
 def module_from_dict(d: Dict[str, Any]) -> SampledModule:
@@ -146,7 +157,11 @@ def module_from_dict(d: Dict[str, Any]) -> SampledModule:
             rows = pair[parity]
             if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
                 raise ValueError(f"maps[{i}][{parity}]: expected an array of 0/1 rows")
-            mats.append(Gf2Matrix.from_rows(rows, ncols=dims[i][parity]))
+            try:
+                mats.append(Gf2Matrix.from_rows(rows, ncols=dims[i][parity]))
+            except ValueError as exc:
+                raise ValueError(_row_fault(rows, dims[i][parity], f"maps[{i}][{parity}]")
+                                 or f"maps[{i}][{parity}]: {exc}") from None
         maps.append((mats[0], mats[1]))
     return SampledModule(
         spectrum,
@@ -154,6 +169,17 @@ def module_from_dict(d: Dict[str, Any]) -> SampledModule:
         tuple(dims),
         tuple(maps),
     )
+
+
+def _row_fault(rows: list, ncols: int, path: str) -> Optional[str]:
+    """What is wrong with the first bad row of a refused matrix, if any."""
+    for r, row in enumerate(rows):
+        if len(row) != ncols:
+            return f"{path}[{r}]: expected {ncols} entries, got {len(row)}"
+        for v in row:
+            if type(v) is not int or v not in (0, 1):
+                return f"{path}[{r}]: entries must be 0 or 1, got {v!r}"
+    return None
 
 
 def loads(text: str):
@@ -169,13 +195,54 @@ def loads(text: str):
 
 
 def dumps(obj) -> str:
+    """The indent=2 JSON document of a Barcode or a SampledModule."""
+    if isinstance(obj, SampledModule):
+        # the head's closing "\n}" reopens for the last key, "maps"
+        head = json.dumps(_module_head(obj), indent=2)
+        return f'{head[:-2]},\n  "maps": {_maps_text(obj.maps)}\n}}\n'
     if isinstance(obj, Barcode):
-        d = barcode_to_dict(obj)
-    elif isinstance(obj, SampledModule):
-        d = module_to_dict(obj)
-    else:
-        d = obj
-    return json.dumps(d, indent=2) + "\n"
+        return json.dumps(barcode_to_dict(obj), indent=2) + "\n"
+    raise TypeError(f"dumps takes a Barcode or a SampledModule, not {type(obj).__name__}")
+
+
+def _json_array(items: Sequence[str], indent: int) -> str:
+    """Rendered items as json.dumps(indent=2) writes an array whose items
+    sit `indent` spaces deep; "[]" when there are none."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * indent
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+
+
+class _RowTexts(dict):
+    """Row bits -> text of the row as an array at depth 4 of a module
+    document (its entries 10 spaces deep), for one column count."""
+
+    def __init__(self, ncols: int):
+        super().__init__()
+        self.ncols = ncols
+
+    def __missing__(self, row: int) -> str:
+        # column j is bit j, so the binary digits read backwards
+        digits = format(row, f"0{self.ncols}b")[::-1] if self.ncols else ""
+        text = self[row] = _json_array(digits, 10)
+        return text
+
+
+def _maps_text(maps: Sequence[Tuple[Gf2Matrix, Gf2Matrix]]) -> str:
+    """The value of the "maps" key: map pairs 4 spaces deep, matrices 6,
+    rows 8.  Row texts are memoized per (row, ncols) for this call."""
+    row_texts: Dict[int, _RowTexts] = {}
+    pairs = []
+    for pair in maps:
+        mats = []
+        for mat in pair:
+            texts = row_texts.get(mat.ncols)
+            if texts is None:
+                texts = row_texts[mat.ncols] = _RowTexts(mat.ncols)
+            mats.append(_json_array([texts[r] for r in mat.rows], 8))
+        pairs.append(_json_array(mats, 6))
+    return _json_array(pairs, 4)
 
 
 def _check_version(d: Dict[str, Any]) -> None:

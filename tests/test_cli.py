@@ -189,6 +189,25 @@ def _drop(path):
     return mutate
 
 
+def _set(path, value):
+    """Mutator setting the value at a path of keys and indices."""
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+def _even_map(d0, d1, rows):
+    """Mutator giving the module's two samples even dimensions d0 and d1
+    and the even map between them these rows."""
+    def mutate(doc):
+        doc["dims"] = [[d0, 0], [d1, 0]]
+        doc["maps"] = [[rows, []]]
+    return mutate
+
+
 def _scalar_horizon(doc):
     doc["spectrum"]["horizon"] = "9"
 
@@ -200,6 +219,7 @@ BARCODE_FAULTS = [
     (_drop(["spectrum", "points"]), "spectrum.points"),
     (_drop(["spectrum", "horizon"]), "spectrum.horizon"),
     (_scalar_horizon, "spectrum.horizon"),
+    (_set(["bars", 0, "parity"], 1.5), "bars[0].parity"),
 ]
 MODULE_FAULTS = [
     (_drop(["samples"]), "samples"),
@@ -207,6 +227,11 @@ MODULE_FAULTS = [
     (_drop(["maps"]), "maps"),
     (_drop(["spectrum", "points"]), "spectrum.points"),
     (_scalar_horizon, "spectrum.horizon"),
+    (_even_map(1, 1, [[1.0]]), "maps[0][0][0]"),
+    (_even_map(1, 1, [[2]]), "maps[0][0][0]"),
+    (_even_map(2, 2, [[1, 0], [1]]), "maps[0][0][1]"),
+    (_set(["dims", 0, 0], 1.5), "dims[0][0]"),
+    (_set(["dims", 0, 1], "1"), "dims[0][1]"),
 ]
 COMMANDS = [
     (["depth", "{doc}"], BARCODE_FAULTS, _barcode_doc),

@@ -300,11 +300,21 @@ def test_sweep_agrees_with_rank_formula_on_random_modules():
 
 def test_graded_counts_match_bar_containment():
     rng = random.Random(146)
+    extra = random.Random(149)
     for _ in range(40):
         b = random_barcode(rng, max_bars=10, max_points=8)
         m = module_from_barcode(b, grid_density_hint=rng.choice((1, 2)))
         assert _graded_counts(b.bars, m.samples) == \
             [b.graded_dim_at(s) for s in m.samples]
+        # samples on bar endpoints and empty bars (birth = death) at samples,
+        # where bisect_right of births and bisect_left of deaths differ
+        points = b.spectrum.points
+        empty = tuple(Bar(p, p, extra.randint(0, 1))
+                      for p in extra.sample(points, len(points) // 2))
+        on_ends = Barcode(b.spectrum, b.bars + empty)
+        samples = sorted(set(m.samples) | set(extra.sample(points, len(points) // 2)))
+        assert _graded_counts(on_ends.bars, samples) == \
+            [on_ends.graded_dim_at(s) for s in samples]
         for i in range(m.n_samples - 1):
             assert m.points_between(i) == tuple(
                 p for p in m.spectrum.points if m.samples[i] < p < m.samples[i + 1])

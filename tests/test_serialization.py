@@ -1,10 +1,18 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from contact_barcodes.persistence import Bar, Barcode, Spectrum, module_from_barcode
-from contact_barcodes.random_instances import random_barcode, random_module
+from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
+from contact_barcodes.persistence import (
+    Bar,
+    Barcode,
+    SampledModule,
+    Spectrum,
+    module_from_barcode,
+)
+from contact_barcodes.random_instances import random_barcode, random_module, scramble
 from contact_barcodes.scalar import NEG_INF, POS_INF, rational
 from contact_barcodes.serialization import (
     barcode_from_dict,
@@ -93,3 +101,51 @@ def test_matrix_rows_are_plain_arrays():
     assert d["dims"] == [[2, 0], [2, 0]]
     text = dumps(m)
     assert json.loads(text)["samples"] == [str(s) for s in m.samples]
+
+
+def reference_module_dumps(m):
+    """Module dumps as first written: the json module's indent=2 encoder."""
+    return json.dumps(module_to_dict(m), indent=2) + "\n"
+
+
+def long_bars(rng, n_points, n_bars):
+    """Bars mostly spanning the middle of 0..n_points-1, so that many are
+    alive at once, some of them infinite."""
+    spectrum = Spectrum.of(range(n_points), 0, n_points - 1)
+    pts = spectrum.points
+    bars = []
+    for _ in range(n_bars):
+        birth = NEG_INF if rng.random() < 0.1 else pts[rng.randrange(n_points // 3)]
+        death = POS_INF if rng.random() < 0.1 else pts[rng.randrange(2 * n_points // 3,
+                                                                   n_points)]
+        bars.append(Bar(birth, death, 0 if rng.random() < 0.8 else 1))
+    return Barcode(spectrum, tuple(bars))
+
+
+def test_module_dumps_matches_json_indent_encoder():
+    rng = random.Random(5)
+    modules = [random_module(rng, max_points=5, max_dim=3, density=density)
+               for density in (1, 2, 3) for _ in range(40)]
+    modules.append(SampledModule(Spectrum.of([], 0, 1), (rational(1, 2),), ((2, 1),), ()))
+    modules.append(module_from_barcode(
+        ellipsoid_barcode(EllipsoidParams.of(["1", "1393/985"], 200))))
+    for density in (1, 2):
+        modules.append(scramble(rng, module_from_barcode(long_bars(rng, 30, 45), density)))
+        assert max(max(d) for d in modules[-1].dims) >= 30
+    seen = Counter()
+    for m in modules:
+        text = dumps(m)
+        assert text == reference_module_dumps(m)
+        assert loads(text) == m
+        seen["zero-dimensional sample"] += (0, 0) in m.dims
+        seen["no maps"] += not m.maps
+        for mat in (mat for pair in m.maps for mat in pair):
+            seen["zero-row matrix"] += not mat.rows
+            seen["zero-column row"] += bool(mat.rows) and not mat.ncols
+    # the renderings of "[]" at every depth were exercised
+    assert len(seen) == 4 and all(seen.values()), seen
+
+
+def test_dumps_takes_a_barcode_or_a_module():
+    with pytest.raises(TypeError):
+        dumps({"cpv": 1})
