@@ -6,9 +6,11 @@ is a vertex of one bipartite graph padded with ghosts for the diagonal;
 the candidate values are the pair costs and the half-lengths, ranked once
 among the sorted finite values, and feasibility at a rank is a perfect
 matching.  The infimum is attained at a candidate.  The interleaving side
-works directly on SampledModules, enumerating GF(2) interleaving maps
-region by region; the two routes are kept independent so they can be
-played against each other.
+works directly on SampledModules, enumerating the forward GF(2)
+interleaving maps F region by region; every constraint on the backward
+maps G, a matrix identity sum(L @ G[t] @ R) == C, becomes linear equations
+through one routine, `_add_identity`.  The two routes are kept independent
+so they can be played against each other.
 
 Both sides compute on exact int coordinates (`_Coords`): each call scales
 its finitely many rationals by twice the lcm of their denominators, so
@@ -23,7 +25,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import lcm
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -323,6 +325,64 @@ def interleaving_candidates(m1: SampledModule, m2: SampledModule) -> List[Scalar
 _SEARCH_BUDGET = 400_000
 
 
+class _GLayout:
+    """The entries of the backward maps G[t] as unknowns of a Gf2System.
+
+    G[t] has heights[t] rows and widths[t] columns; its entry (i, j) is
+    unknown offsets[t] + i * widths[t] + j, so row s of G[t] is a run of
+    widths[t] unknowns whose first one is the bit row_bits[t][s].
+    """
+
+    __slots__ = ("heights", "widths", "offsets", "row_bits")
+
+    def __init__(self, heights: Sequence[int], widths: Sequence[int]):
+        self.heights, self.widths = heights, widths
+        self.offsets = [0, *accumulate(h * w for h, w in zip(heights, widths))]
+        self.row_bits = [[1 << (off + s * w) for s in range(h)]
+                         for h, w, off in zip(heights, widths, self.offsets)]
+
+    def decode(self, sol: int) -> List[Gf2Matrix]:
+        """The G maps of a solution."""
+        return [Gf2Matrix(tuple(sol >> (off + i * w) & ((1 << w) - 1) for i in range(h)), w)
+                for h, w, off in zip(self.heights, self.widths, self.offsets)]
+
+
+def _add_identity(system: Gf2System, g: _GLayout,
+                  terms: Sequence[Tuple[Optional[Gf2Matrix], int, Optional[Gf2Matrix]]],
+                  rhs: Gf2Matrix) -> bool:
+    """Add the equations of sum(L @ G[t] @ R for L, t, R in terms) == rhs,
+    one per entry of rhs, row by row; False as soon as one makes the
+    system inconsistent.  None for L or R stands for an identity.
+
+    Entry (i, j) of L @ G[t] @ R is the XOR, over the set bits s of row i
+    of L, of column j of R shifted onto the unknowns of row s of G[t].  The
+    shifted copies lie in disjoint runs of widths[t] bits, so their XOR is
+    the int product of the column with the sum of row_bits[t][s].
+    """
+    if not (rhs.rows and rhs.ncols):
+        return True
+    factors = []
+    for left, t, right in terms:
+        spread = g.row_bits[t]
+        if left is not None:
+            spread = [sum(bit for s, bit in enumerate(spread) if row >> s & 1)
+                      for row in left.rows]
+        if right is None:
+            cols = [1 << j for j in range(g.widths[t])]
+        else:
+            cols = [sum((row >> j & 1) << k for k, row in enumerate(right.rows))
+                    for j in range(right.ncols)]
+        factors.append((spread, cols))
+    for i, bits in enumerate(rhs.rows):
+        for j in range(rhs.ncols):
+            coeffs = 0
+            for spread, cols in factors:
+                coeffs ^= spread[i] * cols[j]
+            if not system.add(coeffs, bits >> j & 1):
+                return False
+    return True
+
+
 def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
                   delta: Scalar
                   ) -> Optional[Tuple[List[Gf2Matrix], List[Gf2Matrix]]]:
@@ -337,99 +397,48 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
     d1 = [d[parity] for d in regions1.dims]
     d2 = [d[parity] for d in regions2.dims]
     phi, psi, phi2, psi2 = _shift_tables(regions1, regions2, delta)
+    g = _GLayout([d1[psi[t]] for t in range(R2)], d2)
 
-    # G[t] has shape (d1[psi[t]], d2[t]); dole out unknown ids
-    g_offset = []
-    n_unknowns = 0
-    for t in range(R2):
-        g_offset.append(n_unknowns)
-        n_unknowns += d1[psi[t]] * d2[t]
-
-    def g_bit(t: int, i: int, j: int) -> int:
-        return g_offset[t] + i * d2[t] + j
-
+    # backward naturality chain, G[t+1] A2 = C1 G[t], is independent of F
     base = Gf2System()
-
-    # backward naturality chain is independent of F
     for t in range(R2 - 1):
-        a2 = regions2.comp(t, t + 1, parity)
-        c1x = regions1.comp(psi[t], psi[t + 1], parity)
-        for i in range(d1[psi[t + 1]]):
-            for j in range(d2[t]):
-                coeffs = 0
-                for s in range(d2[t + 1]):
-                    if a2.entry(s, j):
-                        coeffs ^= 1 << g_bit(t + 1, i, s)
-                for s in range(d1[psi[t]]):
-                    if c1x.entry(i, s):
-                        coeffs ^= 1 << g_bit(t, s, j)
-                base.add(coeffs, 0)
-                if not base.consistent:
-                    return None
-
-    # rank obstructions that need no enumeration at all
-    for r in range(R1):
-        need = regions1.comp(r, phi2[r], parity).rank()
-        if need > d2[phi[r]]:
-            return None
-        if need > regions1.comp(psi[phi[r]], phi2[r], parity).rank():
-            return None
-    for t in range(R2):
-        need = regions2.comp(t, psi2[t], parity).rank()
-        if need > d1[psi[t]]:
-            return None
-        if need > regions2.comp(phi[psi[t]], psi2[t], parity).rank():
+        terms = [(None, t + 1, regions2.comp(t, t + 1, parity)),
+                 (regions1.comp(psi[t], psi[t + 1], parity), t, None)]
+        if not _add_identity(base, g, terms, Gf2Matrix.zeros(d1[psi[t + 1]], d2[t])):
             return None
 
-    # equations carrying F[r] enter the system at DFS depth r
-    e3_by_depth: List[List[int]] = [[] for _ in range(R1)]
-    for t in range(R2):
-        e3_by_depth[psi[t]].append(t)
+    # rank obstructions that need no enumeration at all: each 2-delta map of
+    # one module (direct) factors through the other module and back; both
+    # maps also enter the equations that F maps bring in, below
+    e2_maps, e3_maps = [], []
+    for maps, regions, there, back, twice, d_there in (
+            (e2_maps, regions1, phi, psi, phi2, d2), (e3_maps, regions2, psi, phi, psi2, d1)):
+        for r in range(regions.n):
+            direct = regions.comp(r, twice[r], parity)
+            through = regions.comp(back[there[r]], twice[r], parity)
+            need = direct.rank()
+            if need > d_there[there[r]] or need > through.rank():
+                return None
+            maps.append((through, direct))
+
+    # equations carrying F[r] enter the system at DFS depth r: E2 at r,
+    # through G[phi[r]] F[r] = direct, and E3 at each t with psi[t] = r,
+    # through F[r] G[t] = direct
+    e3_by_depth: List[list] = [[] for _ in range(R1)]
+    for t, (through, direct) in enumerate(e3_maps):
+        e3_by_depth[psi[t]].append((through, t, direct))
 
     fwd_echelons = [None] * max(R1 - 1, 0)
-
-    def add_e2(system: Gf2System, r: int, fmat: Gf2Matrix) -> bool:
-        u = phi2[r]
-        c1a = regions1.comp(psi[phi[r]], u, parity)
-        rhs = regions1.comp(r, u, parity)
-        for i in range(d1[u]):
-            for j in range(d1[r]):
-                coeffs = 0
-                for s in range(d1[psi[phi[r]]]):
-                    if not c1a.entry(i, s):
-                        continue
-                    for sp in range(d2[phi[r]]):
-                        if fmat.entry(sp, j):
-                            coeffs ^= 1 << g_bit(phi[r], s, sp)
-                if not system.add(coeffs, rhs.entry(i, j)):
-                    return False
-        return True
-
-    def add_e3(system: Gf2System, t: int, fmat: Gf2Matrix) -> bool:
-        v = psi2[t]
-        c2a = regions2.comp(phi[psi[t]], v, parity)
-        rhs = regions2.comp(t, v, parity)
-        proj = c2a @ fmat
-        for i in range(d2[v]):
-            for j in range(d2[t]):
-                coeffs = 0
-                for sp in range(d1[psi[t]]):
-                    if proj.entry(i, sp):
-                        coeffs ^= 1 << g_bit(t, sp, j)
-                if not system.add(coeffs, rhs.entry(i, j)):
-                    return False
-        return True
 
     def f_candidates(r: int, prev: Optional[Gf2Matrix]):
         nrows, ncols = d2[phi[r]], d1[r]
         if r == 0:
             rows_options = [list(range(1 << ncols)) for _ in range(nrows)]
         else:
-            a1 = regions1.comp(r - 1, r, parity)
             target = (regions2.comp(phi[r - 1], phi[r], parity) @ prev)
             echelon = fwd_echelons[r - 1]
             if echelon is None:
-                echelon = Echelon(a1.rows)
+                echelon = Echelon(regions1.comp(r - 1, r, parity).rows)
                 fwd_echelons[r - 1] = echelon
             rows_options = []
             for i in range(nrows):
@@ -441,18 +450,6 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
                     opts = opts + [o ^ null_mask for o in opts]
                 rows_options.append(opts)
         return rows_options
-
-    def g_maps(sol: int) -> List[Gf2Matrix]:
-        gs = []
-        for t in range(R2):
-            rows = []
-            for i in range(d1[psi[t]]):
-                acc = 0
-                for j in range(d2[t]):
-                    acc |= ((sol >> g_bit(t, i, j)) & 1) << j
-                rows.append(acc)
-            gs.append(Gf2Matrix(tuple(rows), d2[t]))
-        return gs
 
     # frames[r] walks the F candidates of region r under the system built
     # from fs[:r]; fs holds the F map chosen in each region below the top
@@ -473,14 +470,15 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
             raise TooLargeError("interleaving search budget exhausted")
         fmat = Gf2Matrix(rows, d1[r])
         sub = system.copy()
-        if not add_e2(sub, r, fmat):
-            continue
-        if not all(add_e3(sub, t, fmat) for t in e3_by_depth[r]):
+        through, direct = e2_maps[r]
+        if not (_add_identity(sub, g, [(through, phi[r], fmat)], direct)
+                and all(_add_identity(sub, g, [(c2a @ fmat, t, None)], rhs)
+                        for c2a, t, rhs in e3_by_depth[r])):
             continue
         if r + 1 == R1:
             sol = sub.solve()
             if sol is not None:
-                return fs + [fmat], g_maps(sol)
+                return fs + [fmat], g.decode(sol)
             continue
         rows_options = f_candidates(r + 1, fmat)
         if rows_options is None:

@@ -23,7 +23,8 @@ SCHEMA_VERSION = 1
 
 # Readers take the JSON path of the object they read ("bars[0]"), so that a
 # malformed document is refused with a ValueError naming what is wrong and
-# where, never with a KeyError or TypeError from deep inside.
+# where, never with a KeyError or TypeError from deep inside.  A ValueError
+# from the checks of the object's own constructor is re-raised with that path.
 
 
 def _join(path: str, key: str) -> str:
@@ -61,6 +62,14 @@ def _int(value: Any, path: str) -> int:
     return value
 
 
+def _build(path: str, cls, *args):
+    """cls(*args), its own checks' ValueError re-raised naming path."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path or 'document'}: {exc}") from None
+
+
 def _pair(value: Any, path: str) -> list:
     if not (isinstance(value, list) and len(value) == 2):
         raise ValueError(f"{path}: expected a two-element array")
@@ -78,7 +87,8 @@ def spectrum_from_dict(d: Dict[str, Any], path: str = "spectrum") -> Spectrum:
     points = _array(d, "points", path)
     where = _join(path, "horizon")
     lo, hi = _pair(_field(d, "horizon", path), where)
-    return Spectrum(
+    return _build(
+        path, Spectrum,
         tuple(_scalar(p, f"{path}.points[{i}]") for i, p in enumerate(points)),
         _scalar(lo, f"{where}[0]"),
         _scalar(hi, f"{where}[1]"),
@@ -97,12 +107,18 @@ def bar_to_dict(b: Bar) -> Dict[str, Any]:
 
 
 def bar_from_dict(d: Dict[str, Any], path: str = "") -> Bar:
-    return Bar(
-        _scalar(_field(d, "birth", path), _join(path, "birth")),
-        _scalar(_field(d, "death", path), _join(path, "death")),
-        _int(_field(d, "parity", path), _join(path, "parity")),
-        bool(d.get("truncated", False)),
-    )
+    birth = _scalar(_field(d, "birth", path), _join(path, "birth"))
+    death = _scalar(_field(d, "death", path), _join(path, "death"))
+    parity = _int(_field(d, "parity", path), _join(path, "parity"))
+    truncated = d.get("truncated", False)
+    # JSON true/false only: bool() would read "false" as true
+    if truncated is not True and truncated is not False:
+        raise ValueError(f"{_join(path, 'truncated')}: expected true or false, "
+                         f"got {truncated!r}")
+    try:  # _build inlined: no extra call per bar
+        return Bar(birth, death, parity, truncated)
+    except ValueError as exc:
+        raise ValueError(f"{path or 'document'}: {exc}") from None
 
 
 def barcode_to_dict(b: Barcode) -> Dict[str, Any]:
@@ -117,8 +133,8 @@ def barcode_from_dict(d: Dict[str, Any]) -> Barcode:
     _check_version(d)
     spectrum = spectrum_from_dict(_field(d, "spectrum", ""))
     bars = _array(d, "bars", "")
-    return Barcode(
-        spectrum,
+    return _build(
+        "", Barcode, spectrum,
         tuple(bar_from_dict(bd, f"bars[{i}]") for i, bd in enumerate(bars)),
     )
 
@@ -163,8 +179,8 @@ def module_from_dict(d: Dict[str, Any]) -> SampledModule:
                 raise ValueError(_row_fault(rows, dims[i][parity], f"maps[{i}][{parity}]")
                                  or f"maps[{i}][{parity}]: {exc}") from None
         maps.append((mats[0], mats[1]))
-    return SampledModule(
-        spectrum,
+    return _build(
+        "", SampledModule, spectrum,
         tuple(_scalar(s, f"samples[{i}]") for i, s in enumerate(samples)),
         tuple(dims),
         tuple(maps),

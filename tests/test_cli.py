@@ -220,6 +220,13 @@ BARCODE_FAULTS = [
     (_drop(["spectrum", "horizon"]), "spectrum.horizon"),
     (_scalar_horizon, "spectrum.horizon"),
     (_set(["bars", 0, "parity"], 1.5), "bars[0].parity"),
+    (_set(["bars", 0, "truncated"], "false"), "bars[0].truncated"),
+    # faults the Bar, Spectrum and Barcode constructors find, named by the reader
+    (_set(["bars", 0, "parity"], 2), "bars[0]: parity must be 0 or 1"),
+    (_set(["bars", 1, "death"], "1/1"), "bars[1]: bar has death 1/1 before birth 2/1"),
+    (_set(["spectrum", "points"], ["2/1", "1/1"]),
+     "spectrum: spectrum points must be strictly increasing"),
+    (_set(["bars", 0, "death"], "3/2"), "document: bar endpoint 3/2 is not a spectrum point"),
 ]
 MODULE_FAULTS = [
     (_drop(["samples"]), "samples"),
@@ -232,6 +239,7 @@ MODULE_FAULTS = [
     (_even_map(2, 2, [[1, 0], [1]]), "maps[0][0][1]"),
     (_set(["dims", 0, 0], 1.5), "dims[0][0]"),
     (_set(["dims", 0, 1], "1"), "dims[0][1]"),
+    (_drop(["dims", 1]), "document: dims and samples disagree in length"),
 ]
 COMMANDS = [
     (["depth", "{doc}"], BARCODE_FAULTS, _barcode_doc),

@@ -1,7 +1,9 @@
 import dataclasses
 import random
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,7 +16,9 @@ from contact_barcodes.errors import (
 from contact_barcodes.gf2 import Gf2Matrix
 from contact_barcodes.distances import (
     InterleavingCertificate,
+    _GLayout,
     _Regions,
+    _add_identity,
     _max_bipartite,
     _shift_tables,
     bar_cost,
@@ -476,6 +480,150 @@ def test_search_backs_out_of_later_regions():
     for delta in interleaving_candidates(m1, m2):
         cert = find_interleaving(m1, m2, delta)
         assert cert is not None and verify_interleaving(cert, m1, m2) == [], delta
+
+
+def test_verify_interleaving_reports_each_family():
+    # the bar (1, 3) lives in the middle regions 1 and 2; a zero map at
+    # region 1 breaks its square and both 2-delta composites there
+    sp = Spectrum.of([1, 2, 3], 0, 3)
+    m = interval_module(sp, (Bar.of(1, 3),))
+    cert = find_interleaving(m, m, ZERO)
+    assert cert is not None and verify_interleaving(cert, m, m) == []
+    for which, square in (("forward_maps", "forward"), ("backward_maps", "backward")):
+        maps = list(getattr(cert, which))
+        even, odd = maps[1]
+        maps[1] = (Gf2Matrix.zeros(*even.shape), odd)
+        broken = dataclasses.replace(cert, **{which: tuple(maps)})
+        assert verify_interleaving(broken, m, m) == [
+            f"{square} square at regions 1->2 parity 0",
+            "2-delta composite through module 2 at region 1 parity 0",
+            "2-delta composite through module 1 at region 1 parity 0"]
+
+
+# The G equations of the interleaving search as first written: one entry
+# loop per constraint, over index ranges taken from the region dimensions
+# d1, d2 and the shift table psi.
+
+def parent_g_bit(d1, d2, psi):
+    g_offset = []
+    n_unknowns = 0
+    for t in range(len(d2)):
+        g_offset.append(n_unknowns)
+        n_unknowns += d1[psi[t]] * d2[t]
+
+    def g_bit(t, i, j):
+        return g_offset[t] + i * d2[t] + j
+    return g_bit
+
+
+def parent_backward_chain(g_bit, d1, d2, psi, t, a2, c1x):
+    """G[t+1] a2 = c1x G[t]."""
+    out = []
+    for i in range(d1[psi[t + 1]]):
+        for j in range(d2[t]):
+            coeffs = 0
+            for s in range(d2[t + 1]):
+                if a2.entry(s, j):
+                    coeffs ^= 1 << g_bit(t + 1, i, s)
+            for s in range(d1[psi[t]]):
+                if c1x.entry(i, s):
+                    coeffs ^= 1 << g_bit(t, s, j)
+            out.append((coeffs, 0))
+    return out
+
+
+def parent_e2(g_bit, d1, d2, psi, r, u, phi_r, c1a, fmat, rhs):
+    """c1a G[phi_r] fmat = rhs."""
+    out = []
+    for i in range(d1[u]):
+        for j in range(d1[r]):
+            coeffs = 0
+            for s in range(d1[psi[phi_r]]):
+                if not c1a.entry(i, s):
+                    continue
+                for sp in range(d2[phi_r]):
+                    if fmat.entry(sp, j):
+                        coeffs ^= 1 << g_bit(phi_r, s, sp)
+            out.append((coeffs, rhs.entry(i, j)))
+    return out
+
+
+def parent_e3(g_bit, d1, d2, psi, t, v, c2a, fmat, rhs):
+    """c2a fmat G[t] = rhs."""
+    proj = c2a @ fmat
+    out = []
+    for i in range(d2[v]):
+        for j in range(d2[t]):
+            coeffs = 0
+            for sp in range(d1[psi[t]]):
+                if proj.entry(i, sp):
+                    coeffs ^= 1 << g_bit(t, sp, j)
+            out.append((coeffs, rhs.entry(i, j)))
+    return out
+
+
+class RecordingSystem:
+    """Stands in for a Gf2System: keeps every equation, stays consistent."""
+
+    def __init__(self):
+        self.equations = []
+
+    def add(self, coeffs, rhs):
+        self.equations.append((coeffs, rhs))
+        return True
+
+
+def test_g_equations_match_entry_loops():
+    rng = random.Random(71)
+
+    def mat(nrows, ncols):
+        return Gf2Matrix(tuple(rng.randrange(1 << ncols) for _ in range(nrows)), ncols)
+
+    seen = Counter()
+    for _ in range(400):
+        R1, R2 = rng.randint(1, 4), rng.randint(2, 4)
+        d1 = [rng.randint(0, 3) for _ in range(R1)]
+        d2 = [rng.randint(0, 3) for _ in range(R2)]
+        psi = [rng.randrange(R1) for _ in range(R2)]
+        g_bit = parent_g_bit(d1, d2, psi)
+        g = _GLayout([d1[p] for p in psi], d2)
+
+        t = rng.randrange(R2 - 1)
+        a2, c1x = mat(d2[t + 1], d2[t]), mat(d1[psi[t + 1]], d1[psi[t]])
+        cases = [([(None, t + 1, a2), (c1x, t, None)], Gf2Matrix.zeros(d1[psi[t + 1]], d2[t]),
+                  parent_backward_chain(g_bit, d1, d2, psi, t, a2, c1x))]
+        r, u, phi_r = rng.randrange(R1), rng.randrange(R1), rng.randrange(R2)
+        c1a, fmat, rhs = mat(d1[u], d1[psi[phi_r]]), mat(d2[phi_r], d1[r]), mat(d1[u], d1[r])
+        cases.append(([(c1a, phi_r, fmat)], rhs,
+                      parent_e2(g_bit, d1, d2, psi, r, u, phi_r, c1a, fmat, rhs)))
+        t, v, a = rng.randrange(R2), rng.randrange(R2), rng.randrange(R2)
+        c2a, fmat, rhs = mat(d2[v], d2[a]), mat(d2[a], d1[psi[t]]), mat(d2[v], d2[t])
+        cases.append(([(c2a @ fmat, t, None)], rhs,
+                      parent_e3(g_bit, d1, d2, psi, t, v, c2a, fmat, rhs)))
+
+        # decode inverts the parent's unknown ids, and every equation holds
+        # exactly where its side of the identity does, at random G maps
+        gs = [mat(d1[psi[t]], d2[t]) for t in range(R2)]
+        x = sum(1 << g_bit(t, i, j) for t, gm in enumerate(gs)
+                for i, row in enumerate(gm.rows) for j in range(gm.ncols) if row >> j & 1)
+        assert g.decode(x) == gs
+        for terms, rhs, want in cases:
+            system = RecordingSystem()
+            assert _add_identity(system, g, terms, rhs)
+            assert system.equations == want
+            lhs = Gf2Matrix.zeros(*rhs.shape)
+            for left, t, right in terms:
+                left = Gf2Matrix.identity(g.heights[t]) if left is None else left
+                right = Gf2Matrix.identity(g.widths[t]) if right is None else right
+                lhs = Gf2Matrix(tuple(a ^ b for a, b in zip(lhs.rows, (left @ gs[t] @ right).rows)),
+                                rhs.ncols)
+                seen["zero-width block"] += g.widths[t] == 0
+                seen["zero-row factor"] += left.nrows == 0
+                seen["zero-column factor"] += right.ncols == 0
+            entries = product(range(rhs.nrows), range(rhs.ncols))
+            assert [((coeffs & x).bit_count() & 1, bit) for coeffs, bit in system.equations] \
+                == [(lhs.entry(i, j), rhs.entry(i, j)) for i, j in entries]
+    assert len(seen) == 3 and all(seen.values()), seen
 
 
 def recursive_max_bipartite(n_left, n_right, adj):

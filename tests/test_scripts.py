@@ -1,0 +1,41 @@
+"""The experiment scripts run end to end, each in its own process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from contact_barcodes.serialization import loads
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_isometry_experiment_agrees_at_its_defaults():
+    done = run_script("isometry_experiment.py")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "25/25 pairs agree with the graded bottleneck distance"
+    # most pairs put the interleaving search at a delta above 0
+    positive = int(lines[-2].split("/")[0])
+    assert lines[-2].endswith("/25 pairs at a finite nonzero graded distance")
+    assert positive >= 15
+
+
+def test_ellipsoid_gallery_writes_every_entry(tmp_path):
+    done = run_script("ellipsoid_gallery.py", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    names = ("round_sphere", "squashed", "three_axes", "near_sqrt2")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{n}.{ext}" for n in names for ext in ("json", "svg"))
+    for name, line in zip(names, done.stdout.splitlines()):
+        code = loads((tmp_path / f"{name}.json").read_text())
+        assert line.startswith(f"{name}: {len(code.bars)} bars, ")
+        assert (tmp_path / f"{name}.svg").read_text().startswith("<svg")

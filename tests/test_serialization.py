@@ -60,6 +60,13 @@ def test_truncated_flag_round_trips():
     assert again.bars[0].truncated
     plain = barcode_to_dict(Barcode(sp, (Bar.of(0, 1),)))
     assert "truncated" not in plain["bars"][0]
+    d["bars"][0]["truncated"] = False
+    assert not barcode_from_dict(d).bars[0].truncated
+    # only JSON true/false: bool("false") is True
+    for value in ("false", 0, 1, None):
+        d["bars"][0]["truncated"] = value
+        with pytest.raises(ValueError, match=r"^bars\[0\]\.truncated: expected true or false"):
+            barcode_from_dict(d)
 
 
 def test_loads_dispatches_on_keys():
