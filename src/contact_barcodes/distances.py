@@ -5,7 +5,11 @@ The bottleneck side works on barcodes.  Every bar, infinite bars included,
 is a vertex of one bipartite graph padded with ghosts for the diagonal;
 the candidate values are the pair costs and the half-lengths, ranked once
 among the sorted finite values, and feasibility at a rank is a perfect
-matching.  The infimum is attained at a candidate.  The interleaving side
+matching, found by Hopcroft-Karp.  The infimum is attained at a candidate.
+Every probe of the binary search over ranks is warm-started from the last
+probe's matching, without the edges its rank no longer admits: a matching
+at one rank stays valid at every larger one, so after the first probe few
+augmenting paths remain to be found.  The interleaving side
 works directly on SampledModules, enumerating the forward GF(2)
 interleaving maps F region by region; every constraint on the backward
 maps G, a matrix identity sum(L @ G[t] @ R) == C, becomes linear equations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 from math import lcm
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .errors import (
     HorizonMismatchError,
@@ -93,50 +97,78 @@ class Matching:
     cost: Scalar
 
 
-def _max_bipartite(n_left: int, n_right: int, adj: Sequence[Sequence[int]]
-                   ) -> Tuple[int, List[int]]:
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
+def _set_bits(x: int) -> Iterator[int]:
+    """The positions of the set bits of x >= 0, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
-    def augment(root: int, seen: List[bool]) -> bool:
-        """Kuhn's depth-first augmenting path search, on an explicit stack.
 
-        Visits neighbours in the same order as the recursive formulation,
-        so it finds the same matching, but deep paths cannot overflow the
-        interpreter's stack.  path_u[k] is the left vertex at depth k,
-        next_at[k] its next neighbour to try, path_v[k] the right vertex
-        through which depth k+1 was entered.
-        """
-        path_u, next_at, path_v = [root], [0], []
-        while path_u:
-            nbrs = adj[path_u[-1]]
-            pos = next_at[-1]
-            while pos < len(nbrs) and seen[nbrs[pos]]:
-                pos += 1
-            if pos == len(nbrs):
-                path_u.pop()
-                next_at.pop()
-                if path_v:
-                    path_v.pop()
-                continue
-            v = nbrs[pos]
-            seen[v] = True
-            next_at[-1] = pos + 1
-            path_v.append(v)
-            if match_r[v] == -1:
-                for uu, vv in zip(path_u, path_v):
-                    match_r[vv] = uu
-                    match_l[uu] = vv
-                return True
-            path_u.append(match_r[v])
-            next_at.append(0)
-        return False
+def _hopcroft_karp(adj: Sequence[int], match_l: List[int], match_r: List[int]) -> int:
+    """Grow a valid partial matching, in place, to a maximum one; its size.
 
-    size = 0
-    for u in range(n_left):
-        if augment(u, [False] * n_right):
-            size += 1
-    return size, match_l
+    adj[u] is the bitmask of the right neighbours of left vertex u (bit v
+    for the edge u-v); match_l[u] and match_r[v] are the mates of u and v,
+    -1 when free, and must be a matching of adj.  Each phase lays out the
+    left vertices in layers by breadth-first search from the free ones
+    along alternating paths, up to the first layer with a free right
+    neighbour; reached[d] holds the right vertices first reached from
+    layer d, so their mates form layer d + 1 (in the last layer only the
+    free ones are kept).  Then a depth-first search on an explicit stack,
+    so that long paths cannot overflow the interpreter's stack, augments
+    along disjoint shortest paths, stepping from layer d only through
+    reached[d].  A right vertex leaves reached[d] once tried: either its
+    path augmented or its mate led nowhere.  Masks make a layer one OR per
+    vertex, however dense its edges.
+    """
+    size = sum(1 for v in match_l if v != -1)
+    while True:
+        roots = [u for u, v in enumerate(match_l) if v == -1]
+        free = sum(1 << v for v, u in enumerate(match_r) if u == -1)
+        unseen = (1 << len(match_r)) - 1
+        reached: List[int] = []
+        layer = roots
+        while layer:
+            reach = 0
+            for u in layer:
+                reach |= adj[u]
+            reach &= unseen
+            if reach & free:
+                reached.append(reach & free)
+                break
+            unseen ^= reach
+            reached.append(reach)
+            layer = [match_r[v] for v in _set_bits(reach)]
+        else:
+            return size
+        last = len(reached) - 1
+        for root in roots:
+            if not reached[last]:
+                break
+            # path[d] is the left vertex at layer d and via[d] the right
+            # vertex leaving it; path[d + 1] is via[d]'s mate
+            path: List[int] = [root]
+            via: List[int] = []
+            while path:
+                depth = len(path) - 1
+                step = adj[path[-1]] & reached[depth]
+                if not step:
+                    path.pop()
+                    if via:
+                        via.pop()
+                    continue
+                low = step & -step
+                reached[depth] ^= low
+                v = low.bit_length() - 1
+                via.append(v)
+                if depth == last:
+                    for uu, vv in zip(path, via):
+                        match_l[uu] = vv
+                        match_r[vv] = uu
+                    size += 1
+                    break
+                path.append(match_r[v])
 
 
 T = TypeVar("T")
@@ -203,7 +235,11 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, graded: bool = False
     ghosts meet each other at 0.  Costs are int maxima of endpoint
     differences in the `_Coords` of all endpoints, with None for +inf;
     they are ranked once among the sorted finite values, so the binary
-    search probes with int comparisons.  Only the result is a Scalar.
+    search probes with int comparisons.  At rank k each left vertex's
+    neighbours are one int bitmask over the right vertices, the ghosts of
+    b1 one constant mask.  Each probe hands the last probe's matching, less
+    the pairs rank k no longer admits, to `_hopcroft_karp` to grow.  Only
+    the result is a Scalar.
     """
     if _infinite_kinds(b1, graded) != _infinite_kinds(b2, graded):
         return POS_INF, None
@@ -223,21 +259,33 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, graded: bool = False
     half_ranks1 = [rank[h] for h in halves1]
     half_ranks2 = [rank[h] for h in halves2]
     size = n1 + n2
-    ghosts1 = list(range(n2, size))
+    ghosts1 = ((1 << n1) - 1) << n2
+    match_l, match_r = [-1] * size, [-1] * size
 
     def probe(k: int) -> Optional[List[int]]:
-        adj = [[j for j, c in enumerate(row) if c <= k]
-               + ([n2 + i] if half_ranks1[i] <= k else [])
+        adj = [sum(1 << j for j, c in enumerate(row) if c <= k)
+               | (1 << (n2 + i) if half_ranks1[i] <= k else 0)
                for i, row in enumerate(cost_ranks)]
-        adj += [([g] if half_ranks2[g] <= k else []) + ghosts1 for g in range(n2)]
-        matched, match_l = _max_bipartite(size, size, adj)
-        return match_l if matched == size else None
+        adj += [(1 << g if half_ranks2[g] <= k else 0) | ghosts1 for g in range(n2)]
+        # drop the pairs of the last probe's matching that rank k does not
+        # admit, each tested on the rank tables (ghost pairs always stay)
+        for u, v in enumerate(match_l):
+            if v == -1:
+                continue
+            if u < n1:
+                rank_uv = cost_ranks[u][v] if v < n2 else half_ranks1[u]
+            else:
+                rank_uv = half_ranks2[v] if v < n2 else 0
+            if rank_uv > k:
+                match_l[u] = match_r[v] = -1
+        matched = _hopcroft_karp(adj, match_l, match_r)
+        return list(match_l) if matched == size else None
 
     # the last rank admits every edge of finite cost, and equal kind counts
     # give a perfect matching of finite cost, so some rank succeeds
-    k, match_l = _first_feasible(len(values), probe)
-    pairs = [(i, v if v < n2 else None) for i, v in enumerate(match_l[:n1])]
-    pairs += [(None, v) for v in match_l[n1:] if v < n2]
+    k, perfect = _first_feasible(len(values), probe)
+    pairs = [(i, v if v < n2 else None) for i, v in enumerate(perfect[:n1])]
+    pairs += [(None, v) for v in perfect[n1:] if v < n2]
     delta = coords.scalar(values[k])
     return delta, Matching(tuple(pairs), delta)
 

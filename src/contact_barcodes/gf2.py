@@ -38,12 +38,25 @@ class Gf2Matrix:
         return (len(self.rows), self.ncols)
 
     @classmethod
+    def _unchecked(cls, rows: Tuple[int, ...], ncols: int) -> "Gf2Matrix":
+        """A matrix whose rows are known to lie in range(1 << ncols), built
+        without the row checks of __post_init__."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "ncols", ncols)
+        return m
+
+    @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Gf2Matrix":
-        return cls((0,) * nrows, ncols)
+        if ncols < 0:
+            raise ValueError("ncols must be nonnegative")
+        return cls._unchecked((0,) * nrows, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "Gf2Matrix":
-        return cls(tuple(1 << i for i in range(n)), n)
+        if n < 0:
+            raise ValueError("ncols must be nonnegative")
+        return cls._unchecked(tuple(1 << i for i in range(n)), n)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> "Gf2Matrix":
@@ -80,7 +93,7 @@ class Gf2Matrix:
                 acc ^= other.rows[j]
                 r &= r - 1
             out.append(acc)
-        return Gf2Matrix(tuple(out), other.ncols)
+        return Gf2Matrix._unchecked(tuple(out), other.ncols)
 
     def rank(self) -> int:
         return len(Echelon(self.rows).pivots)
@@ -95,8 +108,8 @@ class Gf2Matrix:
         echelon = Echelon(self.rows)
         if echelon.nullspace:
             raise ValueError("matrix is singular")
-        return Gf2Matrix(tuple(echelon.express(1 << i) for i in range(self.ncols)),
-                         self.ncols)
+        return Gf2Matrix._unchecked(
+            tuple(echelon.express(1 << i) for i in range(self.ncols)), self.ncols)
 
     def is_partial_permutation(self) -> bool:
         """True when every row and every column carries at most one 1."""

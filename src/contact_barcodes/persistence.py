@@ -266,8 +266,10 @@ def composite_map(m: SampledModule, i: int, j: int, parity: Parity) -> Gf2Matrix
     """Structure map from samples[i] to samples[j] (i <= j)."""
     if not (0 <= i <= j < m.n_samples):
         raise IndexOutOfRangeError(f"sample range ({i}, {j}) outside 0..{m.n_samples - 1}")
-    acc = Gf2Matrix.identity(m.dims[i][parity])
-    for step in range(i, j):
+    if i == j:
+        return Gf2Matrix.identity(m.dims[i][parity])
+    acc = m.maps[i][parity]
+    for step in range(i + 1, j):
         acc = m.maps[step][parity] @ acc
     return acc
 

@@ -19,7 +19,7 @@ from contact_barcodes.distances import (
     _GLayout,
     _Regions,
     _add_identity,
-    _max_bipartite,
+    _hopcroft_karp,
     _shift_tables,
     bar_cost,
     bottleneck_distance,
@@ -645,24 +645,157 @@ def recursive_max_bipartite(n_left, n_right, adj):
     return size, match_l
 
 
-def test_max_bipartite_matches_recursive_search():
+def kuhn_max_bipartite(n_left, n_right, adj):
+    """Kuhn's augmenting path search on an explicit stack, the matcher of
+    `bottleneck_distance` before Hopcroft-Karp, kept as the reference."""
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+
+    def augment(root, seen):
+        path_u, next_at, path_v = [root], [0], []
+        while path_u:
+            nbrs = adj[path_u[-1]]
+            pos = next_at[-1]
+            while pos < len(nbrs) and seen[nbrs[pos]]:
+                pos += 1
+            if pos == len(nbrs):
+                path_u.pop()
+                next_at.pop()
+                if path_v:
+                    path_v.pop()
+                continue
+            v = nbrs[pos]
+            seen[v] = True
+            next_at[-1] = pos + 1
+            path_v.append(v)
+            if match_r[v] == -1:
+                for uu, vv in zip(path_u, path_v):
+                    match_r[vv] = uu
+                    match_l[uu] = vv
+                return True
+            path_u.append(match_r[v])
+            next_at.append(0)
+        return False
+
+    size = sum(1 for u in range(n_left) if augment(u, [False] * n_right))
+    return size, match_l
+
+
+def masks(adj):
+    """Adjacency lists as the bitmasks `_hopcroft_karp` takes."""
+    return [sum(1 << v for v in nbrs) for nbrs in adj]
+
+
+def assert_matching_of(adj, n_right, match_l, match_r):
+    """match_l/match_r describe one matching, of adj edges only; its size."""
+    assert len(match_l) == len(adj) and len(match_r) == n_right
+    for u, v in enumerate(match_l):
+        if v != -1:
+            assert v in adj[u] and match_r[v] == u, (u, v)
+    for v, u in enumerate(match_r):
+        if u != -1:
+            assert match_l[u] == v, (u, v)
+    used = [v for v in match_l if v != -1]
+    assert len(used) == len(set(used))
+    return len(used)
+
+
+def test_hopcroft_karp_matches_kuhn_reference():
+    # random graphs of up to 40 vertices a side, dense and sparse, half of
+    # them seeded with a random valid partial matching as bottleneck probes
+    # are; augmenting never unmatches a vertex, so the seed's vertices stay
     rng = random.Random(47)
-    for _ in range(200):
-        n_left, n_right = rng.randint(0, 9), rng.randint(0, 9)
-        adj = [rng.sample(range(n_right), rng.randint(0, n_right))
+    seeded = 0
+    for trial in range(400):
+        n_left, n_right = rng.randint(0, 40), rng.randint(0, 40)
+        density = rng.choice([0.05, 0.15, 0.4, 0.9])
+        adj = [[v for v in range(n_right) if rng.random() < density]
                for _ in range(n_left)]
-        assert _max_bipartite(n_left, n_right, adj) == \
-            recursive_max_bipartite(n_left, n_right, adj)
+        for nbrs in adj:
+            rng.shuffle(nbrs)
+        match_l, match_r = [-1] * n_left, [-1] * n_right
+        if trial % 2:
+            for u in rng.sample(range(n_left), n_left):
+                free = [v for v in adj[u] if match_r[v] == -1]
+                if free and rng.random() < 0.7:
+                    match_l[u] = rng.choice(free)
+                    match_r[match_l[u]] = u
+            seeded += any(v != -1 for v in match_l)
+        before_l = [u for u, v in enumerate(match_l) if v != -1]
+        before_r = [v for v, u in enumerate(match_r) if u != -1]
+        size = _hopcroft_karp(masks(adj), match_l, match_r)
+        assert size == assert_matching_of(adj, n_right, match_l, match_r)
+        assert size == kuhn_max_bipartite(n_left, n_right, adj)[0], trial
+        assert all(match_l[u] != -1 for u in before_l)
+        assert all(match_r[v] != -1 for v in before_r)
+        # a maximum matching is a fixed point
+        assert _hopcroft_karp(masks(adj), list(match_l), list(match_r)) == size
+    assert seeded > 150
 
 
-def test_max_bipartite_long_augmenting_path():
+def test_hopcroft_karp_long_augmenting_path():
     # every augmenting path of the last vertex runs through all the others,
-    # deeper than the interpreter's default recursion limit
+    # deeper than the interpreter's default recursion limit: from scratch,
+    # and from the seed that leaves one augmenting path of 1,500 layers
     n = 1500
     adj = [[u + 1, u] for u in range(n - 1)] + [[n - 1]]
-    size, match_l = _max_bipartite(n, n, adj)
-    assert size == n
-    assert sorted(match_l) == list(range(n))
+    match_l, match_r = [-1] * n, [-1] * n
+    assert _hopcroft_karp(masks(adj), match_l, match_r) == n
+    assert match_l == list(range(n))
+    match_l = list(range(1, n)) + [-1]
+    match_r = [-1] + list(range(n - 1))
+    assert _hopcroft_karp(masks(adj), match_l, match_r) == n
+    assert match_l == list(range(n))
+    assert assert_matching_of(adj, n, match_l, match_r) == n
+
+
+def padded_graph(b1, b2, twice_c, graded):
+    """The padded bottleneck graph at cost twice_c / 2, for bars with int
+    endpoints, in doubled coordinates: left bars then ghosts of the right
+    bars, right bars then ghosts of the left bars."""
+    n1, n2 = len(b1.bars), len(b2.bars)
+    ends1 = [(2 * int(b.birth.value), 2 * int(b.death.value), b.parity) for b in b1.bars]
+    ends2 = [(2 * int(b.birth.value), 2 * int(b.death.value), b.parity) for b in b2.bars]
+    adj = [[j for j, (u, v, q) in enumerate(ends2)
+            if (not graded or p == q) and max(abs(x - u), abs(y - v)) <= twice_c]
+           + ([n2 + i] if y - x <= 2 * twice_c else [])
+           for i, (x, y, p) in enumerate(ends1)]
+    adj += [([j] if v - u <= 2 * twice_c else []) + list(range(n2, n1 + n2))
+            for j, (u, v, _) in enumerate(ends2)]
+    return adj
+
+
+def test_bottleneck_at_400_bars_a_side():
+    # random bars on the integer spectrum 0..100, ungraded and graded: the
+    # witness covers every bar once and realizes delta, and the reference
+    # matcher finds no perfect matching at the largest candidate below delta
+    rng = random.Random(61)
+    points = tuple(Scalar(Fraction(i)) for i in range(101))
+    sp = Spectrum(points, points[0], points[-1])
+
+    def code():
+        bars = []
+        for _ in range(400):
+            i = rng.randrange(100)
+            bars.append(Bar(points[i], points[rng.randrange(i + 1, 101)], rng.randint(0, 1)))
+        return Barcode(sp, tuple(bars))
+
+    b1, b2 = code(), code()
+    twice = {int(b.death.value - b.birth.value) for b in b1.bars + b2.bars}
+    for end in ("birth", "death"):
+        ends1 = {int(getattr(b, end).value) for b in b1.bars}
+        ends2 = {int(getattr(b, end).value) for b in b2.bars}
+        twice |= {2 * abs(x - y) for x in ends1 for y in ends2}
+    twice_candidates = sorted(twice | {0})  # doubled half-lengths and gaps
+    for graded in (False, True):
+        d, matching = bottleneck_distance(b1, b2, graded=graded)
+        assert matching.cost == d
+        assert witness_cost(b1, b2, matching, graded) == d
+        twice_d = 2 * d.value
+        assert twice_d.denominator == 1 and twice_d in twice_candidates and twice_d > 0
+        below = twice_candidates[twice_candidates.index(twice_d) - 1]
+        adj = padded_graph(b1, b2, below, graded)
+        assert kuhn_max_bipartite(800, 800, adj)[0] < 800
 
 
 def reference_shift_tables(regions1, regions2, delta):

@@ -52,6 +52,27 @@ def test_identity_and_zero():
     assert i3.rank() == 3 and i3.is_invertible()
     assert z.rank() == 0
     assert (z @ i3) == z
+    for bad in (lambda: Gf2Matrix.identity(-1), lambda: Gf2Matrix.zeros(2, -1),
+                lambda: Gf2Matrix((4,), 2), lambda: Gf2Matrix((-1,), 2)):
+        with pytest.raises(ValueError):
+            bad()
+
+
+def test_unchecked_results_match_checked_construction():
+    # products, identities, zeros and inverses skip the row checks; each
+    # must equal, hash and print as the matrix the checked constructor builds
+    rng = random.Random(17)
+    results = []
+    for _ in range(300):
+        n, k, m = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        a = Gf2Matrix(tuple(rng.getrandbits(k) for _ in range(n)), k)
+        b = Gf2Matrix(tuple(rng.getrandbits(m) for _ in range(k)), m)
+        results += [a @ b, Gf2Matrix.identity(n), Gf2Matrix.zeros(n, m),
+                    random_basis_change(rng, n)[0].inverse()]
+    for got in results:
+        want = Gf2Matrix(tuple(got.rows), got.ncols)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert type(got.rows) is tuple and all(0 <= r < 1 << got.ncols for r in got.rows)
 
 
 def test_inverse_round_trip():

@@ -14,6 +14,7 @@ from contact_barcodes.persistence import (
     _graded_counts,
     _sample_positions,
     _snap_point,
+    composite_map,
     decompose,
     module_from_barcode,
     rank_invariant,
@@ -177,6 +178,21 @@ def test_rank_invariant_identity_and_monotone():
                 if prev is not None:
                     assert r[0] <= prev[0] and r[1] <= prev[1]
                 prev = r
+
+
+def test_composite_map_matches_product_from_identity():
+    # the product of the structure maps from sample i to j, as it was first
+    # computed: an identity at sample i times each map in turn
+    rng = random.Random(19)
+    for _ in range(40):
+        mod = random_module(rng, max_points=4, max_dim=3)
+        for parity in (0, 1):
+            for i in range(mod.n_samples):
+                want = Gf2Matrix.identity(mod.dims[i][parity])
+                for j in range(i, mod.n_samples):
+                    if j > i:
+                        want = mod.maps[j - 1][parity] @ want
+                    assert composite_map(mod, i, j, parity) == want
 
 
 def test_rank_across_zero_map_is_zero():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from contact_barcodes.serialization import loads
@@ -39,3 +40,15 @@ def test_ellipsoid_gallery_writes_every_entry(tmp_path):
         code = loads((tmp_path / f"{name}.json").read_text())
         assert line.startswith(f"{name}: {len(code.bars)} bars, ")
         assert (tmp_path / f"{name}.svg").read_text().startswith("<svg")
+
+
+def test_bottleneck_scaling_prints_a_row_per_size_and_grading():
+    done = run_script("bottleneck_scaling.py", "--sizes", "20", "40", "--seed", "0")
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split() == ["bars", "graded", "delta", "probes", "seconds"]
+    assert [row.split()[:2] for row in rows] == [
+        ["20", "no"], ["20", "yes"], ["40", "no"], ["40", "yes"]]
+    for row in rows:
+        _, _, delta, probes, seconds = row.split()
+        assert Fraction(delta) >= 0 and int(probes) >= 1 and float(seconds) >= 0
