@@ -3,13 +3,13 @@ delta-interleaving search over sampled modules.
 
 The bottleneck side works on barcodes.  Every bar, infinite bars included,
 is a vertex of one bipartite graph padded with ghosts for the diagonal;
-the candidate values are the pair costs and the half-lengths, ranked once
-among the sorted finite values, and feasibility at a rank is a perfect
-matching, found by Hopcroft-Karp.  The infimum is attained at a candidate.
-Every probe of the binary search over ranks is warm-started from the last
-probe's matching, without the edges its rank no longer admits: a matching
-at one rank stays valid at every larger one, so after the first probe few
-augmenting paths remain to be found.  The interleaving side
+the candidate values are the finite pair costs and half-lengths, sorted,
+and feasibility at a threshold is a perfect matching, found by
+Hopcroft-Karp.  The infimum is attained at a candidate.  Every probe of
+the binary search over the candidates is warm-started from the last
+probe's matching, without the edges its threshold no longer admits: a
+matching at one threshold stays valid at every larger one, so after the
+first probe few augmenting paths remain to be found.  The interleaving side
 works directly on SampledModules, enumerating the forward GF(2)
 interleaving maps F region by region; every constraint on the backward
 maps G, a matrix identity sum(L @ G[t] @ R) == C, becomes linear equations
@@ -194,30 +194,23 @@ def _first_feasible(n: int, probe: Callable[[int], Optional[T]]
     return best
 
 
-def _infinite_kinds(b: Barcode, graded: bool) -> Counter:
-    return Counter((bar.birth.is_neg_inf, bar.death.is_pos_inf,
-                    bar.parity if graded else 0)
-                   for bar in b.bars if not bar.is_finite)
-
-
 def _int_bars(bars: Sequence[Bar], coords: _Coords, graded: bool
-              ) -> Tuple[List[Tuple[int, int, int]], List[Optional[int]]]:
-    """(kind, birth, death) int triples and int half-lengths of the bars.
+              ) -> List[Tuple[int, int, int]]:
+    """(kind, birth, death) int triples of the bars.
 
-    The kind tags which ends are infinite (and the parity when graded);
-    an infinite end gets coordinate 0, so two bars of one kind are as far
-    apart as their finite ends, and bars of different kinds are infinitely
-    far apart.  An infinite bar's half-length is None.
+    The kind tags which ends are infinite (its two low bits) and the
+    parity when graded; an infinite end gets coordinate 0, so two bars of
+    one kind are as far apart as their finite ends, and bars of different
+    kinds are infinitely far apart.
     """
-    ends, halves = [], []
+    ends = []
     for bar in bars:
         birth_inf, death_inf = not bar.birth.is_finite, not bar.death.is_finite
         x = 0 if birth_inf else coords.of(bar.birth)
         y = 0 if death_inf else coords.of(bar.death)
         kind = (bar.parity if graded else 0) << 2 | birth_inf << 1 | death_inf
         ends.append((kind, x, y))
-        halves.append(None if birth_inf or death_inf else (y - x) // 2)
-    return ends, halves
+    return ends
 
 
 def bottleneck_distance(b1: Barcode, b2: Barcode, graded: bool = False
@@ -233,56 +226,49 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, graded: bool = False
     vertices the bars of b2, then one ghost per bar of b1.  A bar meets the
     ghost standing for it at its half-length (+inf for an infinite bar) and
     ghosts meet each other at 0.  Costs are int maxima of endpoint
-    differences in the `_Coords` of all endpoints, with None for +inf;
-    they are ranked once among the sorted finite values, so the binary
-    search probes with int comparisons.  At rank k each left vertex's
-    neighbours are one int bitmask over the right vertices, the ghosts of
-    b1 one constant mask.  Each probe hands the last probe's matching, less
-    the pairs rank k no longer admits, to `_hopcroft_karp` to grow.  Only
-    the result is a Scalar.
+    differences in the `_Coords` of all endpoints; +inf is the int `never`,
+    1 + 2 max|coordinate|, above every endpoint gap and half-length.  The
+    binary search runs over the sorted finite costs (pair costs,
+    half-lengths and 0), and a probe at threshold t admits the edges
+    of cost <= t: each left vertex's neighbours are one int bitmask over
+    the right vertices, the ghosts of b1 one constant mask.  Each probe
+    hands the last probe's matching, less the pairs its masks do not hold,
+    to `_hopcroft_karp` to grow.  Only the result is a Scalar.
     """
-    if _infinite_kinds(b1, graded) != _infinite_kinds(b2, graded):
-        return POS_INF, None
     left, right = b1.bars, b2.bars
     n1, n2 = len(left), len(right)
     coords = _Coords(end for bar in left + right for end in (bar.birth, bar.death))
-    ends1, halves1 = _int_bars(left, coords, graded)
-    ends2, halves2 = _int_bars(right, coords, graded)
-    costs = [[max(abs(x - u), abs(y - v)) if kind == other else None
+    ends1 = _int_bars(left, coords, graded)
+    ends2 = _int_bars(right, coords, graded)
+    if (Counter(kind for kind, _, _ in ends1 if kind & 3)
+            != Counter(kind for kind, _, _ in ends2 if kind & 3)):
+        return POS_INF, None
+    never = 1 + 2 * max((max(abs(x), abs(y)) for _, x, y in ends1 + ends2), default=0)
+    costs = [[max(abs(x - u), abs(y - v)) if kind == other else never
               for other, u, v in ends2] for kind, x, y in ends1]
-    values = sorted({0}
-                    | {c for row in costs for c in row if c is not None}
-                    | {h for h in halves1 + halves2 if h is not None})
-    rank = {v: k for k, v in enumerate(values)}
-    rank[None] = len(values)
-    cost_ranks = [[rank[c] for c in row] for row in costs]
-    half_ranks1 = [rank[h] for h in halves1]
-    half_ranks2 = [rank[h] for h in halves2]
+    halves1 = [never if kind & 3 else (y - x) // 2 for kind, x, y in ends1]
+    halves2 = [never if kind & 3 else (y - x) // 2 for kind, x, y in ends2]
+    values = sorted(({0} | {c for row in costs for c in row}
+                     | set(halves1) | set(halves2)) - {never})
     size = n1 + n2
     ghosts1 = ((1 << n1) - 1) << n2
     match_l, match_r = [-1] * size, [-1] * size
 
     def probe(k: int) -> Optional[List[int]]:
-        adj = [sum(1 << j for j, c in enumerate(row) if c <= k)
-               | (1 << (n2 + i) if half_ranks1[i] <= k else 0)
-               for i, row in enumerate(cost_ranks)]
-        adj += [(1 << g if half_ranks2[g] <= k else 0) | ghosts1 for g in range(n2)]
-        # drop the pairs of the last probe's matching that rank k does not
-        # admit, each tested on the rank tables (ghost pairs always stay)
+        t = values[k]
+        adj = [sum(1 << j for j, c in enumerate(row) if c <= t)
+               | (1 << (n2 + i) if halves1[i] <= t else 0)
+               for i, row in enumerate(costs)]
+        adj += [(1 << g if halves2[g] <= t else 0) | ghosts1 for g in range(n2)]
+        # drop the pairs of the last probe's matching that t does not admit
         for u, v in enumerate(match_l):
-            if v == -1:
-                continue
-            if u < n1:
-                rank_uv = cost_ranks[u][v] if v < n2 else half_ranks1[u]
-            else:
-                rank_uv = half_ranks2[v] if v < n2 else 0
-            if rank_uv > k:
+            if v != -1 and not adj[u] >> v & 1:
                 match_l[u] = match_r[v] = -1
         matched = _hopcroft_karp(adj, match_l, match_r)
         return list(match_l) if matched == size else None
 
-    # the last rank admits every edge of finite cost, and equal kind counts
-    # give a perfect matching of finite cost, so some rank succeeds
+    # the largest value admits every edge of finite cost, and equal kind
+    # counts give a perfect matching of finite cost, so some probe succeeds
     k, perfect = _first_feasible(len(values), probe)
     pairs = [(i, v if v < n2 else None) for i, v in enumerate(perfect[:n1])]
     pairs += [(None, v) for v in perfect[n1:] if v < n2]

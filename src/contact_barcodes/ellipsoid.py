@@ -91,10 +91,10 @@ def cz_index(s: Scalar, p: EllipsoidParams) -> CzIndex:
     return CzIndex(index, index % 2)
 
 
-def _components(p: EllipsoidParams) -> Tuple[List[Tuple[Scalar, Scalar]], bool]:
-    """Components of (0, T) minus the spectrum, plus whether T is spectral."""
-    points = ellipsoid_spectrum(p).points
-    T = p.horizon
+def _components(points: Tuple[Scalar, ...], T: Scalar
+                ) -> Tuple[List[Tuple[Scalar, Scalar]], bool]:
+    """Components of (0, T) minus the spectrum points, plus whether T is
+    spectral."""
     comps = list(zip(points, points[1:]))
     t_on_spectrum = bool(points) and points[-1] == T
     if not t_on_spectrum:
@@ -110,7 +110,8 @@ def ellipsoid_barcode(p: EllipsoidParams) -> Barcode:
     death stays at T when T is a spectrum value (the gap genuinely closes
     there) and is emitted as +inf when the horizon cuts the gap open.
     """
-    comps, t_on_spectrum = _components(p)
+    spectrum = ellipsoid_spectrum(p)
+    comps, t_on_spectrum = _components(spectrum.points, p.horizon)
     parity = p.n % 2
     bars = []
     for idx, (lo, hi) in enumerate(comps):
@@ -119,7 +120,7 @@ def ellipsoid_barcode(p: EllipsoidParams) -> Barcode:
             bars.append(Bar(lo, POS_INF, parity, truncated=True))
         else:
             bars.append(Bar(lo, hi, parity, truncated=last))
-    return Barcode(ellipsoid_spectrum(p), tuple(bars))
+    return Barcode(spectrum, tuple(bars))
 
 
 def gaps_longer_than(p: EllipsoidParams, ell: Scalar) -> List[Tuple[Scalar, Scalar]]:
@@ -130,5 +131,5 @@ def gaps_longer_than(p: EllipsoidParams, ell: Scalar) -> List[Tuple[Scalar, Scal
     """
     if ell < ZERO or not (ell < p.axes[0]):
         raise ValueError("threshold must satisfy 0 <= ell < smallest axis")
-    comps, _ = _components(p)
+    comps, _ = _components(ellipsoid_spectrum(p).points, p.horizon)
     return [(lo, hi) for lo, hi in comps if ell < hi - lo]

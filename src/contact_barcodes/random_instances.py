@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .gf2 import Gf2Matrix, invertible_matrices
+from .gf2 import Gf2Matrix
 from .persistence import Bar, Barcode, SampledModule, Spectrum, _sample_positions
 from .scalar import NEG_INF, POS_INF, Scalar, rational
 
@@ -36,7 +36,6 @@ def random_spectrum(rng: random.Random, max_points: int = 6,
 
 
 def random_barcode(rng: random.Random, max_bars: int = 8, max_points: int = 6,
-                   allow_infinite: bool = True,
                    force_half_infinite: bool = False) -> Barcode:
     """A barcode with positive-length bars over a fresh random spectrum."""
     spectrum = random_spectrum(rng, max_points=max_points, min_points=1)
@@ -46,11 +45,11 @@ def random_barcode(rng: random.Random, max_bars: int = 8, max_points: int = 6,
     for _ in range(n_bars):
         parity = rng.randint(0, 1)
         kind = rng.random()
-        if allow_infinite and kind < 0.15:
+        if kind < 0.15:
             bars.append(Bar(NEG_INF, rng.choice(points), parity))
-        elif allow_infinite and kind < 0.30:
+        elif kind < 0.30:
             bars.append(Bar(rng.choice(points), POS_INF, parity))
-        elif allow_infinite and kind < 0.35:
+        elif kind < 0.35:
             bars.append(Bar(NEG_INF, POS_INF, parity))
         elif len(points) >= 2:
             i = rng.randrange(len(points) - 1)
@@ -85,7 +84,7 @@ def random_module(rng: random.Random, max_points: int = 4, max_dim: int = 2,
         for parity in (0, 1):
             nr, nc = dims[i + 1][parity], dims[i][parity]
             if region_of[i] == region_of[i + 1]:
-                pair.append(random_invertible(rng, nc))
+                pair.append(random_basis_change(rng, nc)[0])
             else:
                 pair.append(random_matrix(rng, nr, nc))
         maps.append((pair[0], pair[1]))
@@ -120,9 +119,3 @@ def scramble(rng: random.Random, m: SampledModule) -> SampledModule:
         for i, pair in enumerate(m.maps))
     return SampledModule(m.spectrum, m.samples, m.dims, maps)
 
-
-def random_invertible(rng: random.Random, n: int) -> Gf2Matrix:
-    if n == 0:
-        return Gf2Matrix((), 0)
-    choices = invertible_matrices(n)
-    return rng.choice(choices)

@@ -285,18 +285,16 @@ def test_agrees_with_split_and_sort_reference_on_wide_barcodes():
     assert finite > 200
 
 
-def test_agrees_with_split_and_sort_reference_on_coprime_denominators():
-    # endpoints are multiples of 1393/985, 99/70 and 1/7, so the int
-    # coordinates scale by twice a large lcm and half-lengths fall on the
-    # 1/(2q) lattice between the endpoint gaps
-    rng = random.Random(59)
-    units = [Fraction(1393, 985), Fraction(99, 70), Fraction(1, 7)]
+def assert_agrees_on_drawn_spectra(rng, draw_point, trials, min_finite):
+    """Split-and-sort reference against bottleneck_distance on spectra of 3
+    to 12 points from draw_point(), with up to two infinite bars of shared
+    kinds a side, graded and ungraded."""
     kinds = [(True, False), (False, True), (True, True)]
     finite = 0
-    for trial in range(60):
+    for trial in range(trials):
         n_points, points = rng.randint(3, 12), set()
         while len(points) < n_points:
-            points.add(rng.choice(units) * rng.randint(0, 30))
+            points.add(draw_point())
         points = sorted(Scalar(p) for p in points)
         sp = Spectrum(tuple(points), points[0], points[-1])
         inf1 = [rng.choice(kinds) for _ in range(rng.randint(0, 2))]
@@ -310,7 +308,36 @@ def test_agrees_with_split_and_sort_reference_on_coprime_denominators():
                 finite += 1
                 assert matching.cost == d
                 assert witness_cost(b1, b2, matching, graded) == d
-    assert finite > 80
+    assert finite > min_finite
+
+
+def test_agrees_with_split_and_sort_reference_on_coprime_denominators():
+    # endpoints are multiples of 1393/985, 99/70 and 1/7, so the int
+    # coordinates scale by twice a large lcm and half-lengths fall on the
+    # 1/(2q) lattice between the endpoint gaps
+    rng = random.Random(59)
+    units = [Fraction(1393, 985), Fraction(99, 70), Fraction(1, 7)]
+    assert_agrees_on_drawn_spectra(
+        rng, lambda: rng.choice(units) * rng.randint(0, 30), 60, 80)
+
+
+def test_infinite_cost_bound_with_negative_endpoints():
+    # the infinite bars are 14 apart, while every endpoint is at most 7 from
+    # 0: +inf must stay above every finite cost, negative endpoints included
+    sp = Spectrum.of([-7, -6, 6, 7], -7, 7)
+    b1 = Barcode(sp, (Bar(rational(-7), POS_INF, 0), Bar.of(-7, -6)))
+    b2 = Barcode(sp, (Bar(rational(7), POS_INF, 0), Bar.of(6, 7)))
+    for graded in (False, True):
+        d, matching = bottleneck_distance(b1, b2, graded=graded)
+        assert d == rational(14) == exhaustive_bottleneck(b1, b2, graded=graded)
+        assert witness_cost(b1, b2, matching, graded) == d
+
+
+def test_agrees_with_split_and_sort_reference_on_mixed_signs():
+    # spectra straddle 0, so endpoint gaps reach twice the largest |endpoint|
+    rng = random.Random(67)
+    assert_agrees_on_drawn_spectra(
+        rng, lambda: Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3))), 80, 100)
 
 
 # -- interleavings ----------------------------------------------------------

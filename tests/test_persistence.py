@@ -228,6 +228,23 @@ def test_decompose_counts_match_dims():
             assert code.graded_dim_at(s) == m.dims[idx]
 
 
+def test_random_module_draws_large_invertible_maps():
+    # in-region maps up to 6 x 6: each module is valid, each in-region map
+    # invertible, and the sweep closes on it
+    rng = random.Random(61)
+    for trial in range(60):
+        density = 1 + trial % 3
+        m = random_module(rng, max_points=4, max_dim=6, density=density)
+        assert validate_module(m) == []
+        for i, pair in enumerate(m.maps):
+            if i // density == (i + 1) // density:
+                for a in pair:
+                    assert a.is_invertible()
+        code = decompose(m)
+        for idx, s in enumerate(m.samples):
+            assert code.graded_dim_at(s) == m.dims[idx]
+
+
 def test_decompose_agrees_with_basis_enumeration():
     rng = random.Random(34)
     done = 0
