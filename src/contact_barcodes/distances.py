@@ -41,7 +41,7 @@ from .errors import (
     TooLargeError,
 )
 from .gf2 import Echelon, Gf2Matrix, Gf2System
-from .persistence import Bar, Barcode, SampledModule, _module_issues, composite_map
+from .persistence import Bar, Barcode, SampledModule, _placement, composite_map
 from .scalar import POS_INF, Scalar, ZERO
 
 
@@ -68,20 +68,6 @@ class _Coords:
     def scalar(self, n: int) -> Scalar:
         """The Scalar with coordinate n."""
         return Scalar(Fraction(n, self.scale))
-
-
-def endpoint_gap(x: Scalar, y: Scalar) -> Scalar:
-    """|x - y| on the extended line: same-type infinities are 0 apart,
-    an infinity and anything else are infinitely far apart."""
-    if x == y:
-        return ZERO
-    if not (x.is_finite and y.is_finite):
-        return POS_INF
-    return abs(x - y)
-
-
-def bar_cost(a: Bar, b: Bar) -> Scalar:
-    return max(endpoint_gap(a.birth, b.birth), endpoint_gap(a.death, b.death))
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,8 +286,7 @@ class _Regions:
     """Cut-point/region view of a validated SampledModule."""
 
     def __init__(self, m: SampledModule):
-        gaps = m.gap_points()
-        issues = _module_issues(m, gaps)
+        gaps, issues = _placement(m)
         if issues:
             raise InvalidModuleError("invalid module: " + "; ".join(issues))
         if m.n_samples == 0:

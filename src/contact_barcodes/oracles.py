@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import TooLargeError
 from .gf2 import Gf2Matrix, invertible_matrices
-from .persistence import Bar, Barcode, SampledModule, validate_module
+from .persistence import Bar, Barcode, SampledModule, _only_point, validate_module
 from .scalar import NEG_INF, POS_INF, Scalar, ZERO, midpoint
 
 
@@ -29,7 +29,7 @@ def brute_force_decompose(m: SampledModule, limit: int = 2_000_000) -> Barcode:
     issues = validate_module(m)
     if issues:
         raise ValueError("invalid module: " + "; ".join(issues))
-    k = m.n_samples
+    gaps = m.gap_points()
     bars: List[Bar] = []
     for parity in (0, 1):
         dims = [d[parity] for d in m.dims]
@@ -54,7 +54,7 @@ def brute_force_decompose(m: SampledModule, limit: int = 2_000_000) -> Barcode:
                 break
         if found is None:
             raise AssertionError("no interval form found; structure theorem violated")
-        bars.extend(_threads_to_bars(m, dims, found, parity))
+        bars.extend(_threads_to_bars(gaps, dims, found, parity))
     return Barcode(m.spectrum, tuple(bars))
 
 
@@ -71,6 +71,7 @@ def rank_formula_decompose(m: SampledModule) -> Barcode:
     issues = validate_module(m)
     if issues:
         raise ValueError("invalid module: " + "; ".join(issues))
+    gaps = m.gap_points()
     k = m.n_samples
     bars: List[Bar] = []
     for parity in (0, 1):
@@ -94,14 +95,12 @@ def rank_formula_decompose(m: SampledModule) -> Barcode:
                 if mult < 0:
                     raise AssertionError(f"negative multiplicity at span ({i}, {j})")
                 if mult:
-                    bars.extend([_make_bar(m, i, j, k, parity)] * mult)
+                    bars.extend([_make_bar(gaps, i, j, parity)] * mult)
     return Barcode(m.spectrum, tuple(bars))
 
 
-def _threads_to_bars(m: SampledModule, dims: Sequence[int],
+def _threads_to_bars(gaps: Sequence[Sequence[Scalar]], dims: Sequence[int],
                      mats: Sequence[Gf2Matrix], parity: int) -> List[Bar]:
-    from .persistence import _snap_point  # same snapping as the fast path
-
     k = len(dims)
     bars: List[Bar] = []
     # active[r] = sample index at which the thread currently in row r began
@@ -115,7 +114,7 @@ def _threads_to_bars(m: SampledModule, dims: Sequence[int],
                     target = rr
                     break
             if target is None:
-                bars.append(_make_bar(m, start, i, k, parity))
+                bars.append(_make_bar(gaps, start, i, parity))
             else:
                 nxt[target] = start
         for rr in range(dims[i + 1]):
@@ -123,21 +122,33 @@ def _threads_to_bars(m: SampledModule, dims: Sequence[int],
                 nxt[rr] = i + 1
         active = nxt
     for start in active.values():
-        bars.append(_make_bar(m, start, k - 1, k, parity))
+        bars.append(_make_bar(gaps, start, k - 1, parity))
     return bars
 
 
-def _make_bar(m: SampledModule, i: int, j: int, k: int, parity: int) -> Bar:
-    from .persistence import _snap_point
-
-    birth = NEG_INF if i == 0 else _snap_point(m, i - 1)
-    death = POS_INF if j == k - 1 else _snap_point(m, j)
+def _make_bar(gaps: Sequence[Sequence[Scalar]], i: int, j: int, parity: int) -> Bar:
+    """The bar alive on samples i..j, its ends snapped as `decompose` snaps
+    them: to the one spectrum point of the gap beyond each end sample."""
+    birth = NEG_INF if i == 0 else _only_point(gaps[i - 1], i - 1)
+    death = POS_INF if j == len(gaps) else _only_point(gaps[j], j)
     return Bar(birth, death, parity)
 
 
-def _pair_cost(a: Optional[Bar], b: Optional[Bar]) -> Scalar:
-    from .distances import bar_cost
+def endpoint_gap(x: Scalar, y: Scalar) -> Scalar:
+    """|x - y| on the extended line: same-type infinities are 0 apart,
+    an infinity and anything else are infinitely far apart."""
+    if x == y:
+        return ZERO
+    if not (x.is_finite and y.is_finite):
+        return POS_INF
+    return abs(x - y)
 
+
+def bar_cost(a: Bar, b: Bar) -> Scalar:
+    return max(endpoint_gap(a.birth, b.birth), endpoint_gap(a.death, b.death))
+
+
+def _pair_cost(a: Optional[Bar], b: Optional[Bar]) -> Scalar:
     if a is None and b is None:
         return ZERO
     if a is None:

@@ -17,15 +17,16 @@ the persistence reduction of a chain of linear maps: it carries a basis
 of the current sample's space, each vector tagged with the sample where
 its bar was born, and pushes it through every structure map, keeping the
 older bar whenever two images become dependent (the elder rule).
-The spectrum points of every sample gap come from one merge of the
-samples into the sorted spectrum.  `module_from_barcode` bisects each
-bar's endpoints into the sorted samples; the closing dimension check of
-`decompose` merges the sorted endpoints into them instead.
+Every placement of scalars among sorted scalars is one sort and one merge,
+`_count_below`: the samples among the spectrum points give each sample
+gap its points and `validate_module` its collisions and unstraddled
+points (`_placement`), and the bar ends among the samples give each bar
+its span of samples, which `module_from_barcode` and the closing
+dimension check of `decompose` both read (`_bar_spans`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
@@ -182,52 +183,39 @@ class SampledModule:
     def n_samples(self) -> int:
         return len(self.samples)
 
-    def points_between(self, i: int) -> Tuple[Scalar, ...]:
-        """Spectrum points strictly between samples[i] and samples[i+1]."""
-        points = self.spectrum.points
-        return points[bisect_right(points, self.samples[i]):
-                      bisect_left(points, self.samples[i + 1])]
-
     def gap_points(self) -> List[Tuple[Scalar, ...]]:
-        """points_between(i) for every gap i, from one merge of the samples
-        into the sorted spectrum.
-
-        The pointer p follows bisect_left(points, s) from sample to sample,
-        so the whole pass is linear when the samples increase; it also
-        steps back, so any sample order gives the answers of
-        points_between.
-        """
-        points = self.spectrum.points
-        n = len(points)
-        gaps: List[Tuple[Scalar, ...]] = []
-        p = 0
-        start = None  # bisect_right(points, previous sample)
-        for s in self.samples:
-            while p < n and points[p] < s:
-                p += 1
-            while p > 0 and not (points[p - 1] < s):
-                p -= 1
-            if start is not None:
-                gaps.append(points[start:p])
-            start = p + 1 if p < n and points[p] == s else p
-        return gaps
+        """The spectrum points strictly between samples[i] and samples[i+1],
+        for every gap i, as `_placement` finds them."""
+        return _placement(self)[0]
 
 
 def validate_module(m: SampledModule) -> List[str]:
     """Collect invariant violations; an empty list means the module is valid."""
-    return _module_issues(m, m.gap_points())
+    return _placement(m)[1]
 
 
-def _module_issues(m: SampledModule, gaps: Sequence[Tuple[Scalar, ...]]) -> List[str]:
-    """validate_module, given the module's gap_points()."""
+def _placement(m: SampledModule) -> Tuple[List[Tuple[Scalar, ...]], List[str]]:
+    """The spectrum points of every sample gap, and the module's invariant
+    violations, from one placement of the samples among the spectrum points.
+
+    below[i] and upto[i] count the points below samples[i] and at or below
+    it; any sample order is read as given.  Gap i holds the points from
+    upto[i] to below[i + 1], a sample lies on a point exactly when its two
+    counts differ, and the points before below[0] or from upto[-1] on are
+    not straddled.
+    """
+    samples = m.samples
+    pts = m.spectrum.points
+    below = _count_below(samples, pts, strict=True)
+    upto = _count_below(samples, pts, strict=False)
+    gaps = [pts[lo:hi] for lo, hi in zip(upto, below[1:])]
     issues: List[str] = []
-    points = set(m.spectrum.points)
-    for i, s in enumerate(m.samples):
+    for i, s in enumerate(samples):
         if not s.is_finite:
             issues.append(f"sample {i} is not finite")
-        elif s in points:
+        elif below[i] != upto[i]:
             issues.append(f"sample {i} collides with spectrum point {s}")
-        if i > 0 and not (m.samples[i - 1] < s):
+        if i > 0 and not (samples[i - 1] < s):
             issues.append(f"samples {i - 1} and {i} are not strictly increasing")
     for i, (d0, d1) in enumerate(m.dims):
         if d0 < 0 or d1 < 0:
@@ -240,11 +228,8 @@ def _module_issues(m: SampledModule, gaps: Sequence[Tuple[Scalar, ...]]) -> List
                 issues.append(
                     f"map {i} parity {parity} has shape {mat.shape}, expected {want}")
     # Grid discipline relative to the spectrum.
-    if m.samples:
-        pts = m.spectrum.points
-        below = bisect_left(pts, m.samples[0])    # pts[:below] < samples[0]
-        above = bisect_right(pts, m.samples[-1])  # samples[-1] < pts[above:]
-        for p in pts[:below] + pts[max(below, above):]:
+    if samples:
+        for p in pts[:below[0]] + pts[max(below[0], upto[-1]):]:
             issues.append(f"spectrum point {p} is not straddled by the samples")
     for i, between in enumerate(gaps):
         if len(between) > 1:
@@ -252,14 +237,13 @@ def _module_issues(m: SampledModule, gaps: Sequence[Tuple[Scalar, ...]]) -> List
                 f"{len(between)} spectrum points between samples {i} and {i + 1}")
         if not between:
             for parity in (0, 1):
-                if i < len(m.maps):
-                    mat = m.maps[i][parity]
-                    if mat.shape == (m.dims[i + 1][parity], m.dims[i][parity]) \
-                            and not mat.is_invertible():
-                        issues.append(
-                            f"map {i} parity {parity} crosses no spectrum point "
-                            "but is not invertible")
-    return issues
+                mat = m.maps[i][parity]
+                if mat.shape == (m.dims[i + 1][parity], m.dims[i][parity]) \
+                        and not mat.is_invertible():
+                    issues.append(
+                        f"map {i} parity {parity} crosses no spectrum point "
+                        "but is not invertible")
+    return gaps, issues
 
 
 def composite_map(m: SampledModule, i: int, j: int, parity: Parity) -> Gf2Matrix:
@@ -277,10 +261,6 @@ def composite_map(m: SampledModule, i: int, j: int, parity: Parity) -> Gf2Matrix
 def rank_invariant(m: SampledModule, i: int, j: int) -> Tuple[int, int]:
     """Graded rank of the composite map from sample i to sample j."""
     return (composite_map(m, i, j, 0).rank(), composite_map(m, i, j, 1).rank())
-
-
-def _snap_point(m: SampledModule, gap_index: int) -> Scalar:
-    return _only_point(m.points_between(gap_index), gap_index)
 
 
 def _only_point(between: Sequence[Scalar], gap_index: int) -> Scalar:
@@ -312,8 +292,7 @@ def decompose(m: SampledModule) -> Barcode:
     `oracles.rank_formula_decompose` recomputes the same barcode from the
     inclusion-exclusion of composite ranks.
     """
-    gaps = m.gap_points()
-    issues = _module_issues(m, gaps)
+    gaps, issues = _placement(m)
     if issues:
         raise InvalidModuleError("cannot decompose an invalid module: " + "; ".join(issues))
     k = m.n_samples
@@ -355,24 +334,12 @@ def decompose(m: SampledModule) -> Barcode:
     return code
 
 
-def _sample_range(bar: Bar, samples: Sequence[Scalar]) -> Tuple[int, int]:
-    """Indices lo..hi-1 of the sorted samples that the bar contains."""
-    return bisect_right(samples, bar.birth), bisect_left(samples, bar.death)
-
-
-def _graded_counts(bars: Iterable[Bar], samples: Sequence[Scalar]
+def _graded_counts(bars: Sequence[Bar], samples: Sequence[Scalar]
                    ) -> List[Tuple[int, int]]:
-    """Graded number of bars containing each sample, by a difference array.
-
-    A bar covers the samples from the first one above its birth to the
-    last one below its death (the _sample_range of the bar); both indices
-    come from one merge of the sorted endpoints into the sorted samples.
-    """
-    bars = list(bars)
-    lows = _count_below([bar.birth for bar in bars], samples, strict=False)
-    highs = _count_below([bar.death for bar in bars], samples, strict=True)
+    """Graded number of bars containing each sample, by a difference array
+    over the bars' `_bar_spans`."""
     diff = [[0] * (len(samples) + 1) for _ in (0, 1)]
-    for bar, lo, hi in zip(bars, lows, highs):
+    for bar, (lo, hi) in zip(bars, _bar_spans(bars, samples)):
         if lo < hi:
             diff[bar.parity][lo] += 1
             diff[bar.parity][hi] -= 1
@@ -385,21 +352,30 @@ def _graded_counts(bars: Iterable[Bar], samples: Sequence[Scalar]
     return counts
 
 
-def _count_below(ends: Sequence[Scalar], samples: Sequence[Scalar], strict: bool
+def _bar_spans(bars: Sequence[Bar], samples: Sequence[Scalar]
+               ) -> List[Tuple[int, int]]:
+    """For each bar, the indices lo..hi-1 of the sorted samples it contains:
+    lo counts the samples at or below its birth, hi those below its death."""
+    return list(zip(_count_below([bar.birth for bar in bars], samples, strict=False),
+                    _count_below([bar.death for bar in bars], samples, strict=True)))
+
+
+def _count_below(values: Sequence[Scalar], ref: Sequence[Scalar], strict: bool
                  ) -> List[int]:
-    """For each end, the number of samples below it (strict) or at most it:
-    bisect_left or bisect_right of the end into the sorted samples, from
-    one pass over the ends in sorted order."""
-    counts = [0] * len(ends)
-    k = len(samples)
+    """For each value, the number of the sorted scalars `ref` below it
+    (strict) or at most it: bisect_left or bisect_right of the value into
+    ref, from one merge of the sorted values into ref.  Only Scalar.__lt__
+    is called, and the values may come in any order."""
+    counts = [0] * len(values)
+    k = len(ref)
     p = 0
-    for e in sorted(range(len(ends)), key=ends.__getitem__):
-        end = ends[e]
+    for e in sorted(range(len(values)), key=values.__getitem__):
+        x = values[e]
         if strict:
-            while p < k and samples[p] < end:
+            while p < k and ref[p] < x:
                 p += 1
         else:
-            while p < k and not (end < samples[p]):
+            while p < k and not (x < ref[p]):
                 p += 1
         counts[e] = p
     return counts
@@ -444,8 +420,7 @@ def module_from_barcode(b: Barcode, grid_density_hint: int = 1) -> SampledModule
         raise ValueError("grid_density_hint must be a positive integer")
     samples = _sample_positions(b.spectrum, grid_density_hint)
     alive: List[Tuple[List[int], List[int]]] = [([], []) for _ in samples]
-    for idx, bar in enumerate(b.bars):
-        lo, hi = _sample_range(bar, samples)
+    for idx, (bar, (lo, hi)) in enumerate(zip(b.bars, _bar_spans(b.bars, samples))):
         for s in range(lo, hi):
             alive[s][bar.parity].append(idx)
     dims = tuple((len(a0), len(a1)) for a0, a1 in alive)

@@ -200,13 +200,27 @@ def _row_fault(rows: list, ncols: int, path: str) -> Optional[str]:
 
 def loads(text: str):
     """Parse a barcode or module document, dispatching on its keys."""
-    d = json.loads(text)
+    try:
+        d = json.loads(text)
+    except RecursionError:
+        raise ValueError("document nests too deeply to parse") from None
     if not isinstance(d, dict):
         raise ValueError("expected a JSON object")
     if "bars" in d:
         return barcode_from_dict(d)
     if any(key in d for key in ("samples", "dims", "maps")):
-        return module_from_dict(d)
+        m = module_from_dict(d)
+        # Gf2Matrix.from_rows reads JSON true/false as 1/0.  A check of every
+        # entry would add about a sixth to the parse of a large module, so
+        # it runs only when the text holds such a literal.
+        if "true" in text or "false" in text:
+            for i, pair in enumerate(d["maps"]):
+                for parity in (0, 1):
+                    fault = _row_fault(pair[parity], m.dims[i][parity],
+                                       f"maps[{i}][{parity}]")
+                    if fault:
+                        raise ValueError(fault)
+        return m
     raise ValueError("document is neither a barcode nor a module")
 
 

@@ -236,6 +236,8 @@ MODULE_FAULTS = [
     (_scalar_horizon, "spectrum.horizon"),
     (_even_map(1, 1, [[1.0]]), "maps[0][0][0]"),
     (_even_map(1, 1, [[2]]), "maps[0][0][0]"),
+    (_even_map(1, 1, [[True]]), "maps[0][0][0]: entries must be 0 or 1, got True"),
+    (_even_map(1, 1, [[False]]), "maps[0][0][0]: entries must be 0 or 1, got False"),
     (_even_map(2, 2, [[1, 0], [1]]), "maps[0][0][1]"),
     (_set(["dims", 0, 0], 1.5), "dims[0][0]"),
     (_set(["dims", 0, 1], "1"), "dims[0][1]"),
@@ -265,6 +267,17 @@ def test_schema_errors_name_the_json_path(tmp_path, capsys, argv, faults, make):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and where in captured.err, captured.err
+
+
+def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
+    # json.loads raises RecursionError on an array nested this deep
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    for command in ("depth", "verify"):
+        assert main([command, str(deep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: document nests too deeply to parse\n"
 
 
 def _invalid_module_doc():

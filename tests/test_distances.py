@@ -21,15 +21,13 @@ from contact_barcodes.distances import (
     _add_identity,
     _hopcroft_karp,
     _shift_tables,
-    bar_cost,
     bottleneck_distance,
-    endpoint_gap,
     find_interleaving,
     interleaving_candidates,
     interleaving_distance_bruteforce,
     verify_interleaving,
 )
-from contact_barcodes.oracles import exhaustive_bottleneck
+from contact_barcodes.oracles import bar_cost, endpoint_gap, exhaustive_bottleneck
 from contact_barcodes.persistence import (
     Bar,
     Barcode,

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -12,8 +13,8 @@ from contact_barcodes.persistence import (
     SampledModule,
     Spectrum,
     _graded_counts,
+    _only_point,
     _sample_positions,
-    _snap_point,
     composite_map,
     decompose,
     module_from_barcode,
@@ -127,7 +128,7 @@ def test_snap_point_requires_unique_point():
     m = SampledModule(sp, (rational(1, 2), rational(5, 2)),
                       ((1, 0), (1, 0)), ((ident(1), ident(0)),))
     with pytest.raises(NonUniqueSnapError):
-        _snap_point(m, 0)
+        _only_point(m.gap_points()[0], 0)
 
 
 def test_module_from_barcode_trivial():
@@ -348,9 +349,9 @@ def test_graded_counts_match_bar_containment():
         samples = sorted(set(m.samples) | set(extra.sample(points, len(points) // 2)))
         assert _graded_counts(on_ends.bars, samples) == \
             [on_ends.graded_dim_at(s) for s in samples]
-        for i in range(m.n_samples - 1):
-            assert m.points_between(i) == tuple(
-                p for p in m.spectrum.points if m.samples[i] < p < m.samples[i + 1])
+        assert m.gap_points() == [
+            tuple(p for p in m.spectrum.points if m.samples[i] < p < m.samples[i + 1])
+            for i in range(m.n_samples - 1)]
 
 
 def bar_testing_module(b, grid_density_hint=1):
@@ -389,7 +390,7 @@ def test_event_sweep_module_matches_bar_testing_construction():
             dumps(bar_testing_module(b, density))
 
 
-def test_gap_points_match_points_between():
+def test_gap_points_match_linear_filter():
     # samples reach past both ends of the spectrum, sit on spectrum points,
     # leave gaps empty, and (for invalid modules, which validate_module
     # still reads) run backwards or hit +/-inf
@@ -408,4 +409,98 @@ def test_gap_points_match_points_between():
         k = len(samples)
         m = SampledModule(sp, tuple(samples), ((0, 0),) * k,
                           ((ident(0), ident(0)),) * max(k - 1, 0))
-        assert m.gap_points() == [m.points_between(i) for i in range(k - 1)]
+        assert m.gap_points() == [
+            tuple(p for p in points if samples[i] < p < samples[i + 1])
+            for i in range(k - 1)]
+
+
+def reference_issues(m):
+    """validate_module as first written: a set of the spectrum points for
+    collisions, bisects for straddling, and each gap's points filtered
+    from the whole spectrum."""
+    issues = []
+    pts = m.spectrum.points
+    point_set = set(pts)
+    for i, s in enumerate(m.samples):
+        if not s.is_finite:
+            issues.append(f"sample {i} is not finite")
+        elif s in point_set:
+            issues.append(f"sample {i} collides with spectrum point {s}")
+        if i > 0 and not (m.samples[i - 1] < s):
+            issues.append(f"samples {i - 1} and {i} are not strictly increasing")
+    for i, (d0, d1) in enumerate(m.dims):
+        if d0 < 0 or d1 < 0:
+            issues.append(f"negative dimension at sample {i}")
+    for i, pair in enumerate(m.maps):
+        for parity in (0, 1):
+            want = (m.dims[i + 1][parity], m.dims[i][parity])
+            if pair[parity].shape != want:
+                issues.append(f"map {i} parity {parity} has shape "
+                              f"{pair[parity].shape}, expected {want}")
+    if m.samples:
+        below = bisect_left(pts, m.samples[0])
+        above = bisect_right(pts, m.samples[-1])
+        for p in pts[:below] + pts[max(below, above):]:
+            issues.append(f"spectrum point {p} is not straddled by the samples")
+    for i in range(m.n_samples - 1):
+        between = [p for p in pts if m.samples[i] < p < m.samples[i + 1]]
+        if len(between) > 1:
+            issues.append(f"{len(between)} spectrum points between samples {i} and {i + 1}")
+        if not between:
+            for parity in (0, 1):
+                mat = m.maps[i][parity]
+                if mat.shape == (m.dims[i + 1][parity], m.dims[i][parity]) \
+                        and not mat.is_invertible():
+                    issues.append(f"map {i} parity {parity} crosses no spectrum "
+                                  "point but is not invertible")
+    return issues
+
+
+def mangled_module(rng):
+    """A random module with up to four faults: samples swapped out of
+    order, put on spectrum points or at +/-inf, end samples moved inside
+    the spectrum, maps of the wrong shape or singular, negative dims."""
+    m = random_module(rng, max_points=5, max_dim=3, density=rng.choice((1, 2)))
+    pts = m.spectrum.points
+    samples, dims = list(m.samples), list(m.dims)
+    maps = [list(pair) for pair in m.maps]
+    k = len(samples)
+    for _ in range(rng.randint(0, 4)):
+        i, j = rng.randrange(k), rng.randrange(k)
+        fault = rng.randrange(7)
+        if fault == 0:
+            samples[i], samples[j] = samples[j], samples[i]
+        elif fault == 1 and pts:
+            samples[i] = rng.choice(pts)
+        elif fault == 2:
+            samples[i] = rng.choice((NEG_INF, POS_INF))
+        elif fault == 3 and pts:
+            samples[0] = rng.choice(pts) + rational(1, 7)
+        elif fault == 4 and pts:
+            samples[-1] = rng.choice(pts) - rational(1, 7)
+        elif fault in (5, 6) and maps:
+            r, parity = rng.randrange(len(maps)), rng.randint(0, 1)
+            nrows, ncols = maps[r][parity].shape
+            maps[r][parity] = Gf2Matrix.zeros(nrows + (fault == 5), ncols)
+        else:
+            dims[i] = (-1, dims[i][1])
+    return SampledModule(m.spectrum, tuple(samples), tuple(dims),
+                         tuple((a, b) for a, b in maps))
+
+
+def test_validate_matches_reference_issue_lists():
+    rng = random.Random(150)
+    seen = set()
+    invalid = 0
+    for _ in range(600):
+        m = mangled_module(rng)
+        issues = validate_module(m)
+        assert issues == reference_issues(m)
+        invalid += bool(issues)
+        for issue in issues:
+            seen.update(word for word in ("finite", "collides", "increasing",
+                                          "negative", "shape", "straddled",
+                                          "points between", "invertible")
+                        if word in issue)
+    assert invalid > 300
+    assert len(seen) == 8

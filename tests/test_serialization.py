@@ -75,6 +75,8 @@ def test_loads_dispatches_on_keys():
     m = module_from_barcode(Barcode(sp, ()))
     assert isinstance(loads(dumps(b)), Barcode)
     assert type(loads(dumps(m))).__name__ == "SampledModule"
+    # a JSON true outside the maps leaves their 0/1 entries valid
+    assert loads(dumps(m).replace('"cpv": 1', '"cpv": 1, "note": true')) == m
     with pytest.raises(ValueError):
         loads("[1, 2]")
     with pytest.raises(ValueError):
