@@ -6,68 +6,50 @@ decomposition, canonical module generation, bottleneck and brute-force
 interleaving distances, ellipsoid barcodes with Conley-Zehnder grading,
 and the derived invariants (spectral values, covering bounds on
 translated points, boundary depth).
+
+The names below are imported from their submodules on first use
+(PEP 562): `import contact_barcodes` loads no submodule, and a program
+loads only the submodules of the names it uses.
 """
 
-from .scalar import NEG_INF, POS_INF, ZERO, Scalar, as_scalar, rational
-from .gf2 import Gf2Matrix
-from .persistence import (
-    Bar,
-    Barcode,
-    SampledModule,
-    Spectrum,
-    decompose,
-    module_from_barcode,
-    rank_invariant,
-    validate_module,
-)
-from .distances import (
-    InterleavingCertificate,
-    Matching,
-    bottleneck_distance,
-    find_interleaving,
-    interleaving_distance_bruteforce,
-    verify_interleaving,
-)
-from .ellipsoid import (
-    CzIndex,
-    EllipsoidParams,
-    cz_index,
-    ellipsoid_barcode,
-    ellipsoid_spectrum,
-    gaps_longer_than,
-)
-from .invariants import (
-    LipschitzReport,
-    PerturbationBall,
-    ShClass,
-    VanishingReport,
-    bar_endpoint_set,
-    boundary_depth,
-    check_lipschitz,
-    covering_number,
-    perturb_barcode,
-    spectral_invariant,
-    translate_barcode,
-    translated_point_lower_bound,
-    vanishing_predicates,
-)
-from . import errors
+from importlib import import_module
 
-__all__ = [
-    "Scalar", "as_scalar", "rational", "ZERO", "POS_INF", "NEG_INF",
-    "Gf2Matrix",
-    "Spectrum", "Bar", "Barcode", "SampledModule",
-    "validate_module", "decompose", "module_from_barcode", "rank_invariant",
-    "Matching", "InterleavingCertificate", "bottleneck_distance",
-    "interleaving_distance_bruteforce", "find_interleaving",
-    "verify_interleaving",
-    "EllipsoidParams", "CzIndex", "ellipsoid_spectrum", "cz_index",
-    "ellipsoid_barcode", "gaps_longer_than",
-    "ShClass", "PerturbationBall", "VanishingReport", "LipschitzReport",
-    "spectral_invariant", "translate_barcode", "boundary_depth",
-    "covering_number", "bar_endpoint_set", "translated_point_lower_bound",
-    "vanishing_predicates", "perturb_barcode", "check_lipschitz",
-    "errors",
-]
+# public name -> the submodule that defines it; "errors" is the submodule itself
+_SOURCE = {
+    **dict.fromkeys(("Scalar", "as_scalar", "rational", "ZERO", "POS_INF",
+                     "NEG_INF"), "scalar"),
+    "Gf2Matrix": "gf2",
+    **dict.fromkeys(("Spectrum", "Bar", "Barcode", "SampledModule",
+                     "validate_module", "decompose", "module_from_barcode",
+                     "rank_invariant"), "persistence"),
+    **dict.fromkeys(("Matching", "InterleavingCertificate", "bottleneck_distance",
+                     "interleaving_distance_bruteforce", "find_interleaving",
+                     "verify_interleaving"), "distances"),
+    **dict.fromkeys(("EllipsoidParams", "CzIndex", "ellipsoid_spectrum",
+                     "cz_index", "ellipsoid_barcode", "gaps_longer_than"),
+                    "ellipsoid"),
+    **dict.fromkeys(("ShClass", "PerturbationBall", "VanishingReport",
+                     "LipschitzReport", "spectral_invariant", "translate_barcode",
+                     "boundary_depth", "covering_number", "bar_endpoint_set",
+                     "translated_point_lower_bound", "vanishing_predicates",
+                     "perturb_barcode", "check_lipschitz"), "invariants"),
+    "errors": "errors",
+}
+
+__all__ = list(_SOURCE)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    source = _SOURCE.get(name)
+    if source is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{source}", __name__)
+    value = module if name == source else getattr(module, name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 domain error, 2 I/O or parse error.  All numeric
 arguments and outputs are exact rational text; floats are rejected.
+
+Argument parsing needs only `scalar`.  Each command imports the layers it
+runs in its own branch of `run`, and the readers import `serialization`
+when they are called, so one `cpv` process compiles no module that its
+command does not use.
 """
 
 from __future__ import annotations
@@ -10,23 +15,13 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .distances import bottleneck_distance, interleaving_distance_bruteforce
-from .ellipsoid import EllipsoidParams, ellipsoid_barcode
-from .errors import DomainError
-from .invariants import (
-    bar_endpoint_set,
-    covering_number,
-    boundary_depth,
-    spectral_invariant,
-    translated_point_lower_bound,
-)
-from .persistence import Barcode, SampledModule, decompose, validate_module
+from .errors import DomainError, ParseError
 from .scalar import Scalar, ZERO
-from .serialization import dumps, loads
-from .suite import run_suite
-from .svg import barcode_svg
+
+if TYPE_CHECKING:
+    from .persistence import Barcode, SampledModule
 
 
 def _scalar_arg(text: str) -> Scalar:
@@ -96,21 +91,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str):
+    from .serialization import loads
+
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
 
 
 def _read_barcode(path: str) -> Barcode:
+    from .persistence import Barcode
+
     obj = _read(path)
     if not isinstance(obj, Barcode):
-        raise ValueError(f"{path} does not hold a barcode")
+        raise ParseError(f"{path} does not hold a barcode")
     return obj
 
 
 def _read_module(path: str) -> SampledModule:
+    from .persistence import SampledModule
+
     obj = _read(path)
     if not isinstance(obj, SampledModule):
-        raise ValueError(f"{path} does not hold a module")
+        raise ParseError(f"{path} does not hold a module")
     return obj
 
 
@@ -132,19 +133,29 @@ def run(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "ellipsoid":
+        from .ellipsoid import EllipsoidParams, ellipsoid_barcode
+        from .serialization import dumps
+
         params = EllipsoidParams.of(args.axis, args.horizon)
         code = ellipsoid_barcode(params)
         _emit(dumps(code), args.output)
         if args.svg:
+            from .svg import barcode_svg
+
             _emit(barcode_svg(code), args.svg)
         return 0
 
     if args.command == "reduce":
+        from .persistence import decompose
+        from .serialization import dumps
+
         code = decompose(_read_module(args.module))
         _emit(dumps(code), args.output)
         return 0
 
     if args.command == "distance":
+        from .distances import bottleneck_distance
+
         delta, matching = bottleneck_distance(
             _read_barcode(args.left), _read_barcode(args.right),
             graded=args.graded)
@@ -153,21 +164,29 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "interleave":
+        from .distances import interleaving_distance_bruteforce
+
         delta = interleaving_distance_bruteforce(
             _read_module(args.left), _read_module(args.right))
         sys.stdout.write(json.dumps({"delta": str(delta)}, indent=2) + "\n")
         return 0
 
     if args.command == "spectral":
+        from .invariants import spectral_invariant
+
         value = spectral_invariant(_read_barcode(args.barcode), args.class_index)
         sys.stdout.write(f"{value}\n")
         return 0
 
     if args.command == "depth":
+        from .invariants import boundary_depth
+
         sys.stdout.write(f"{boundary_depth(_read_barcode(args.barcode))}\n")
         return 0
 
     if args.command == "cover":
+        from .invariants import bar_endpoint_set, covering_number
+
         code = _read_barcode(args.barcode)
         points = bar_endpoint_set(code, ZERO)
         k, centers = covering_number(points, args.delta)
@@ -176,11 +195,15 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "bound":
+        from .invariants import translated_point_lower_bound
+
         k = translated_point_lower_bound(_read_barcode(args.barcode), args.delta)
         sys.stdout.write(f"{k}\n")
         return 0
 
     if args.command == "verify":
+        from .persistence import validate_module
+
         issues = validate_module(_read_module(args.module))
         if issues:
             for issue in issues:
@@ -190,13 +213,21 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "diagram":
+        from .svg import barcode_svg
+
         _emit(barcode_svg(_read_barcode(args.barcode)), args.output)
         return 0
 
     if args.command == "suite":
+        from .suite import run_suite
+
         seed = args.seed
         if seed is None:
-            seed = int(os.environ.get("CPV_SEED", "0"))
+            text = os.environ.get("CPV_SEED", "0")
+            try:
+                seed = int(text)
+            except ValueError:
+                raise ValueError(f"CPV_SEED must be an integer, got {text!r}") from None
         results = run_suite(seed=seed, quick=args.quick)
         failures = 0
         for res in results:

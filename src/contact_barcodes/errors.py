@@ -1,8 +1,13 @@
-"""Domain errors raised by library operations.
+"""Errors raised by library operations.
 
-Everything here derives from DomainError so the CLI can map domain
+The domain errors derive from DomainError so the CLI can map domain
 failures to a single exit code, distinct from I/O and parse failures.
+ParseError, a ValueError, marks a document that cannot be read.
 """
+
+
+class ParseError(ValueError):
+    """A document is not a well-formed barcode or module."""
 
 
 class DomainError(Exception):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
-from .distances import bottleneck_distance
 from .errors import InPiSpanError, NonPositiveDeltaError
 from .persistence import Bar, Barcode, Spectrum
 from .scalar import POS_INF, Scalar, ZERO
@@ -277,6 +276,10 @@ def check_lipschitz(b: Barcode, ball: PerturbationBall, trials: int,
     bars through the bottleneck witness, and compares births; any deviation
     beyond the radius (or distance beyond the radius) is recorded.
     """
+    # imported here, its only use, so that the other invariants do not load
+    # the distances module
+    from .distances import bottleneck_distance
+
     if trials < 1:
         raise ValueError("need at least one trial")
     r = ball.radius

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional, Sequence, Tuple
 
+from .errors import ParseError
 from .gf2 import Gf2Matrix
 from .persistence import Bar, Barcode, SampledModule, Spectrum
 from .scalar import Scalar
@@ -22,9 +23,10 @@ from .scalar import Scalar
 SCHEMA_VERSION = 1
 
 # Readers take the JSON path of the object they read ("bars[0]"), so that a
-# malformed document is refused with a ValueError naming what is wrong and
+# malformed document is refused with a ParseError naming what is wrong and
 # where, never with a KeyError or TypeError from deep inside.  A ValueError
-# from the checks of the object's own constructor is re-raised with that path.
+# from the checks of the object's own constructor is re-raised as a
+# ParseError with that path.
 
 
 def _join(path: str, key: str) -> str:
@@ -33,46 +35,46 @@ def _join(path: str, key: str) -> str:
 
 def _field(d: Any, key: str, path: str) -> Any:
     if not isinstance(d, dict):
-        raise ValueError(f"{path or 'document'}: expected a JSON object")
+        raise ParseError(f"{path or 'document'}: expected a JSON object")
     if key not in d:
-        raise ValueError(f"missing key {_join(path, key)}")
+        raise ParseError(f"missing key {_join(path, key)}")
     return d[key]
 
 
 def _array(d: Any, key: str, path: str) -> list:
     value = _field(d, key, path)
     if not isinstance(value, list):
-        raise ValueError(f"{_join(path, key)}: expected a JSON array")
+        raise ParseError(f"{_join(path, key)}: expected a JSON array")
     return value
 
 
 def _scalar(text: Any, path: str) -> Scalar:
     if not isinstance(text, str):
-        raise ValueError(f"{path}: expected a scalar string, got {text!r}")
+        raise ParseError(f"{path}: expected a scalar string, got {text!r}")
     try:
         return Scalar.parse(text)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _int(value: Any, path: str) -> int:
     # JSON integers only: int() would read 1.5 as 1 and "1" as 1
     if type(value) is not int:
-        raise ValueError(f"{path}: expected an integer, got {value!r}")
+        raise ParseError(f"{path}: expected an integer, got {value!r}")
     return value
 
 
 def _build(path: str, cls, *args):
-    """cls(*args), its own checks' ValueError re-raised naming path."""
+    """cls(*args), its own checks' ValueError re-raised as a ParseError naming path."""
     try:
         return cls(*args)
     except ValueError as exc:
-        raise ValueError(f"{path or 'document'}: {exc}") from None
+        raise ParseError(f"{path or 'document'}: {exc}") from None
 
 
 def _pair(value: Any, path: str) -> list:
     if not (isinstance(value, list) and len(value) == 2):
-        raise ValueError(f"{path}: expected a two-element array")
+        raise ParseError(f"{path}: expected a two-element array")
     return value
 
 
@@ -113,12 +115,12 @@ def bar_from_dict(d: Dict[str, Any], path: str = "") -> Bar:
     truncated = d.get("truncated", False)
     # JSON true/false only: bool() would read "false" as true
     if truncated is not True and truncated is not False:
-        raise ValueError(f"{_join(path, 'truncated')}: expected true or false, "
+        raise ParseError(f"{_join(path, 'truncated')}: expected true or false, "
                          f"got {truncated!r}")
     try:  # _build inlined: no extra call per bar
         return Bar(birth, death, parity, truncated)
     except ValueError as exc:
-        raise ValueError(f"{path or 'document'}: {exc}") from None
+        raise ParseError(f"{path or 'document'}: {exc}") from None
 
 
 def barcode_to_dict(b: Barcode) -> Dict[str, Any]:
@@ -166,17 +168,17 @@ def module_from_dict(d: Dict[str, Any]) -> SampledModule:
     maps = []
     for i, pair in enumerate(_array(d, "maps", "")):
         if i >= len(dims):
-            raise ValueError(f"maps[{i}]: more map pairs than dims allow")
+            raise ParseError(f"maps[{i}]: more map pairs than dims allow")
         pair = _pair(pair, f"maps[{i}]")
         mats = []
         for parity in (0, 1):
             rows = pair[parity]
             if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
-                raise ValueError(f"maps[{i}][{parity}]: expected an array of 0/1 rows")
+                raise ParseError(f"maps[{i}][{parity}]: expected an array of 0/1 rows")
             try:
                 mats.append(Gf2Matrix.from_rows(rows, ncols=dims[i][parity]))
             except ValueError as exc:
-                raise ValueError(_row_fault(rows, dims[i][parity], f"maps[{i}][{parity}]")
+                raise ParseError(_row_fault(rows, dims[i][parity], f"maps[{i}][{parity}]")
                                  or f"maps[{i}][{parity}]: {exc}") from None
         maps.append((mats[0], mats[1]))
     return _build(
@@ -199,13 +201,16 @@ def _row_fault(rows: list, ncols: int, path: str) -> Optional[str]:
 
 
 def loads(text: str):
-    """Parse a barcode or module document, dispatching on its keys."""
+    """Parse a barcode or module document, dispatching on its keys.
+
+    A malformed document raises ParseError; text that is not JSON at all
+    raises json.JSONDecodeError.  Both are ValueErrors."""
     try:
         d = json.loads(text)
     except RecursionError:
-        raise ValueError("document nests too deeply to parse") from None
+        raise ParseError("document nests too deeply to parse") from None
     if not isinstance(d, dict):
-        raise ValueError("expected a JSON object")
+        raise ParseError("expected a JSON object")
     if "bars" in d:
         return barcode_from_dict(d)
     if any(key in d for key in ("samples", "dims", "maps")):
@@ -219,9 +224,9 @@ def loads(text: str):
                     fault = _row_fault(pair[parity], m.dims[i][parity],
                                        f"maps[{i}][{parity}]")
                     if fault:
-                        raise ValueError(fault)
+                        raise ParseError(fault)
         return m
-    raise ValueError("document is neither a barcode nor a module")
+    raise ParseError("document is neither a barcode nor a module")
 
 
 def dumps(obj) -> str:
@@ -277,4 +282,4 @@ def _maps_text(maps: Sequence[Tuple[Gf2Matrix, Gf2Matrix]]) -> str:
 
 def _check_version(d: Dict[str, Any]) -> None:
     if d.get("cpv") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version: {d.get('cpv')!r}")
+        raise ParseError(f"unsupported schema version: {d.get('cpv')!r}")

@@ -6,6 +6,7 @@ import pytest
 
 from contact_barcodes.cli import main, run
 from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
+from contact_barcodes.errors import ParseError
 from contact_barcodes.persistence import Bar, Barcode, Spectrum, module_from_barcode
 from contact_barcodes.scalar import NEG_INF, POS_INF, rational
 from contact_barcodes.serialization import dumps, loads
@@ -152,6 +153,14 @@ def test_error_exit_codes(tmp_path, capsys):
     bc = tmp_path / "bc.json"
     bc.write_text(dumps(Barcode(Spectrum.of([], 0, 1), ())))
     assert main(["verify", str(bc)]) == 2
+    with pytest.raises(ParseError, match="does not hold a module"):
+        run(["verify", str(bc)])
+    # module fed where a barcode is expected
+    module = tmp_path / "module.json"
+    module.write_text(dumps(module_from_barcode(Barcode(Spectrum.of([1], 0, 2), ()))))
+    assert main(["depth", str(module)]) == 2
+    with pytest.raises(ParseError, match="does not hold a barcode"):
+        run(["depth", str(module)])
     with pytest.raises(SystemExit):
         run(["ellipsoid", "-a", "1.5", "-T", "3"])  # floats rejected
 
@@ -167,6 +176,15 @@ def test_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("CPV_SEED", "5")
     assert run(["suite", "--quick"]) == 0
     assert "(seed 5, quick)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_bad_seed_env_names_the_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("CPV_SEED", value)
+    assert main(["suite", "--quick"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: CPV_SEED must be an integer, got {value!r}\n"
 
 
 def _barcode_doc():
@@ -267,6 +285,9 @@ def test_schema_errors_name_the_json_path(tmp_path, capsys, argv, faults, make):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and where in captured.err, captured.err
+        with pytest.raises(ParseError) as caught:
+            run(args)
+        assert where in str(caught.value), (args, where)
 
 
 def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
