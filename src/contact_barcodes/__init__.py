@@ -28,9 +28,9 @@ _SOURCE = {
     **dict.fromkeys(("EllipsoidParams", "CzIndex", "ellipsoid_spectrum",
                      "cz_index", "ellipsoid_barcode", "gaps_longer_than"),
                     "ellipsoid"),
-    **dict.fromkeys(("ShClass", "PerturbationBall", "VanishingReport",
-                     "LipschitzReport", "spectral_invariant", "translate_barcode",
-                     "boundary_depth", "covering_number", "bar_endpoint_set",
+    **dict.fromkeys(("PerturbationBall", "VanishingReport", "LipschitzReport",
+                     "spectral_invariant", "translate_barcode", "boundary_depth",
+                     "covering_number", "bar_endpoint_set",
                      "translated_point_lower_bound", "vanishing_predicates",
                      "perturb_barcode", "check_lipschitz"), "invariants"),
     "errors": "errors",

@@ -41,7 +41,7 @@ from .errors import (
     TooLargeError,
 )
 from .gf2 import Echelon, Gf2Matrix, Gf2System
-from .persistence import Bar, Barcode, SampledModule, _placement, composite_map
+from .persistence import Bar, Barcode, SampledModule, _valid_gaps, composite_map
 from .scalar import POS_INF, Scalar, ZERO
 
 
@@ -286,9 +286,7 @@ class _Regions:
     """Cut-point/region view of a validated SampledModule."""
 
     def __init__(self, m: SampledModule):
-        gaps, issues = _placement(m)
-        if issues:
-            raise InvalidModuleError("invalid module: " + "; ".join(issues))
+        gaps = _valid_gaps(m)
         if m.n_samples == 0:
             raise InvalidModuleError("module has no samples")
         self.module = m

@@ -1,6 +1,6 @@
 """Barcode-level contact invariants.
 
-Spectral invariants read births of half-infinite bars, boundary depth
+Spectral invariants read births of undying bars, boundary depth
 measures the longest certified finite bar, covering numbers of endpoint
 sets bound the count of distinct translated-point lengths from below, and
 a perturbation-ball harness exercises the Lipschitz and monotonicity
@@ -18,76 +18,25 @@ from .errors import InPiSpanError, NonPositiveDeltaError
 from .persistence import Bar, Barcode, Spectrum
 from .scalar import POS_INF, Scalar, ZERO
 
-HALF_INFINITE = "half-infinite"
-FULLY_INFINITE = "fully-infinite"
 
+def spectral_invariant(b: Barcode, e_index: int) -> Scalar:
+    """Birth of the e_index-th undying bar, in birth order.
 
-@dataclass(frozen=True, slots=True)
-class ShBasisElement:
-    birth: Scalar
-    kind: str
-    bar_index: int
-
-    def __post_init__(self):
-        if self.kind not in (HALF_INFINITE, FULLY_INFINITE):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.birth.is_neg_inf and self.kind != FULLY_INFINITE:
-            raise ValueError("a bar born at -inf is fully infinite")
-
-
-@dataclass(frozen=True, slots=True)
-class ShClass:
-    """Basis of the limit cohomology read off the undying bars.
-
-    Elements are ordered by birth (fully infinite bars first); `pi_span`
-    collects the indices spanned by fully infinite bars, which carry no
-    finite spectral value.
+    A bar is undying when its death is +inf or it is truncated (its true
+    death lies beyond the horizon).  +inf when the barcode holds no such
+    bar; a bar born at -inf spans the fully infinite part, which carries
+    no finite spectral value, so its index is rejected.
     """
-
-    infinite_bars: Tuple[ShBasisElement, ...]
-
-    @classmethod
-    def from_barcode(cls, b: Barcode, include_truncated: bool = True) -> "ShClass":
-        elems = []
-        for idx, bar in enumerate(b.bars):
-            undying = bar.death.is_pos_inf or (include_truncated and bar.truncated)
-            if not undying:
-                continue
-            kind = FULLY_INFINITE if bar.birth.is_neg_inf else HALF_INFINITE
-            elems.append(ShBasisElement(bar.birth, kind, idx))
-        elems.sort(key=lambda e: (e.birth, e.bar_index))
-        return cls(tuple(elems))
-
-    @property
-    def pi_span(self) -> Tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.infinite_bars)
-                     if e.kind == FULLY_INFINITE)
-
-    def unit_index(self) -> Optional[int]:
-        """Index of the earliest-born class outside the fully infinite span."""
-        for i, e in enumerate(self.infinite_bars):
-            if e.kind == HALF_INFINITE:
-                return i
-        return None
-
-
-def spectral_invariant(b: Barcode, e_index: int,
-                       include_truncated: bool = True) -> Scalar:
-    """Birth of the half-infinite bar carrying basis element e_index.
-
-    +inf when the barcode holds no such bar; classes inside the fully
-    infinite span have no finite spectral value and are rejected.
-    """
-    basis = ShClass.from_barcode(b, include_truncated=include_truncated)
     if e_index < 0:
         raise InPiSpanError("basis index must be nonnegative")
-    if e_index >= len(basis.infinite_bars):
+    # the bars are stored sorted by birth, so these births are in order
+    births = [bar.birth for bar in b.bars if bar.death.is_pos_inf or bar.truncated]
+    if e_index >= len(births):
         return POS_INF
-    elem = basis.infinite_bars[e_index]
-    if elem.kind == FULLY_INFINITE:
+    if births[e_index].is_neg_inf:
         raise InPiSpanError(
             f"class {e_index} lies in the span of fully infinite bars")
-    return elem.birth
+    return births[e_index]
 
 
 def translate_barcode(b: Barcode, t: Scalar) -> Barcode:
@@ -159,10 +108,9 @@ def translated_point_lower_bound(b_id: Barcode, delta: Scalar) -> int:
 
     Covers the endpoints of the bars of length >= delta by open delta/2
     balls; any map whose displacement stays under delta/2 must hit at least
-    one length per ball.
+    one length per ball.  A delta that is not positive is refused by
+    `covering_number`.
     """
-    if not (ZERO < delta):
-        raise NonPositiveDeltaError("delta must be positive")
     endpoints = bar_endpoint_set(b_id, delta)
     k, _ = covering_number(endpoints, delta)
     return k

@@ -15,8 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import TooLargeError
 from .gf2 import Gf2Matrix, invertible_matrices
-from .persistence import Bar, Barcode, SampledModule, _only_point, validate_module
-from .scalar import NEG_INF, POS_INF, Scalar, ZERO, midpoint
+from .persistence import Bar, Barcode, SampledModule, _make_bar, _valid_gaps
+from .scalar import POS_INF, Scalar, ZERO, midpoint
 
 
 def brute_force_decompose(m: SampledModule, limit: int = 2_000_000) -> Barcode:
@@ -26,10 +26,7 @@ def brute_force_decompose(m: SampledModule, limit: int = 2_000_000) -> Barcode:
     partial permutation, then reads the intervals off the surviving threads.
     The structure theorem guarantees some tuple works.
     """
-    issues = validate_module(m)
-    if issues:
-        raise ValueError("invalid module: " + "; ".join(issues))
-    gaps = m.gap_points()
+    gaps = _valid_gaps(m)
     bars: List[Bar] = []
     for parity in (0, 1):
         dims = [d[parity] for d in m.dims]
@@ -68,10 +65,7 @@ def rank_formula_decompose(m: SampledModule) -> Barcode:
     composite maps per parity, so it is quadratic in the number of samples,
     but it needs no basis enumeration and so scales to wide modules.
     """
-    issues = validate_module(m)
-    if issues:
-        raise ValueError("invalid module: " + "; ".join(issues))
-    gaps = m.gap_points()
+    gaps = _valid_gaps(m)
     k = m.n_samples
     bars: List[Bar] = []
     for parity in (0, 1):
@@ -124,14 +118,6 @@ def _threads_to_bars(gaps: Sequence[Sequence[Scalar]], dims: Sequence[int],
     for start in active.values():
         bars.append(_make_bar(gaps, start, k - 1, parity))
     return bars
-
-
-def _make_bar(gaps: Sequence[Sequence[Scalar]], i: int, j: int, parity: int) -> Bar:
-    """The bar alive on samples i..j, its ends snapped as `decompose` snaps
-    them: to the one spectrum point of the gap beyond each end sample."""
-    birth = NEG_INF if i == 0 else _only_point(gaps[i - 1], i - 1)
-    death = POS_INF if j == len(gaps) else _only_point(gaps[j], j)
-    return Bar(birth, death, parity)
 
 
 def endpoint_gap(x: Scalar, y: Scalar) -> Scalar:

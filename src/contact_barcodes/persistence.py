@@ -18,7 +18,8 @@ of the current sample's space, each vector tagged with the sample where
 its bar was born, and pushes it through every structure map, keeping the
 older bar whenever two images become dependent (the elder rule).
 Every placement of scalars among sorted scalars is one sort and one merge,
-`_count_below`: the samples among the spectrum points give each sample
+`_count_below`, which gives each value the number of scalars below it and
+at or below it: the samples among the spectrum points give each sample
 gap its points and `validate_module` its collisions and unstraddled
 points (`_placement`), and the bar ends among the samples give each bar
 its span of samples, which `module_from_barcode` and the closing
@@ -206,8 +207,7 @@ def _placement(m: SampledModule) -> Tuple[List[Tuple[Scalar, ...]], List[str]]:
     """
     samples = m.samples
     pts = m.spectrum.points
-    below = _count_below(samples, pts, strict=True)
-    upto = _count_below(samples, pts, strict=False)
+    below, upto = _count_below(samples, pts)
     gaps = [pts[lo:hi] for lo, hi in zip(upto, below[1:])]
     issues: List[str] = []
     for i, s in enumerate(samples):
@@ -263,6 +263,14 @@ def rank_invariant(m: SampledModule, i: int, j: int) -> Tuple[int, int]:
     return (composite_map(m, i, j, 0).rank(), composite_map(m, i, j, 1).rank())
 
 
+def _valid_gaps(m: SampledModule) -> List[Tuple[Scalar, ...]]:
+    """The spectrum points of every sample gap of m; an invalid m is refused."""
+    gaps, issues = _placement(m)
+    if issues:
+        raise InvalidModuleError("invalid module: " + "; ".join(issues))
+    return gaps
+
+
 def _only_point(between: Sequence[Scalar], gap_index: int) -> Scalar:
     """The one spectrum point `between` holds, for the gap gap_index."""
     if len(between) != 1:
@@ -270,6 +278,15 @@ def _only_point(between: Sequence[Scalar], gap_index: int) -> Scalar:
             f"gap between samples {gap_index} and {gap_index + 1} holds "
             f"{len(between)} spectrum points; endpoint snapping is ambiguous")
     return between[0]
+
+
+def _make_bar(gaps: Sequence[Sequence[Scalar]], i: int, j: int, parity: Parity) -> Bar:
+    """The bar alive on samples i..j: each end snaps to the one spectrum
+    point of the gap beyond its end sample, or to -inf/+inf at the ends of
+    the grid."""
+    birth = NEG_INF if i == 0 else _only_point(gaps[i - 1], i - 1)
+    death = POS_INF if j == len(gaps) else _only_point(gaps[j], j)
+    return Bar(birth, death, parity)
 
 
 def decompose(m: SampledModule) -> Barcode:
@@ -287,14 +304,13 @@ def decompose(m: SampledModule) -> Barcode:
     bars born at sample i+1.  Each step costs O(d^2) word operations for
     per-sample dimension d.
 
-    Births snap to the unique spectrum point in the gap just before the
-    birth sample (or -inf at the grid's left end), deaths symmetrically.
+    Bar ends snap as `_make_bar` snaps them: births to the unique spectrum
+    point in the gap just before the birth sample (or -inf at the grid's
+    left end), deaths symmetrically.
     `oracles.rank_formula_decompose` recomputes the same barcode from the
     inclusion-exclusion of composite ranks.
     """
-    gaps, issues = _placement(m)
-    if issues:
-        raise InvalidModuleError("cannot decompose an invalid module: " + "; ".join(issues))
+    gaps = _valid_gaps(m)
     k = m.n_samples
     bars: List[Bar] = []
     for parity in (0, 1):
@@ -320,10 +336,7 @@ def decompose(m: SampledModule) -> Barcode:
                         if c not in images.pivots)
             basis = kept
         spans.extend((birth, k - 1) for _, birth in basis)
-        for i, j in spans:
-            birth = NEG_INF if i == 0 else _only_point(gaps[i - 1], i - 1)
-            death = POS_INF if j == k - 1 else _only_point(gaps[j], j)
-            bars.append(Bar(birth, death, parity))
+        bars.extend(_make_bar(gaps, i, j, parity) for i, j in spans)
     code = Barcode(m.spectrum, tuple(bars))
     counts = _graded_counts(code.bars, m.samples)
     for idx, dims in enumerate(m.dims):
@@ -356,29 +369,31 @@ def _bar_spans(bars: Sequence[Bar], samples: Sequence[Scalar]
                ) -> List[Tuple[int, int]]:
     """For each bar, the indices lo..hi-1 of the sorted samples it contains:
     lo counts the samples at or below its birth, hi those below its death."""
-    return list(zip(_count_below([bar.birth for bar in bars], samples, strict=False),
-                    _count_below([bar.death for bar in bars], samples, strict=True)))
+    n = len(bars)
+    below, upto = _count_below(
+        [bar.birth for bar in bars] + [bar.death for bar in bars], samples)
+    return list(zip(upto[:n], below[n:]))
 
 
-def _count_below(values: Sequence[Scalar], ref: Sequence[Scalar], strict: bool
-                 ) -> List[int]:
-    """For each value, the number of the sorted scalars `ref` below it
-    (strict) or at most it: bisect_left or bisect_right of the value into
-    ref, from one merge of the sorted values into ref.  Only Scalar.__lt__
-    is called, and the values may come in any order."""
-    counts = [0] * len(values)
+def _count_below(values: Sequence[Scalar], ref: Sequence[Scalar]
+                 ) -> Tuple[List[int], List[int]]:
+    """For each value, the numbers of the sorted scalars `ref` below it and
+    at most it (bisect_left and bisect_right of the value into ref), from
+    one merge of the sorted values into ref.  Only Scalar.__lt__ is called,
+    and the values may come in any order."""
+    below = [0] * len(values)
+    upto = [0] * len(values)
     k = len(ref)
     p = 0
     for e in sorted(range(len(values)), key=values.__getitem__):
         x = values[e]
-        if strict:
-            while p < k and ref[p] < x:
-                p += 1
-        else:
-            while p < k and not (x < ref[p]):
-                p += 1
-        counts[e] = p
-    return counts
+        while p < k and ref[p] < x:
+            p += 1
+        below[e] = q = p
+        while q < k and not (x < ref[q]):  # step past the ref entries equal to x
+            q += 1
+        upto[e] = q
+    return below, upto
 
 
 def _sample_positions(spectrum: Spectrum, density: int) -> List[Scalar]:

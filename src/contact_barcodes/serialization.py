@@ -117,10 +117,7 @@ def bar_from_dict(d: Dict[str, Any], path: str = "") -> Bar:
     if truncated is not True and truncated is not False:
         raise ParseError(f"{_join(path, 'truncated')}: expected true or false, "
                          f"got {truncated!r}")
-    try:  # _build inlined: no extra call per bar
-        return Bar(birth, death, parity, truncated)
-    except ValueError as exc:
-        raise ParseError(f"{path or 'document'}: {exc}") from None
+    return _build(path, Bar, birth, death, parity, truncated)
 
 
 def barcode_to_dict(b: Barcode) -> Dict[str, Any]:

@@ -9,11 +9,8 @@ from contact_barcodes.distances import bottleneck_distance
 from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
 from contact_barcodes.errors import InPiSpanError
 from contact_barcodes.invariants import (
-    FULLY_INFINITE,
-    HALF_INFINITE,
     LipschitzReport,
     PerturbationBall,
-    ShClass,
     bar_endpoint_set,
     boundary_depth,
     check_lipschitz,
@@ -31,6 +28,8 @@ from contact_barcodes.scalar import NEG_INF, POS_INF, Scalar, ZERO, rational
 
 
 def test_sh_class_structure():
+    # the fully infinite bar spans index 0 (the pi-span); the half-infinite
+    # births follow it in birth order, the first of them being the unit
     sp = Spectrum.of([0, 1], 0, 1)
     code = Barcode(sp, (
         Bar(NEG_INF, POS_INF, 0),
@@ -38,11 +37,30 @@ def test_sh_class_structure():
         Bar(rational(1), POS_INF, 1),
         Bar.of(0, 1),
     ))
-    basis = ShClass.from_barcode(code)
-    assert [e.kind for e in basis.infinite_bars] == \
-        [FULLY_INFINITE, HALF_INFINITE, HALF_INFINITE]
-    assert basis.pi_span == (0,)
-    assert basis.unit_index() == 1
+    with pytest.raises(InPiSpanError):
+        spectral_invariant(code, 0)
+    assert spectral_invariant(code, 1) == rational(0)
+    assert spectral_invariant(code, 2) == rational(1)
+    assert spectral_invariant(code, 3) == POS_INF
+
+
+def test_spectral_invariant_reads_undying_births():
+    # given out of birth order: two half-infinite bars, the fully infinite
+    # bar, a truncated bar with a finite recorded death, and a finite bar
+    sp = Spectrum.of([0, 1, 2, 3], 0, 3)
+    code = Barcode(sp, (
+        Bar(rational(2), POS_INF, 1),
+        Bar(NEG_INF, POS_INF, 0),
+        Bar.of(1, 3, 0, truncated=True),
+        Bar.of(0, 1),
+        Bar(rational(0), POS_INF, 0),
+    ))
+    with pytest.raises(InPiSpanError):
+        spectral_invariant(code, 0)
+    assert [spectral_invariant(code, k) for k in (1, 2, 3)] == \
+        [rational(0), rational(1), rational(2)]
+    assert spectral_invariant(code, 4) == POS_INF
+    assert spectral_invariant(code, 40) == POS_INF
 
 
 def test_spectral_examples():
@@ -66,9 +84,12 @@ def test_spectral_rejects_pi_span():
 
 
 def test_spectral_truncation_toggle():
+    # truncated bars always count as undying: there is no toggle to drop them
     bc = ellipsoid_barcode(EllipsoidParams.of([1], 1))
-    assert spectral_invariant(bc, 0, include_truncated=True) == ZERO
-    assert spectral_invariant(bc, 0, include_truncated=False) == POS_INF
+    assert [bar.truncated for bar in bc.bars if bar.birth == ZERO] == [True]
+    assert spectral_invariant(bc, 0) == ZERO
+    with pytest.raises(TypeError):
+        spectral_invariant(bc, 0, include_truncated=False)
 
 
 def test_translate_group_action():

@@ -4,7 +4,13 @@ from bisect import bisect_left, bisect_right
 import pytest
 
 from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
-from contact_barcodes.errors import EmptyHorizonError, IndexOutOfRangeError, NonUniqueSnapError
+from contact_barcodes.distances import find_interleaving
+from contact_barcodes.errors import (
+    EmptyHorizonError,
+    IndexOutOfRangeError,
+    InvalidModuleError,
+    NonUniqueSnapError,
+)
 from contact_barcodes.gf2 import Gf2Matrix
 from contact_barcodes.oracles import brute_force_decompose, rank_formula_decompose
 from contact_barcodes.persistence import (
@@ -12,6 +18,7 @@ from contact_barcodes.persistence import (
     Barcode,
     SampledModule,
     Spectrum,
+    _count_below,
     _graded_counts,
     _only_point,
     _sample_positions,
@@ -116,11 +123,19 @@ def test_decompose_zero_map_splits():
 
 
 def test_decompose_rejects_invalid():
+    # and so do the interleaving search and both oracles, with one message
     sp = Spectrum.of([], 0, 2)
     m = SampledModule(sp, (rational(1, 2), rational(3, 2)), ((1, 0), (1, 0)),
                       ((Gf2Matrix.zeros(1, 1), ident(0)),))
-    with pytest.raises(ValueError):
-        decompose(m)
+    valid = module_from_barcode(Barcode(sp, ()))
+    messages = set()
+    for refuse in (decompose, brute_force_decompose, rank_formula_decompose,
+                   lambda m: find_interleaving(m, valid, ZERO)):
+        with pytest.raises(InvalidModuleError) as exc:
+            refuse(m)
+        messages.add(str(exc.value))
+    assert messages == {"invalid module: map 0 parity 0 crosses no spectrum "
+                        "point but is not invertible"}
 
 
 def test_snap_point_requires_unique_point():
@@ -352,6 +367,27 @@ def test_graded_counts_match_bar_containment():
         assert m.gap_points() == [
             tuple(p for p in m.spectrum.points if m.samples[i] < p < m.samples[i + 1])
             for i in range(m.n_samples - 1)]
+
+
+def test_count_below_matches_bisect():
+    # unsorted values with ties, values on ref points (ref itself may
+    # repeat a point), infinities, and empty values or ref
+    rng = random.Random(151)
+    assert _count_below([], []) == ([], [])
+    assert _count_below([], [rational(1)]) == ([], [])
+    assert _count_below([rational(1), NEG_INF], []) == ([0, 0], [0, 0])
+    for _ in range(300):
+        ref = sorted(rational(rng.randint(0, 12), rng.choice((1, 2)))
+                     for _ in range(rng.randint(0, 8)))
+        values = [rational(rng.randint(-2, 14), rng.choice((1, 2)))
+                  for _ in range(rng.randint(0, 10))]
+        values += [rng.choice(ref) for _ in range(rng.randint(0, 3)) if ref]
+        values += [rng.choice((NEG_INF, POS_INF)) for _ in range(rng.randint(0, 1))]
+        values += values[:rng.randint(0, 2)]
+        rng.shuffle(values)
+        assert _count_below(values, ref) == (
+            [bisect_left(ref, v) for v in values],
+            [bisect_right(ref, v) for v in values])
 
 
 def bar_testing_module(b, grid_density_hint=1):
