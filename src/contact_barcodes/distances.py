@@ -328,15 +328,22 @@ def _shift_tables(regions1: _Regions, regions2: _Regions, delta: Scalar):
             table(cuts1, 2 * shift, cuts1), table(cuts2, 2 * shift, cuts2))
 
 
-def interleaving_candidates(m1: SampledModule, m2: SampledModule) -> List[Scalar]:
+def _candidate_grid(m1: SampledModule, m2: SampledModule) -> Tuple[_Coords, List[int]]:
     """0, every gap between two of the spectrum points and horizon ends of
-    both modules, and half of every gap, ascending."""
+    both modules, and half of every gap, ascending, as ints in the
+    `_Coords` of those values."""
     values = set(m1.spectrum.points) | set(m2.spectrum.points)
     values |= {m1.spectrum.lo, m1.spectrum.hi, m2.spectrum.lo, m2.spectrum.hi}
     coords = _Coords(values)
     xs = sorted(coords.of(v) for v in values)
     gaps = {b - a for i, a in enumerate(xs) for b in xs[i + 1:]}
-    return [coords.scalar(g) for g in sorted({0} | gaps | {g // 2 for g in gaps})]
+    return coords, sorted({0} | gaps | {g // 2 for g in gaps})
+
+
+def interleaving_candidates(m1: SampledModule, m2: SampledModule) -> List[Scalar]:
+    """The candidate deltas of `interleaving_distance_bruteforce`, as Scalars."""
+    coords, grid = _candidate_grid(m1, m2)
+    return [coords.scalar(g) for g in grid]
 
 
 _SEARCH_BUDGET = 400_000
@@ -550,10 +557,10 @@ def interleaving_distance_bruteforce(m1: SampledModule, m2: SampledModule
         raise HorizonMismatchError("modules must share one horizon")
     _check_enumeration_bound(m1, m2)
     regions1, regions2 = _Regions(m1), _Regions(m2)
-    grid = interleaving_candidates(m1, m2)
-    found = _first_feasible(len(grid),
-                            lambda k: _certificate(regions1, regions2, grid[k]))
-    return POS_INF if found is None else grid[found[0]]
+    coords, grid = _candidate_grid(m1, m2)
+    found = _first_feasible(
+        len(grid), lambda k: _certificate(regions1, regions2, coords.scalar(grid[k])))
+    return POS_INF if found is None else coords.scalar(grid[found[0]])
 
 
 def verify_interleaving(cert: InterleavingCertificate, m1: SampledModule,

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
-from .errors import InvalidEllipsoidError, OnSpectrumError
+from .errors import InvalidEllipsoidError, OnSpectrumError, TooLargeError
 from .persistence import Bar, Barcode, Spectrum
 from .scalar import POS_INF, Scalar, ScalarLike, ZERO, as_scalar
 
@@ -51,18 +51,19 @@ class EllipsoidParams:
         return len(self.axes)
 
 
+# The most axis multiples k * a_j <= T, repeats included, to build.
+MAX_MULTIPLES = 1_000_000
+
+
 def ellipsoid_spectrum(p: EllipsoidParams) -> Spectrum:
-    """All multiples k * a_j inside [0, T], deduplicated and sorted."""
+    """All multiples k * a_j inside [0, T], deduplicated and sorted; more
+    than MAX_MULTIPLES (floor(T / a_j) + 1 per axis) raise TooLargeError."""
     T = p.horizon
-    values = set()
-    for a in p.axes:
-        k = 0
-        while True:
-            point = a * k
-            if T < point:
-                break
-            values.add(point)
-            k += 1
+    counts = [T.value // a.value + 1 for a in p.axes]
+    if sum(counts) > MAX_MULTIPLES:
+        raise TooLargeError(f"the ellipsoid spectrum up to T = {T} has {sum(counts)} "
+                            f"axis multiples, more than {MAX_MULTIPLES}")
+    values = {a * k for a, n in zip(p.axes, counts) for k in range(n)}
     return Spectrum(tuple(sorted(values)), ZERO, T)
 
 

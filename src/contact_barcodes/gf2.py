@@ -24,9 +24,8 @@ class Gf2Matrix:
     def __post_init__(self):
         if self.ncols < 0:
             raise ValueError("ncols must be nonnegative")
-        mask = (1 << self.ncols) - 1
         for r in self.rows:
-            if r < 0 or r & ~mask:
+            if r < 0 or r >> self.ncols:
                 raise ValueError("row has bits outside the column range")
 
     @property

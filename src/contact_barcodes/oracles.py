@@ -19,7 +19,7 @@ from .persistence import Bar, Barcode, SampledModule, _make_bar, _valid_gaps
 from .scalar import POS_INF, Scalar, ZERO, midpoint
 
 
-def brute_force_decompose(m: SampledModule, limit: int = 2_000_000) -> Barcode:
+def brute_force_decompose(m: SampledModule) -> Barcode:
     """Interval decomposition by enumerating all changes of basis.
 
     Searches, per parity, for basis changes making every structure matrix a
@@ -34,7 +34,7 @@ def brute_force_decompose(m: SampledModule, limit: int = 2_000_000) -> Barcode:
         total = 1
         for d in dims:
             total *= len(invertible_matrices(d))
-            if total > limit:
+            if total > 2_000_000:
                 raise TooLargeError("basis enumeration bound exceeded")
         found = None
         for combo in product(*[invertible_matrices(d) for d in dims]):
@@ -144,15 +144,13 @@ def _pair_cost(a: Optional[Bar], b: Optional[Bar]) -> Scalar:
     return bar_cost(a, b)
 
 
-def exhaustive_bottleneck(b1: Barcode, b2: Barcode, graded: bool = False,
-                          limit: int = 500_000) -> Scalar:
+def exhaustive_bottleneck(b1: Barcode, b2: Barcode, graded: bool = False) -> Scalar:
     """Bottleneck distance by minimizing over every padded bijection."""
     if graded:
         best = ZERO
         for parity in (0, 1):
             sub = exhaustive_bottleneck(
-                _filter_parity(b1, parity), _filter_parity(b2, parity),
-                graded=False, limit=limit)
+                _filter_parity(b1, parity), _filter_parity(b2, parity))
             best = max(best, sub)
         return best
     left: List[Optional[Bar]] = list(b1.bars) + [None] * len(b2.bars)
@@ -161,7 +159,7 @@ def exhaustive_bottleneck(b1: Barcode, b2: Barcode, graded: bool = False,
     count = 1
     for i in range(2, n + 1):
         count *= i
-        if count > limit:
+        if count > 500_000:
             raise TooLargeError("matching enumeration bound exceeded")
     best: Optional[Scalar] = None
     for perm in permutations(range(n)):
@@ -199,8 +197,7 @@ def covering_min_partition(points: Sequence[Scalar], delta: Scalar) -> int:
     return best[n]
 
 
-def covering_min_subsets(points: Sequence[Scalar], delta: Scalar,
-                         limit: int = 500_000) -> int:
+def covering_min_subsets(points: Sequence[Scalar], delta: Scalar) -> int:
     """Minimal covering by exhausting center subsets drawn from midpoints."""
     pts = sorted(set(points))
     if not pts:
@@ -215,7 +212,7 @@ def covering_min_subsets(points: Sequence[Scalar], delta: Scalar,
     for k in range(1, len(pts) + 1):
         for centers in combinations(candidates, k):
             checked += 1
-            if checked > limit:
+            if checked > 500_000:
                 raise TooLargeError("center subset enumeration bound exceeded")
             if covered_by(centers):
                 return k

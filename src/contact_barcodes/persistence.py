@@ -21,9 +21,9 @@ Every placement of scalars among sorted scalars is one sort and one merge,
 `_count_below`, which gives each value the number of scalars below it and
 at or below it: the samples among the spectrum points give each sample
 gap its points and `validate_module` its collisions and unstraddled
-points (`_placement`), and the bar ends among the samples give each bar
-its span of samples, which `module_from_barcode` and the closing
-dimension check of `decompose` both read (`_bar_spans`).
+points (`_placement`), and the bar ends among the samples give the bars
+alive at each sample (`_alive`), which `module_from_barcode` and the
+closing dimension check of `decompose` both read.
 """
 
 from __future__ import annotations
@@ -70,9 +70,6 @@ class Spectrum:
     @classmethod
     def of(cls, points: Iterable[ScalarLike], lo: ScalarLike, hi: ScalarLike) -> "Spectrum":
         return cls(tuple(as_scalar(p) for p in points), as_scalar(lo), as_scalar(hi))
-
-    def __contains__(self, s: Scalar) -> bool:
-        return s in set(self.points)
 
     def shifted(self, t: Scalar) -> "Spectrum":
         return Spectrum(tuple(p + t for p in self.points), self.lo + t, self.hi + t)
@@ -184,11 +181,6 @@ class SampledModule:
     def n_samples(self) -> int:
         return len(self.samples)
 
-    def gap_points(self) -> List[Tuple[Scalar, ...]]:
-        """The spectrum points strictly between samples[i] and samples[i+1],
-        for every gap i, as `_placement` finds them."""
-        return _placement(self)[0]
-
 
 def validate_module(m: SampledModule) -> List[str]:
     """Collect invariant violations; an empty list means the module is valid."""
@@ -203,7 +195,7 @@ def _placement(m: SampledModule) -> Tuple[List[Tuple[Scalar, ...]], List[str]]:
     it; any sample order is read as given.  Gap i holds the points from
     upto[i] to below[i + 1], a sample lies on a point exactly when its two
     counts differ, and the points before below[0] or from upto[-1] on are
-    not straddled.
+    not straddled; without samples, no point is.
     """
     samples = m.samples
     pts = m.spectrum.points
@@ -228,9 +220,9 @@ def _placement(m: SampledModule) -> Tuple[List[Tuple[Scalar, ...]], List[str]]:
                 issues.append(
                     f"map {i} parity {parity} has shape {mat.shape}, expected {want}")
     # Grid discipline relative to the spectrum.
-    if samples:
-        for p in pts[:below[0]] + pts[max(below[0], upto[-1]):]:
-            issues.append(f"spectrum point {p} is not straddled by the samples")
+    outside = pts[:below[0]] + pts[max(below[0], upto[-1]):] if samples else pts
+    for p in outside:
+        issues.append(f"spectrum point {p} is not straddled by the samples")
     for i, between in enumerate(gaps):
         if len(between) > 1:
             issues.append(
@@ -338,41 +330,32 @@ def decompose(m: SampledModule) -> Barcode:
         spans.extend((birth, k - 1) for _, birth in basis)
         bars.extend(_make_bar(gaps, i, j, parity) for i, j in spans)
     code = Barcode(m.spectrum, tuple(bars))
-    counts = _graded_counts(code.bars, m.samples)
-    for idx, dims in enumerate(m.dims):
-        if counts[idx] != dims:
-            raise AssertionError(
-                f"decomposition loses rank at sample {idx}: "
-                f"{counts[idx]} != {dims}")
+    for idx, (count, dims) in enumerate(zip(_graded_counts(code.bars, m.samples), m.dims)):
+        if count != dims:
+            raise AssertionError(f"decomposition loses rank at sample {idx}: {count} != {dims}")
     return code
 
 
 def _graded_counts(bars: Sequence[Bar], samples: Sequence[Scalar]
                    ) -> List[Tuple[int, int]]:
-    """Graded number of bars containing each sample, by a difference array
-    over the bars' `_bar_spans`."""
-    diff = [[0] * (len(samples) + 1) for _ in (0, 1)]
-    for bar, (lo, hi) in zip(bars, _bar_spans(bars, samples)):
-        if lo < hi:
-            diff[bar.parity][lo] += 1
-            diff[bar.parity][hi] -= 1
-    counts = []
-    run = [0, 0]
-    for idx in range(len(samples)):
-        run[0] += diff[0][idx]
-        run[1] += diff[1][idx]
-        counts.append((run[0], run[1]))
-    return counts
+    """Graded number of bars containing each sample."""
+    return [(len(a0), len(a1)) for a0, a1 in _alive(bars, samples)]
 
 
-def _bar_spans(bars: Sequence[Bar], samples: Sequence[Scalar]
-               ) -> List[Tuple[int, int]]:
-    """For each bar, the indices lo..hi-1 of the sorted samples it contains:
-    lo counts the samples at or below its birth, hi those below its death."""
+def _alive(bars: Sequence[Bar], samples: Sequence[Scalar]
+           ) -> List[Tuple[List[int], List[int]]]:
+    """For each of the sorted samples, the indices of the bars containing
+    it, one list per parity, in bar order.  A bar contains the samples from
+    the count of those at or below its birth up to the count below its
+    death, which one merge of the births and deaths gives."""
     n = len(bars)
     below, upto = _count_below(
         [bar.birth for bar in bars] + [bar.death for bar in bars], samples)
-    return list(zip(upto[:n], below[n:]))
+    alive: List[Tuple[List[int], List[int]]] = [([], []) for _ in samples]
+    for idx, bar in enumerate(bars):
+        for s in range(upto[idx], below[n + idx]):
+            alive[s][bar.parity].append(idx)
+    return alive
 
 
 def _count_below(values: Sequence[Scalar], ref: Sequence[Scalar]
@@ -434,10 +417,7 @@ def module_from_barcode(b: Barcode, grid_density_hint: int = 1) -> SampledModule
     if grid_density_hint < 1:
         raise ValueError("grid_density_hint must be a positive integer")
     samples = _sample_positions(b.spectrum, grid_density_hint)
-    alive: List[Tuple[List[int], List[int]]] = [([], []) for _ in samples]
-    for idx, (bar, (lo, hi)) in enumerate(zip(b.bars, _bar_spans(b.bars, samples))):
-        for s in range(lo, hi):
-            alive[s][bar.parity].append(idx)
+    alive = _alive(b.bars, samples)
     dims = tuple((len(a0), len(a1)) for a0, a1 in alive)
     maps: List[Tuple[Gf2Matrix, Gf2Matrix]] = []
     for i in range(len(samples) - 1):

@@ -15,9 +15,9 @@ from .persistence import Bar, Barcode, SampledModule, Spectrum, _sample_position
 from .scalar import NEG_INF, POS_INF, Scalar, rational
 
 
-def random_rational(rng: random.Random, lo: int = -8, hi: int = 8,
-                    denominators: Tuple[int, ...] = (1, 2, 3, 4)) -> Scalar:
-    q = rng.choice(denominators)
+def random_rational(rng: random.Random, lo: int = -8, hi: int = 8) -> Scalar:
+    """A rational in [lo, hi] with denominator 1, 2, 3 or 4."""
+    q = rng.choice((1, 2, 3, 4))
     return Scalar(Fraction(rng.randint(lo * q, hi * q), q))
 
 

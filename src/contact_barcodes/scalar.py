@@ -55,7 +55,8 @@ class Scalar:
     # Two finite values compare by cross-multiplying numerators and
     # denominators (both denominators are positive), which skips the
     # abstract-base-class checks of Fraction's own comparisons; an
-    # infinity compares through its float tag.
+    # infinity compares through its float tag.  `>` and `>=` (and max)
+    # reach these by reflection: a > b runs b < a.
 
     def __lt__(self, other: "Scalar") -> bool:
         if not isinstance(other, Scalar):
@@ -72,22 +73,6 @@ class Scalar:
         if a.__class__ is float or b.__class__ is float:
             return a <= b
         return a.numerator * b.denominator <= b.numerator * a.denominator
-
-    def __gt__(self, other: "Scalar") -> bool:
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        a, b = self.value, other.value
-        if a.__class__ is float or b.__class__ is float:
-            return a > b
-        return a.numerator * b.denominator > b.numerator * a.denominator
-
-    def __ge__(self, other: "Scalar") -> bool:
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        a, b = self.value, other.value
-        if a.__class__ is float or b.__class__ is float:
-            return a >= b
-        return a.numerator * b.denominator >= b.numerator * a.denominator
 
     # -- arithmetic (finite operands only) -------------------------------
 

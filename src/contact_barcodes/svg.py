@@ -28,8 +28,7 @@ def _x(value: Fraction, lo: Fraction, hi: Fraction) -> float:
 
 def barcode_svg(b: Barcode) -> str:
     lo, hi = b.spectrum.lo.value, b.spectrum.hi.value
-    bars = sorted(b.bars, key=lambda bar: bar.sort_key())
-    height = _MARGIN + _ROW * max(len(bars), 1) + _MARGIN
+    height = _MARGIN + _ROW * max(len(b.bars), 1) + _MARGIN
     parts: List[str] = []
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -50,7 +49,7 @@ def barcode_svg(b: Barcode) -> str:
             f'<text x="{x:.2f}" y="{axis_y + 16}" font-size="10" '
             f'text-anchor="middle" font-family="monospace">{p}</text>')
 
-    for row, bar in enumerate(bars):
+    for row, bar in enumerate(b.bars):  # Barcode keeps them sorted
         y = _MARGIN + _ROW * row
         color = _COLORS[bar.parity]
         x1 = _MARGIN - _ARROW if bar.birth.is_neg_inf else _x(bar.birth.value, lo, hi)

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 import xml.etree.ElementTree as ET
 
@@ -341,3 +342,38 @@ def test_quick_suite_stdout_is_pinned(capsys):
     pinned = Path(__file__).parent / "data" / "suite_quick_seed0.txt"
     assert run(["suite", "--quick", "--seed", "0"]) == 0
     assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")
+
+
+def test_module_without_samples_straddles_no_point(tmp_path, capsys):
+    doc = {"cpv": 1, "spectrum": {"points": ["1/1", "2/1"], "horizon": ["0/1", "3/1"]},
+           "samples": [], "dims": [], "maps": []}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ("spectrum point 1/1 is not straddled by the samples\n"
+                            "spectrum point 2/1 is not straddled by the samples\n")
+    assert captured.err == ""
+    assert main(["reduce", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: invalid module: spectrum point 1/1 is not")
+    # without spectrum points there is nothing to straddle
+    doc["spectrum"]["points"] = []
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert main(["reduce", str(path)]) == 0
+    assert loads(capsys.readouterr().out).bars == ()
+
+
+def test_ellipsoid_refuses_a_spectrum_past_the_bound(capsys):
+    # 10^9 + 1 multiples of the axis up to T: refused before any is built
+    start = time.perf_counter()
+    assert main(["ellipsoid", "-a", "1/1000000000", "-T", "1"]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the ellipsoid spectrum up to T = 1/1 has 1000000001 "
+                            "axis multiples, more than 1000000\n")

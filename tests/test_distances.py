@@ -823,6 +823,95 @@ def test_bottleneck_at_400_bars_a_side():
         assert kuhn_max_bipartite(800, 800, adj)[0] < 800
 
 
+def saturates(adj, rows):
+    """Whether one matching of the bipartite graph adj (left vertex -> right
+    neighbours) covers every left vertex in rows.  Each row in turn looks
+    for an augmenting path by breadth-first search; augmenting never
+    unmatches a left vertex, so the first row without one decides."""
+    owner, mate = {}, {}
+    for root in rows:
+        parent, queue, end = {}, [root], None
+        for u in queue:
+            for v in adj[u]:
+                if v in parent:
+                    continue
+                parent[v] = u
+                if v not in owner:
+                    end = v
+                    break
+                queue.append(owner[v])
+            if end is not None:
+                break
+        if end is None:
+            return False
+        while end is not None:
+            u = parent[end]
+            nxt = mate.get(u)
+            owner[end], mate[u] = u, end
+            end = nxt
+    return True
+
+
+def matching_exists(ends1, ends2, twice_c, graded):
+    """Whether some matching with ghosts costs at most twice_c / 2, for bars
+    given as (birth, death, parity) ints.  A bar left to its ghost needs
+    length <= twice_c, so the question is whether the real-bar graph has a
+    matching covering every longer bar on both sides; by the
+    Mendelsohn-Dulmage theorem that holds exactly when one matching covers
+    the long left bars and another the long right bars."""
+    by_birth = {}
+    for j, (u, _, _) in enumerate(ends2):
+        by_birth.setdefault(u, []).append(j)
+    reach = twice_c // 2
+    fwd = {i: [] for i in range(len(ends1))}
+    bwd = {j: [] for j in range(len(ends2))}
+    for i, (x, y, p) in enumerate(ends1):
+        for u in range(x - reach, x + reach + 1):
+            for j in by_birth.get(u, ()):
+                _, v, q = ends2[j]
+                if (not graded or p == q) and 2 * abs(y - v) <= twice_c:
+                    fwd[i].append(j)
+                    bwd[j].append(i)
+    long1 = [i for i, (x, y, _) in enumerate(ends1) if y - x > twice_c]
+    long2 = [j for j, (u, v, _) in enumerate(ends2) if v - u > twice_c]
+    return saturates(fwd, long1) and saturates(bwd, long2)
+
+
+def test_bottleneck_at_1000_bars_a_side():
+    # drawn as scripts/bottleneck_scaling.py draws them: the witness covers
+    # every bar once and realizes delta, and by the Mendelsohn-Dulmage test
+    # no matching exists at the largest candidate below delta (but one
+    # does at delta)
+    rng = random.Random("bottleneck/1000")
+    points = tuple(Scalar(Fraction(i)) for i in range(101))
+    sp = Spectrum(points, points[0], points[-1])
+
+    def code():
+        bars = []
+        for _ in range(1000):
+            i = rng.randrange(len(points) - 1)
+            j = rng.randrange(i + 1, len(points))
+            bars.append(Bar(points[i], points[j], rng.randint(0, 1)))
+        return Barcode(sp, tuple(bars))
+
+    b1, b2 = code(), code()
+    ends1, ends2 = ([(int(b.birth.value), int(b.death.value), b.parity) for b in code.bars]
+                    for code in (b1, b2))
+    twice = {y - x for x, y, _ in ends1 + ends2} | {0}  # doubled half-lengths
+    for end in (0, 1):
+        values2 = {e[end] for e in ends2}
+        twice |= {2 * abs(x - y) for x in {e[end] for e in ends1} for y in values2}
+    for graded in (False, True):
+        d, matching = bottleneck_distance(b1, b2, graded=graded)
+        assert matching.cost == d
+        assert witness_cost(b1, b2, matching, graded) == d
+        twice_d = 2 * d.value
+        assert twice_d.denominator == 1 and int(twice_d) in twice and twice_d > 0
+        below = max(c for c in twice if c < twice_d)
+        assert not matching_exists(ends1, ends2, below, graded), (graded, below)
+        assert matching_exists(ends1, ends2, int(twice_d), graded), graded
+
+
 def reference_shift_tables(regions1, regions2, delta):
     """The shift tables in Scalar arithmetic: region r > 0 starts at cut
     r - 1 and lands in the target region right of that cut plus the

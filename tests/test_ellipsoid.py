@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from contact_barcodes import ellipsoid
 from contact_barcodes.ellipsoid import (
     EllipsoidParams,
     cz_index,
@@ -10,7 +11,7 @@ from contact_barcodes.ellipsoid import (
     ellipsoid_spectrum,
     gaps_longer_than,
 )
-from contact_barcodes.errors import OnSpectrumError
+from contact_barcodes.errors import OnSpectrumError, TooLargeError
 from contact_barcodes.oracles import spectrum_member_by_divisibility
 from contact_barcodes.persistence import decompose, module_from_barcode
 from contact_barcodes.scalar import POS_INF, Scalar, ZERO, rational
@@ -207,3 +208,20 @@ def test_gaps_stable_under_horizon_growth():
         inner_a = [(lo, hi) for lo, hi in gaps_longer_than(pa, ZERO) if hi < T]
         inner_b = [(lo, hi) for lo, hi in gaps_longer_than(pb, ZERO) if hi < T]
         assert inner_a == inner_b
+
+
+def test_spectrum_bound_counts_multiples_before_building(monkeypatch):
+    with pytest.raises(TooLargeError, match="1000000001 axis multiples"):
+        ellipsoid_spectrum(params(["1/1000000000"], 1))
+    # the count is floor(T / a) + 1 per axis, repeats (0, and shared
+    # multiples) included; the bound itself is allowed
+    monkeypatch.setattr(ellipsoid, "MAX_MULTIPLES", 10)
+    assert len(ellipsoid_spectrum(params([1, 2], 5)).points) == 6  # 6 + 3 multiples
+    assert len(ellipsoid_spectrum(params([1, 1], 4)).points) == 5  # 5 + 5
+    for refused in (params([1, 1], 5), params(["1/2"], 5), params([1, 2, 3], "11/2")):
+        with pytest.raises(TooLargeError):
+            ellipsoid_spectrum(refused)
+        with pytest.raises(TooLargeError):
+            ellipsoid_barcode(refused)
+        with pytest.raises(TooLargeError):
+            gaps_longer_than(refused, ZERO)

@@ -58,6 +58,16 @@ def test_identity_and_zero():
             bad()
 
 
+def test_row_check_takes_column_counts_too_wide_for_a_mask():
+    # each row is shifted past ncols, so no ncols-bit mask is built and a
+    # huge column count is checked instead of overflowing
+    assert Gf2Matrix((), 2 ** 70).shape == (0, 2 ** 70)
+    assert Gf2Matrix((1 << 100, 0), 2 ** 70).shape == (2, 2 ** 70)
+    for rows, ncols in (((1 << 64,), 64), ((3,), 1), ((-1,), 2 ** 70), ((1,), 0)):
+        with pytest.raises(ValueError):
+            Gf2Matrix(rows, ncols)
+
+
 def test_unchecked_results_match_checked_construction():
     # products, identities, zeros and inverses skip the row checks; each
     # must equal, hash and print as the matrix the checked constructor builds
