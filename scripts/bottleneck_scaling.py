@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from contact_barcodes import distances
-from contact_barcodes.persistence import Bar, Barcode, Spectrum
+from contact_barcodes.barcode import Bar, Barcode, Spectrum
 from contact_barcodes.scalar import Scalar
 
 POINTS = tuple(Scalar(Fraction(i)) for i in range(101))

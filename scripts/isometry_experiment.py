@@ -19,7 +19,7 @@ from contact_barcodes import (
     interleaving_distance_bruteforce,
     module_from_barcode,
 )
-from contact_barcodes.persistence import Bar, Barcode
+from contact_barcodes.barcode import Bar, Barcode
 from contact_barcodes.random_instances import random_module, random_spectrum, scramble
 from contact_barcodes.scalar import ZERO
 

@@ -19,12 +19,12 @@ _SOURCE = {
     **dict.fromkeys(("Scalar", "as_scalar", "rational", "ZERO", "POS_INF",
                      "NEG_INF"), "scalar"),
     "Gf2Matrix": "gf2",
-    **dict.fromkeys(("Spectrum", "Bar", "Barcode", "SampledModule",
-                     "validate_module", "decompose", "module_from_barcode",
-                     "rank_invariant"), "persistence"),
-    **dict.fromkeys(("Matching", "InterleavingCertificate", "bottleneck_distance",
-                     "interleaving_distance_bruteforce", "find_interleaving",
-                     "verify_interleaving"), "distances"),
+    **dict.fromkeys(("Spectrum", "Bar", "Barcode"), "barcode"),
+    **dict.fromkeys(("SampledModule", "validate_module", "decompose",
+                     "module_from_barcode", "rank_invariant"), "persistence"),
+    **dict.fromkeys(("Matching", "bottleneck_distance"), "distances"),
+    **dict.fromkeys(("InterleavingCertificate", "interleaving_distance_bruteforce",
+                     "find_interleaving", "verify_interleaving"), "interleaving"),
     **dict.fromkeys(("EllipsoidParams", "CzIndex", "ellipsoid_spectrum",
                      "cz_index", "ellipsoid_barcode", "gaps_longer_than"),
                     "ellipsoid"),

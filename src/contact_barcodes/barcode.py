@@ -1,0 +1,129 @@
+"""Spectra and barcodes: the objects every `cpv` barcode command reads.
+
+A Spectrum is a finite sorted set of rational points inside a horizon
+window, and a Barcode is a graded multiset of bars whose finite endpoints
+lie on the spectrum.  Nothing here touches GF(2) or sampled modules;
+`persistence` builds modules from barcodes and reads barcodes off modules.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Tuple
+
+from .scalar import Frozen, POS_INF, Scalar, ScalarLike, as_scalar
+
+Parity = int  # 0 or 1; the Z/2 supergrading
+
+
+class Spectrum(Frozen):
+    """Strictly increasing finite points inside a finite horizon [lo, hi]."""
+
+    __slots__ = ("points", "lo", "hi")
+
+    def __init__(self, points: Tuple[Scalar, ...], lo: Scalar, hi: Scalar):
+        if not (lo.is_finite and hi.is_finite):
+            raise ValueError("horizon endpoints must be finite")
+        if hi < lo:
+            raise ValueError("horizon is empty")
+        prev = None
+        for p in points:
+            if not p.is_finite:
+                raise ValueError("spectrum points must be finite")
+            if p < lo or hi < p:
+                raise ValueError(f"spectrum point {p} outside horizon")
+            if prev is not None and not (prev < p):
+                raise ValueError("spectrum points must be strictly increasing")
+            prev = p
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    @classmethod
+    def of(cls, points: Iterable[ScalarLike], lo: ScalarLike, hi: ScalarLike) -> "Spectrum":
+        return cls(tuple(as_scalar(p) for p in points), as_scalar(lo), as_scalar(hi))
+
+    def shifted(self, t: Scalar) -> "Spectrum":
+        return Spectrum(tuple(p + t for p in self.points), self.lo + t, self.hi + t)
+
+
+class Bar(Frozen):
+    """An interval (birth, death) with Z/2 parity.
+
+    Containment is strict: the bar covers s exactly when birth < s < death.
+    The `truncated` flag marks bars cut off by a horizon (the recorded
+    death is only a certified lower bound on the true one); it is carried
+    as metadata and ignored by equality and hashing.
+    """
+
+    __slots__ = ("birth", "death", "parity", "truncated")
+    _KEY = ("birth", "death", "parity")
+
+    def __init__(self, birth: Scalar, death: Scalar, parity: Parity,
+                 truncated: bool = False):
+        if birth.is_pos_inf or death.is_neg_inf:
+            raise ValueError("bar endpoints must satisfy birth in [-inf, inf), death in (-inf, inf]")
+        if death < birth:
+            raise ValueError(f"bar has death {death} before birth {birth}")
+        if parity not in (0, 1):
+            raise ValueError("parity must be 0 or 1")
+        object.__setattr__(self, "birth", birth)
+        object.__setattr__(self, "death", death)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "truncated", truncated)
+
+    @classmethod
+    def of(cls, birth: ScalarLike, death: ScalarLike, parity: Parity = 0,
+           truncated: bool = False) -> "Bar":
+        return cls(as_scalar(birth), as_scalar(death), parity, truncated)
+
+    @property
+    def is_finite(self) -> bool:
+        return self.birth.is_finite and self.death.is_finite
+
+    def contains(self, s: Scalar) -> bool:
+        return self.birth < s < self.death
+
+    def length(self) -> Scalar:
+        """death - birth; +inf when either endpoint is infinite."""
+        if not self.is_finite:
+            return POS_INF
+        return self.death - self.birth
+
+    def half_length(self) -> Scalar:
+        if not self.is_finite:
+            return POS_INF
+        return (self.death - self.birth) / 2
+
+    def sort_key(self):
+        return (self.birth, self.death, self.parity)
+
+
+class Barcode(Frozen):
+    """A multiset of bars over a common spectrum (stored sorted)."""
+
+    __slots__ = ("spectrum", "bars")
+
+    def __init__(self, spectrum: Spectrum, bars: Tuple[Bar, ...]):
+        bars = tuple(sorted(bars, key=Bar.sort_key))
+        points = set(spectrum.points)
+        for b in bars:
+            for end in (b.birth, b.death):
+                if end.is_finite and end not in points:
+                    raise ValueError(f"bar endpoint {end} is not a spectrum point")
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "bars", bars)
+
+    @classmethod
+    def of(cls, spectrum: Spectrum, bars: Iterable[Bar]) -> "Barcode":
+        return cls(spectrum, tuple(bars))
+
+    def graded_dim_at(self, s: Scalar) -> Tuple[int, int]:
+        d = [0, 0]
+        for b in self.bars:
+            if b.contains(s):
+                d[b.parity] += 1
+        return (d[0], d[1])
+
+    def same_bars(self, other: "Barcode") -> bool:
+        """Multiset equality of bars, ignoring the ambient spectra."""
+        return self.bars == other.bars

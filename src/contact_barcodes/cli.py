@@ -21,7 +21,8 @@ from .errors import DomainError, ParseError
 from .scalar import Scalar, ZERO
 
 if TYPE_CHECKING:
-    from .persistence import Barcode, SampledModule
+    from .barcode import Barcode
+    from .persistence import SampledModule
 
 
 def _scalar_arg(text: str) -> Scalar:
@@ -98,7 +99,7 @@ def _read(path: str):
 
 
 def _read_barcode(path: str) -> Barcode:
-    from .persistence import Barcode
+    from .barcode import Barcode
 
     obj = _read(path)
     if not isinstance(obj, Barcode):
@@ -164,7 +165,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "interleave":
-        from .distances import interleaving_distance_bruteforce
+        from .interleaving import interleaving_distance_bruteforce
 
         delta = interleaving_distance_bruteforce(
             _read_module(args.left), _read_module(args.right))

@@ -14,33 +14,32 @@ the `truncated` flag, since nothing above T is certified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
+from .barcode import Bar, Barcode, Spectrum
 from .errors import InvalidEllipsoidError, OnSpectrumError, TooLargeError
-from .persistence import Bar, Barcode, Spectrum
-from .scalar import POS_INF, Scalar, ScalarLike, ZERO, as_scalar
+from .scalar import Frozen, POS_INF, Scalar, ScalarLike, ZERO, as_scalar
 
 
-@dataclass(frozen=True, slots=True)
-class EllipsoidParams:
+class EllipsoidParams(Frozen):
     """Sorted positive axes a_1 <= ... <= a_n and a finite horizon T > 0."""
 
-    axes: Tuple[Scalar, ...]
-    horizon: Scalar
+    __slots__ = ("axes", "horizon")
 
-    def __post_init__(self):
-        if not self.axes:
+    def __init__(self, axes: Tuple[Scalar, ...], horizon: Scalar):
+        if not axes:
             raise InvalidEllipsoidError("need at least one axis")
         prev = None
-        for a in self.axes:
+        for a in axes:
             if not (a.is_finite and ZERO < a):
                 raise InvalidEllipsoidError("axes must be positive rationals")
             if prev is not None and a < prev:
                 raise InvalidEllipsoidError("axes must be sorted ascending")
             prev = a
-        if not (self.horizon.is_finite and ZERO < self.horizon):
+        if not (horizon.is_finite and ZERO < horizon):
             raise InvalidEllipsoidError("horizon must be a positive rational")
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "horizon", horizon)
 
     @classmethod
     def of(cls, axes, horizon: ScalarLike) -> "EllipsoidParams":

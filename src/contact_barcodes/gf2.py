@@ -8,25 +8,26 @@ linear systems and the sweep of `persistence.decompose` all run on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+from .scalar import Frozen
 
 
 # byte 0 -> digit "0", byte 1 -> digit "1", any other byte -> "x"
 _BASE2_DIGITS = b"01" + b"x" * 254
 
 
-@dataclass(frozen=True, slots=True)
-class Gf2Matrix:
-    rows: Tuple[int, ...]
-    ncols: int
+class Gf2Matrix(Frozen):
+    __slots__ = ("rows", "ncols")
 
-    def __post_init__(self):
-        if self.ncols < 0:
+    def __init__(self, rows: Tuple[int, ...], ncols: int):
+        if ncols < 0:
             raise ValueError("ncols must be nonnegative")
-        for r in self.rows:
-            if r < 0 or r >> self.ncols:
+        for r in rows:
+            if r < 0 or r >> ncols:
                 raise ValueError("row has bits outside the column range")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "ncols", ncols)
 
     @property
     def nrows(self) -> int:
@@ -39,7 +40,7 @@ class Gf2Matrix:
     @classmethod
     def _unchecked(cls, rows: Tuple[int, ...], ncols: int) -> "Gf2Matrix":
         """A matrix whose rows are known to lie in range(1 << ncols), built
-        without the row checks of __post_init__."""
+        without the row checks of __init__."""
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "ncols", ncols)

@@ -1,0 +1,376 @@
+"""Brute-force delta-interleaving search over sampled modules.
+
+The search works directly on SampledModules, enumerating the forward GF(2)
+interleaving maps F region by region; every constraint on the backward
+maps G, a matrix identity sum(L @ G[t] @ R) == C, becomes linear equations
+through one routine, `_add_identity`.  It is kept independent of the
+bottleneck distance of `distances`, so that the two routes can be played
+against each other.  Region shifts and candidate deltas are exact ints in
+the `_Coords` of `distances`; values become Scalars again only at the
+output.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from itertools import accumulate, product
+from typing import List, Optional, Sequence, Tuple
+
+from .distances import _Coords, _first_feasible
+from .errors import (
+    HorizonMismatchError,
+    InfiniteDeltaError,
+    InvalidModuleError,
+    ShapeMismatchError,
+    TooLargeError,
+)
+from .gf2 import Echelon, Gf2Matrix, Gf2System
+from .persistence import SampledModule, _valid_gaps, composite_map
+from .scalar import Frozen, POS_INF, Scalar, ZERO
+
+
+class InterleavingCertificate(Frozen):
+    """Interleaving maps, one per region per parity.
+
+    Regions are the connected components cut out of the line by the
+    spectrum points a module actually straddles; forward_maps[r][p] maps
+    module 1's region r to module 2's region shifted by delta, and
+    backward_maps the other way.
+    """
+
+    __slots__ = ("delta", "forward_maps", "backward_maps")
+
+    def __init__(self, delta: Scalar,
+                 forward_maps: Tuple[Tuple[Gf2Matrix, Gf2Matrix], ...],
+                 backward_maps: Tuple[Tuple[Gf2Matrix, Gf2Matrix], ...]):
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "forward_maps", forward_maps)
+        object.__setattr__(self, "backward_maps", backward_maps)
+
+
+class _Regions:
+    """Cut-point/region view of a validated SampledModule."""
+
+    def __init__(self, m: SampledModule):
+        gaps = _valid_gaps(m)
+        if m.n_samples == 0:
+            raise InvalidModuleError("module has no samples")
+        self.module = m
+        cuts: List[Scalar] = []
+        reps: List[int] = [0]
+        for i, between in enumerate(gaps):
+            if between:
+                cuts.append(between[0])
+                reps.append(i + 1)
+        self.cuts = tuple(cuts)
+        self.reps = tuple(reps)
+        self.n = len(reps)
+        self.dims = tuple(m.dims[i] for i in reps)
+
+    def comp(self, a: int, b: int, parity: int) -> Gf2Matrix:
+        return composite_map(self.module, self.reps[a], self.reps[b], parity)
+
+
+def _shift_tables(regions1: _Regions, regions2: _Regions, delta: Scalar):
+    """Region shift maps phi (1 -> 2 by delta), psi (2 -> 1 by delta) and
+    phi2, psi2 (each module into itself by 2 delta).
+
+    Region r > 0 starts at cut r - 1 and lands in the target region that
+    holds the points just right of that cut plus the shift; region 0
+    reaches to -inf and lands in region 0.  Cuts and delta are compared
+    in one `_Coords`, so any finite delta works.
+    """
+    if not delta.is_finite:
+        raise InfiniteDeltaError(f"interleaving parameter delta must be finite, got {delta}")
+    coords = _Coords(regions1.cuts + regions2.cuts + (delta,))
+    cuts1 = [coords.of(c) for c in regions1.cuts]
+    cuts2 = [coords.of(c) for c in regions2.cuts]
+    shift = coords.of(delta)
+
+    def table(cuts: List[int], by: int, target: List[int]) -> List[int]:
+        return [0] + [bisect_right(target, c + by) for c in cuts]
+
+    return (table(cuts1, shift, cuts2), table(cuts2, shift, cuts1),
+            table(cuts1, 2 * shift, cuts1), table(cuts2, 2 * shift, cuts2))
+
+
+def _candidate_grid(m1: SampledModule, m2: SampledModule) -> Tuple[_Coords, List[int]]:
+    """0, every gap between two of the spectrum points and horizon ends of
+    both modules, and half of every gap, ascending, as ints in the
+    `_Coords` of those values."""
+    values = set(m1.spectrum.points) | set(m2.spectrum.points)
+    values |= {m1.spectrum.lo, m1.spectrum.hi, m2.spectrum.lo, m2.spectrum.hi}
+    coords = _Coords(values)
+    xs = sorted(coords.of(v) for v in values)
+    gaps = {b - a for i, a in enumerate(xs) for b in xs[i + 1:]}
+    return coords, sorted({0} | gaps | {g // 2 for g in gaps})
+
+
+_SEARCH_BUDGET = 400_000
+
+
+class _GLayout:
+    """The entries of the backward maps G[t] as unknowns of a Gf2System.
+
+    G[t] has heights[t] rows and widths[t] columns; its entry (i, j) is
+    unknown offsets[t] + i * widths[t] + j, so row s of G[t] is a run of
+    widths[t] unknowns whose first one is the bit row_bits[t][s].
+    """
+
+    __slots__ = ("heights", "widths", "offsets", "row_bits")
+
+    def __init__(self, heights: Sequence[int], widths: Sequence[int]):
+        self.heights, self.widths = heights, widths
+        self.offsets = [0, *accumulate(h * w for h, w in zip(heights, widths))]
+        self.row_bits = [[1 << (off + s * w) for s in range(h)]
+                         for h, w, off in zip(heights, widths, self.offsets)]
+
+    def decode(self, sol: int) -> List[Gf2Matrix]:
+        """The G maps of a solution."""
+        return [Gf2Matrix(tuple(sol >> (off + i * w) & ((1 << w) - 1) for i in range(h)), w)
+                for h, w, off in zip(self.heights, self.widths, self.offsets)]
+
+
+def _add_identity(system: Gf2System, g: _GLayout,
+                  terms: Sequence[Tuple[Optional[Gf2Matrix], int, Optional[Gf2Matrix]]],
+                  rhs: Gf2Matrix) -> bool:
+    """Add the equations of sum(L @ G[t] @ R for L, t, R in terms) == rhs,
+    one per entry of rhs, row by row; False as soon as one makes the
+    system inconsistent.  None for L or R stands for an identity.
+
+    Entry (i, j) of L @ G[t] @ R is the XOR, over the set bits s of row i
+    of L, of column j of R shifted onto the unknowns of row s of G[t].  The
+    shifted copies lie in disjoint runs of widths[t] bits, so their XOR is
+    the int product of the column with the sum of row_bits[t][s].
+    """
+    if not (rhs.rows and rhs.ncols):
+        return True
+    factors = []
+    for left, t, right in terms:
+        spread = g.row_bits[t]
+        if left is not None:
+            spread = [sum(bit for s, bit in enumerate(spread) if row >> s & 1)
+                      for row in left.rows]
+        if right is None:
+            cols = [1 << j for j in range(g.widths[t])]
+        else:
+            cols = [sum((row >> j & 1) << k for k, row in enumerate(right.rows))
+                    for j in range(right.ncols)]
+        factors.append((spread, cols))
+    for i, bits in enumerate(rhs.rows):
+        for j in range(rhs.ncols):
+            coeffs = 0
+            for spread, cols in factors:
+                coeffs ^= spread[i] * cols[j]
+            if not system.add(coeffs, bits >> j & 1):
+                return False
+    return True
+
+
+def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
+                  delta: Scalar
+                  ) -> Optional[Tuple[List[Gf2Matrix], List[Gf2Matrix]]]:
+    """The first (F maps, G maps) pair satisfying every constraint, or None.
+
+    F maps are searched depth-first along the forward naturality chain, on
+    an explicit stack with one frame per region; G equations are accumulated
+    incrementally so contradictions prune the search as early as possible.
+    Each F candidate tried costs one unit of the search budget.
+    """
+    R1, R2 = regions1.n, regions2.n
+    d1 = [d[parity] for d in regions1.dims]
+    d2 = [d[parity] for d in regions2.dims]
+    phi, psi, phi2, psi2 = _shift_tables(regions1, regions2, delta)
+    g = _GLayout([d1[psi[t]] for t in range(R2)], d2)
+
+    # backward naturality chain, G[t+1] A2 = C1 G[t], is independent of F
+    base = Gf2System()
+    for t in range(R2 - 1):
+        terms = [(None, t + 1, regions2.comp(t, t + 1, parity)),
+                 (regions1.comp(psi[t], psi[t + 1], parity), t, None)]
+        if not _add_identity(base, g, terms, Gf2Matrix.zeros(d1[psi[t + 1]], d2[t])):
+            return None
+
+    # rank obstructions that need no enumeration at all: each 2-delta map of
+    # one module (direct) factors through the other module and back; both
+    # maps also enter the equations that F maps bring in, below
+    e2_maps, e3_maps = [], []
+    for maps, regions, there, back, twice, d_there in (
+            (e2_maps, regions1, phi, psi, phi2, d2), (e3_maps, regions2, psi, phi, psi2, d1)):
+        for r in range(regions.n):
+            direct = regions.comp(r, twice[r], parity)
+            through = regions.comp(back[there[r]], twice[r], parity)
+            need = direct.rank()
+            if need > d_there[there[r]] or need > through.rank():
+                return None
+            maps.append((through, direct))
+
+    # equations carrying F[r] enter the system at DFS depth r: E2 at r,
+    # through G[phi[r]] F[r] = direct, and E3 at each t with psi[t] = r,
+    # through F[r] G[t] = direct
+    e3_by_depth: List[list] = [[] for _ in range(R1)]
+    for t, (through, direct) in enumerate(e3_maps):
+        e3_by_depth[psi[t]].append((through, t, direct))
+
+    fwd_echelons = [None] * max(R1 - 1, 0)
+
+    def f_candidates(r: int, prev: Optional[Gf2Matrix]):
+        nrows, ncols = d2[phi[r]], d1[r]
+        if r == 0:
+            rows_options = [list(range(1 << ncols)) for _ in range(nrows)]
+        else:
+            target = (regions2.comp(phi[r - 1], phi[r], parity) @ prev)
+            echelon = fwd_echelons[r - 1]
+            if echelon is None:
+                echelon = Echelon(regions1.comp(r - 1, r, parity).rows)
+                fwd_echelons[r - 1] = echelon
+            rows_options = []
+            for i in range(nrows):
+                part = echelon.express(target.rows[i])
+                if part is None:
+                    return None
+                opts = [part]
+                for null_mask in echelon.nullspace:
+                    opts = opts + [o ^ null_mask for o in opts]
+                rows_options.append(opts)
+        return rows_options
+
+    # frames[r] walks the F candidates of region r under the system built
+    # from fs[:r]; fs holds the F map chosen in each region below the top
+    frames = [(product(*f_candidates(0, None)), base)]
+    fs: List[Gf2Matrix] = []
+    budget = _SEARCH_BUDGET
+    while frames:
+        r = len(frames) - 1
+        candidates, system = frames[-1]
+        rows = next(candidates, None)
+        if rows is None:
+            frames.pop()
+            if fs:
+                fs.pop()
+            continue
+        budget -= 1
+        if budget <= 0:
+            raise TooLargeError("interleaving search budget exhausted")
+        fmat = Gf2Matrix(rows, d1[r])
+        sub = system.copy()
+        through, direct = e2_maps[r]
+        if not (_add_identity(sub, g, [(through, phi[r], fmat)], direct)
+                and all(_add_identity(sub, g, [(c2a @ fmat, t, None)], rhs)
+                        for c2a, t, rhs in e3_by_depth[r])):
+            continue
+        if r + 1 == R1:
+            sol = sub.solve()
+            if sol is not None:
+                return fs + [fmat], g.decode(sol)
+            continue
+        rows_options = f_candidates(r + 1, fmat)
+        if rows_options is None:
+            continue
+        fs.append(fmat)
+        frames.append((product(*rows_options), sub))
+    return None
+
+
+def find_interleaving(m1: SampledModule, m2: SampledModule, delta: Scalar
+                      ) -> Optional[InterleavingCertificate]:
+    """A delta-interleaving certificate, or None when none exists."""
+    if delta < ZERO:
+        return None
+    regions1, regions2 = _Regions(m1), _Regions(m2)
+    _check_enumeration_bound(m1, m2)
+    return _certificate(regions1, regions2, delta)
+
+
+def _certificate(regions1: _Regions, regions2: _Regions, delta: Scalar
+                 ) -> Optional[InterleavingCertificate]:
+    """find_interleaving on modules already validated and bounded."""
+    per_parity = []
+    for parity in (0, 1):
+        found = _search_chain(regions1, regions2, parity, delta)
+        if found is None:
+            return None
+        per_parity.append(found)
+    fwd = tuple((per_parity[0][0][r], per_parity[1][0][r])
+                for r in range(regions1.n))
+    bwd = tuple((per_parity[0][1][t], per_parity[1][1][t])
+                for t in range(regions2.n))
+    return InterleavingCertificate(delta, fwd, bwd)
+
+
+def _check_enumeration_bound(m1: SampledModule, m2: SampledModule) -> None:
+    for m in (m1, m2):
+        for d0, d1 in m.dims:
+            if d0 + d1 > 4:
+                raise TooLargeError(
+                    "per-sample total dimension exceeds the enumeration bound (4)")
+
+
+def interleaving_distance_bruteforce(m1: SampledModule, m2: SampledModule
+                                     ) -> Scalar:
+    """Smallest candidate delta admitting an interleaving; +inf if none.
+
+    Candidates are spectrum point differences and their halves.  Modules
+    must share a horizon; the search enumerates interleaving maps directly.
+    """
+    if (m1.spectrum.lo, m1.spectrum.hi) != (m2.spectrum.lo, m2.spectrum.hi):
+        raise HorizonMismatchError("modules must share one horizon")
+    _check_enumeration_bound(m1, m2)
+    regions1, regions2 = _Regions(m1), _Regions(m2)
+    coords, grid = _candidate_grid(m1, m2)
+    found = _first_feasible(
+        len(grid), lambda k: _certificate(regions1, regions2, coords.scalar(grid[k])))
+    return POS_INF if found is None else coords.scalar(grid[found[0]])
+
+
+def verify_interleaving(cert: InterleavingCertificate, m1: SampledModule,
+                        m2: SampledModule) -> List[str]:
+    """Check every square and 2-delta composite; empty list means valid."""
+    regions1, regions2 = _Regions(m1), _Regions(m2)
+    delta = cert.delta
+    R1, R2 = regions1.n, regions2.n
+    if len(cert.forward_maps) != R1 or len(cert.backward_maps) != R2:
+        raise ShapeMismatchError("certificate map count does not match the regions")
+    phi, psi, phi2, psi2 = _shift_tables(regions1, regions2, delta)
+
+    for parity in (0, 1):
+        for r in range(R1):
+            want = (regions2.dims[phi[r]][parity], regions1.dims[r][parity])
+            if cert.forward_maps[r][parity].shape != want:
+                raise ShapeMismatchError(
+                    f"forward map at region {r} parity {parity} has shape "
+                    f"{cert.forward_maps[r][parity].shape}, expected {want}")
+        for t in range(R2):
+            want = (regions1.dims[psi[t]][parity], regions2.dims[t][parity])
+            if cert.backward_maps[t][parity].shape != want:
+                raise ShapeMismatchError(
+                    f"backward map at region {t} parity {parity} has shape "
+                    f"{cert.backward_maps[t][parity].shape}, expected {want}")
+
+    issues: List[str] = []
+    for parity in (0, 1):
+        F = [pair[parity] for pair in cert.forward_maps]
+        G = [pair[parity] for pair in cert.backward_maps]
+        for r in range(R1 - 1):
+            lhs = F[r + 1] @ regions1.comp(r, r + 1, parity)
+            rhs = regions2.comp(phi[r], phi[r + 1], parity) @ F[r]
+            if lhs != rhs:
+                issues.append(f"forward square at regions {r}->{r + 1} parity {parity}")
+        for t in range(R2 - 1):
+            lhs = G[t + 1] @ regions2.comp(t, t + 1, parity)
+            rhs = regions1.comp(psi[t], psi[t + 1], parity) @ G[t]
+            if lhs != rhs:
+                issues.append(f"backward square at regions {t}->{t + 1} parity {parity}")
+        for r in range(R1):
+            u = phi2[r]
+            lhs = regions1.comp(psi[phi[r]], u, parity) @ G[phi[r]] @ F[r]
+            if lhs != regions1.comp(r, u, parity):
+                issues.append(
+                    f"2-delta composite through module 2 at region {r} parity {parity}")
+        for t in range(R2):
+            v = psi2[t]
+            lhs = regions2.comp(phi[psi[t]], v, parity) @ F[psi[t]] @ G[t]
+            if lhs != regions2.comp(t, v, parity):
+                issues.append(
+                    f"2-delta composite through module 1 at region {t} parity {parity}")
+    return issues

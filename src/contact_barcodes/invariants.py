@@ -10,13 +10,12 @@ behaviour of the spectral invariants under bottleneck-bounded noise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
+from .barcode import Bar, Barcode, Spectrum
 from .errors import InPiSpanError, NonPositiveDeltaError
-from .persistence import Bar, Barcode, Spectrum
-from .scalar import POS_INF, Scalar, ZERO
+from .scalar import Frozen, POS_INF, Scalar, ZERO
 
 
 def spectral_invariant(b: Barcode, e_index: int) -> Scalar:
@@ -116,18 +115,21 @@ def translated_point_lower_bound(b_id: Barcode, delta: Scalar) -> int:
     return k
 
 
-@dataclass(frozen=True, slots=True)
-class VanishingReport:
+class VanishingReport(Frozen):
     """Reporting predicate on an identity-model barcode.
 
     forces_sh_zero is None when truncation makes the verdict undecidable
     from the window alone.
     """
 
-    has_bar_at_zero: bool
-    has_half_infinite: bool
-    forces_sh_zero: Optional[bool]
-    status: str
+    __slots__ = ("has_bar_at_zero", "has_half_infinite", "forces_sh_zero", "status")
+
+    def __init__(self, has_bar_at_zero: bool, has_half_infinite: bool,
+                 forces_sh_zero: Optional[bool], status: str):
+        object.__setattr__(self, "has_bar_at_zero", has_bar_at_zero)
+        object.__setattr__(self, "has_half_infinite", has_half_infinite)
+        object.__setattr__(self, "forces_sh_zero", forces_sh_zero)
+        object.__setattr__(self, "status", status)
 
 
 def vanishing_predicates(b: Barcode) -> VanishingReport:
@@ -143,15 +145,15 @@ def vanishing_predicates(b: Barcode) -> VanishingReport:
     return VanishingReport(has_zero, False, True, "certain")
 
 
-@dataclass(frozen=True, slots=True)
-class PerturbationBall:
+class PerturbationBall(Frozen):
     """Radius of allowed barcode perturbations, modelling a Hofer-type ball."""
 
-    radius: Scalar
+    __slots__ = ("radius",)
 
-    def __post_init__(self):
-        if self.radius < ZERO:
+    def __init__(self, radius: Scalar):
+        if radius < ZERO:
             raise ValueError("radius must be nonnegative")
+        object.__setattr__(self, "radius", radius)
 
 
 def perturb_barcode(b: Barcode, ball: PerturbationBall, rng: random.Random
@@ -200,12 +202,15 @@ def perturb_barcode(b: Barcode, ball: PerturbationBall, rng: random.Random
     return Barcode(spectrum, tuple(new_bars))
 
 
-@dataclass(frozen=True, slots=True)
-class LipschitzReport:
-    invariant: str
-    trials: int
-    max_deviation: Scalar
-    violations: Tuple[str, ...]
+class LipschitzReport(Frozen):
+    __slots__ = ("invariant", "trials", "max_deviation", "violations")
+
+    def __init__(self, invariant: str, trials: int, max_deviation: Scalar,
+                 violations: Tuple[str, ...]):
+        object.__setattr__(self, "invariant", invariant)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "max_deviation", max_deviation)
+        object.__setattr__(self, "violations", violations)
 
     def to_dict(self) -> dict:
         return {

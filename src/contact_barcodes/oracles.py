@@ -13,9 +13,10 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from typing import List, Optional, Sequence, Tuple
 
+from .barcode import Bar, Barcode
 from .errors import TooLargeError
 from .gf2 import Gf2Matrix, invertible_matrices
-from .persistence import Bar, Barcode, SampledModule, _make_bar, _valid_gaps
+from .persistence import SampledModule, _make_bar, _valid_gaps
 from .scalar import POS_INF, Scalar, ZERO, midpoint
 
 

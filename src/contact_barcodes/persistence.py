@@ -1,11 +1,10 @@
-"""Persistence modules with spectrum, and their barcode normal form.
+"""Sampled persistence modules over GF(2), and their barcode normal form.
 
-The central data are exact: a Spectrum is a finite sorted set of rational
-points inside a horizon window, a Barcode is a graded multiset of bars
-whose finite endpoints lie on the spectrum, and a SampledModule is a
-finite functor presentation: one GF(2) structure matrix per parity between
-consecutive sample parameters, sampled so that consecutive samples straddle
-at most one spectrum point and every spectrum point is straddled.
+A SampledModule is a finite functor presentation of a persistence module
+with spectrum: one GF(2) structure matrix per parity between consecutive
+sample parameters, sampled so that consecutive samples straddle at most
+one spectrum point and every spectrum point is straddled.  Its spectrum
+and the barcodes read off it are the types of `barcode`.
 
 A SampledModule is read with constant extension beyond its grid: a bar
 alive at the first (last) sample is considered born at -inf (undying).
@@ -28,136 +27,22 @@ closing dimension check of `decompose` both read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
+from .barcode import Bar, Barcode, Parity, Spectrum
 from .errors import (
     EmptyHorizonError,
     IndexOutOfRangeError,
     InvalidModuleError,
     NonUniqueSnapError,
+    TooLargeError,
 )
 from .gf2 import Echelon, Gf2Matrix
-from .scalar import NEG_INF, POS_INF, Scalar, ScalarLike, as_scalar, rational
-
-Parity = int  # 0 or 1; the Z/2 supergrading
+from .scalar import Frozen, NEG_INF, POS_INF, Scalar, rational
 
 
-@dataclass(frozen=True, slots=True)
-class Spectrum:
-    """Strictly increasing finite points inside a finite horizon [lo, hi]."""
-
-    points: Tuple[Scalar, ...]
-    lo: Scalar
-    hi: Scalar
-
-    def __post_init__(self):
-        if not (self.lo.is_finite and self.hi.is_finite):
-            raise ValueError("horizon endpoints must be finite")
-        if self.hi < self.lo:
-            raise ValueError("horizon is empty")
-        prev = None
-        for p in self.points:
-            if not p.is_finite:
-                raise ValueError("spectrum points must be finite")
-            if p < self.lo or self.hi < p:
-                raise ValueError(f"spectrum point {p} outside horizon")
-            if prev is not None and not (prev < p):
-                raise ValueError("spectrum points must be strictly increasing")
-            prev = p
-
-    @classmethod
-    def of(cls, points: Iterable[ScalarLike], lo: ScalarLike, hi: ScalarLike) -> "Spectrum":
-        return cls(tuple(as_scalar(p) for p in points), as_scalar(lo), as_scalar(hi))
-
-    def shifted(self, t: Scalar) -> "Spectrum":
-        return Spectrum(tuple(p + t for p in self.points), self.lo + t, self.hi + t)
-
-
-@dataclass(frozen=True, slots=True)
-class Bar:
-    """An interval (birth, death) with Z/2 parity.
-
-    Containment is strict: the bar covers s exactly when birth < s < death.
-    The `truncated` flag marks bars cut off by a horizon (the recorded
-    death is only a certified lower bound on the true one); it is carried
-    as metadata and ignored by equality and hashing.
-    """
-
-    birth: Scalar
-    death: Scalar
-    parity: Parity
-    truncated: bool = field(default=False, compare=False)
-
-    def __post_init__(self):
-        if self.birth.is_pos_inf or self.death.is_neg_inf:
-            raise ValueError("bar endpoints must satisfy birth in [-inf, inf), death in (-inf, inf]")
-        if self.death < self.birth:
-            raise ValueError(f"bar has death {self.death} before birth {self.birth}")
-        if self.parity not in (0, 1):
-            raise ValueError("parity must be 0 or 1")
-
-    @classmethod
-    def of(cls, birth: ScalarLike, death: ScalarLike, parity: Parity = 0,
-           truncated: bool = False) -> "Bar":
-        return cls(as_scalar(birth), as_scalar(death), parity, truncated)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.birth.is_finite and self.death.is_finite
-
-    def contains(self, s: Scalar) -> bool:
-        return self.birth < s < self.death
-
-    def length(self) -> Scalar:
-        """death - birth; +inf when either endpoint is infinite."""
-        if not self.is_finite:
-            return POS_INF
-        return self.death - self.birth
-
-    def half_length(self) -> Scalar:
-        if not self.is_finite:
-            return POS_INF
-        return (self.death - self.birth) / 2
-
-    def sort_key(self):
-        return (self.birth, self.death, self.parity)
-
-
-@dataclass(frozen=True, slots=True)
-class Barcode:
-    """A multiset of bars over a common spectrum (stored sorted)."""
-
-    spectrum: Spectrum
-    bars: Tuple[Bar, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "bars", tuple(sorted(self.bars, key=Bar.sort_key)))
-        points = set(self.spectrum.points)
-        for b in self.bars:
-            for end in (b.birth, b.death):
-                if end.is_finite and end not in points:
-                    raise ValueError(f"bar endpoint {end} is not a spectrum point")
-
-    @classmethod
-    def of(cls, spectrum: Spectrum, bars: Iterable[Bar]) -> "Barcode":
-        return cls(spectrum, tuple(bars))
-
-    def graded_dim_at(self, s: Scalar) -> Tuple[int, int]:
-        d = [0, 0]
-        for b in self.bars:
-            if b.contains(s):
-                d[b.parity] += 1
-        return (d[0], d[1])
-
-    def same_bars(self, other: "Barcode") -> bool:
-        """Multiset equality of bars, ignoring the ambient spectra."""
-        return self.bars == other.bars
-
-
-@dataclass(frozen=True, slots=True)
-class SampledModule:
+class SampledModule(Frozen):
     """A persistence module sampled on a finite grid.
 
     `samples` are strictly increasing finite parameters avoiding the
@@ -166,16 +51,19 @@ class SampledModule:
     samples[i+1], with shape dims[i+1][p] x dims[i][p].
     """
 
-    spectrum: Spectrum
-    samples: Tuple[Scalar, ...]
-    dims: Tuple[Tuple[int, int], ...]
-    maps: Tuple[Tuple[Gf2Matrix, Gf2Matrix], ...]
+    __slots__ = ("spectrum", "samples", "dims", "maps")
 
-    def __post_init__(self):
-        if len(self.dims) != len(self.samples):
+    def __init__(self, spectrum: Spectrum, samples: Tuple[Scalar, ...],
+                 dims: Tuple[Tuple[int, int], ...],
+                 maps: Tuple[Tuple[Gf2Matrix, Gf2Matrix], ...]):
+        if len(dims) != len(samples):
             raise ValueError("dims and samples disagree in length")
-        if len(self.maps) != max(len(self.samples) - 1, 0):
+        if len(maps) != max(len(samples) - 1, 0):
             raise ValueError("need exactly one map pair per consecutive sample pair")
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "maps", maps)
 
     @property
     def n_samples(self) -> int:
@@ -281,6 +169,12 @@ def _make_bar(gaps: Sequence[Sequence[Scalar]], i: int, j: int, parity: Parity) 
     return Bar(birth, death, parity)
 
 
+# The largest total dimension d0 + d1 at one sample that `decompose` takes.
+# Its first basis holds one d-bit vector per coordinate, so memory grows
+# with the square of a dimension that a short document can state.
+MAX_SAMPLE_DIM = 10_000
+
+
 def decompose(m: SampledModule) -> Barcode:
     """Interval decomposition of a valid SampledModule.
 
@@ -300,9 +194,13 @@ def decompose(m: SampledModule) -> Barcode:
     point in the gap just before the birth sample (or -inf at the grid's
     left end), deaths symmetrically.
     `oracles.rank_formula_decompose` recomputes the same barcode from the
-    inclusion-exclusion of composite ranks.
+    inclusion-exclusion of composite ranks.  A module with more than
+    MAX_SAMPLE_DIM dimensions at some sample raises TooLargeError.
     """
     gaps = _valid_gaps(m)
+    if any(d0 + d1 > MAX_SAMPLE_DIM for d0, d1 in m.dims):
+        raise TooLargeError(
+            f"per-sample total dimension exceeds the decomposition bound ({MAX_SAMPLE_DIM})")
     k = m.n_samples
     bars: List[Bar] = []
     for parity in (0, 1):

@@ -10,8 +10,9 @@ import random
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from .barcode import Bar, Barcode, Spectrum
 from .gf2 import Gf2Matrix
-from .persistence import Bar, Barcode, SampledModule, Spectrum, _sample_positions
+from .persistence import SampledModule, _sample_positions
 from .scalar import NEG_INF, POS_INF, Scalar, rational
 
 

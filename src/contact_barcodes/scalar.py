@@ -4,14 +4,17 @@ A Scalar is an exact rational extended with the two symbolic endpoints
 -inf and +inf.  Comparisons follow the extended-real order; arithmetic is
 defined on finite values only.  The canonical text form is "p/q" with
 q > 0 and gcd(p, q) = 1, or "-inf" / "inf", and round-trips bit-exactly.
+
+`Frozen`, the base of every immutable value class of the package, lives
+here because every process loads this module.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
 ScalarLike = Union["Scalar", Fraction, int, str]
@@ -22,19 +25,72 @@ _POS = float("inf")
 _NEG = float("-inf")
 
 
-@dataclass(frozen=True, slots=True)
-class Scalar:
-    value: Union[Fraction, float]
+class Frozen:
+    """Base of the immutable value classes.
 
-    def __post_init__(self):
-        v = self.value
-        if isinstance(v, float):
-            if not math.isinf(v):
-                raise ValueError(f"only +/-inf floats are allowed, got {v!r}")
-        elif isinstance(v, int):
-            object.__setattr__(self, "value", Fraction(v))
-        elif not isinstance(v, Fraction):
-            raise TypeError(f"scalar value must be Fraction or +/-inf, got {type(v)!r}")
+    A subclass names its fields in `__slots__` and sets each once in its
+    `__init__`, through `object.__setattr__`.  Instances compare equal when
+    they are of one class and their `_KEY` fields (all fields unless the
+    class names fewer) are equal, and hash as the tuple of those fields;
+    `repr` writes every field as `QualName(field=value, ...)`.  Every
+    `__init__` takes the fields in `__slots__` order.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        key = cls.__dict__.get("_KEY", cls.__slots__)
+        # the tuple of the key fields; attrgetter of one name gives it bare
+        get = attrgetter(*key)
+        cls._key = staticmethod(get if len(key) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which takes every field
+        return self.__class__, tuple([getattr(self, f) for f in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Scalar(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Union[Fraction, float, int]):
+        if isinstance(value, float):
+            if not math.isinf(value):
+                raise ValueError(f"only +/-inf floats are allowed, got {value!r}")
+        elif isinstance(value, int):
+            value = Fraction(value)
+        elif not isinstance(value, Fraction):
+            raise TypeError(f"scalar value must be Fraction or +/-inf, got {type(value)!r}")
+        object.__setattr__(self, "value", value)
+
+    # Equality and hashing are hot (sort keys, endpoint sets), so they read
+    # the one field directly; the hash stays that of the field tuple, as for
+    # every Frozen class, so that set orders do not move.
+
+    def __eq__(self, other):
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
     # -- classification ------------------------------------------------
 

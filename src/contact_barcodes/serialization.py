@@ -4,6 +4,10 @@ Scalars serialize as exact strings ("3/2", "-inf", "inf"); GF(2) matrices
 as arrays of 0/1 row arrays.  Every document carries the schema version
 field "cpv": 1.
 
+Only the module paths (`module_from_dict`, and `dumps` of a module) import
+the GF(2) and module layers, so that reading and writing barcodes loads
+neither.
+
 Documents are written as `json.dumps(..., indent=2)` would write them.
 With an indent, `json` runs its pure-Python encoder, one generator frame
 per matrix entry, so the `maps` of a module are rendered here instead,
@@ -13,12 +17,15 @@ straight from the row bits; the text is the same byte for byte.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
+from .barcode import Bar, Barcode, Spectrum
 from .errors import ParseError
-from .gf2 import Gf2Matrix
-from .persistence import Bar, Barcode, SampledModule, Spectrum
 from .scalar import Scalar
+
+if TYPE_CHECKING:
+    from .gf2 import Gf2Matrix
+    from .persistence import SampledModule
 
 SCHEMA_VERSION = 1
 
@@ -155,6 +162,9 @@ def module_to_dict(m: SampledModule) -> Dict[str, Any]:
 
 
 def module_from_dict(d: Dict[str, Any]) -> SampledModule:
+    from .gf2 import Gf2Matrix
+    from .persistence import SampledModule
+
     _check_version(d)
     spectrum = spectrum_from_dict(_field(d, "spectrum", ""))
     samples = _array(d, "samples", "")
@@ -228,12 +238,14 @@ def loads(text: str):
 
 def dumps(obj) -> str:
     """The indent=2 JSON document of a Barcode or a SampledModule."""
+    if isinstance(obj, Barcode):
+        return json.dumps(barcode_to_dict(obj), indent=2) + "\n"
+    from .persistence import SampledModule
+
     if isinstance(obj, SampledModule):
         # the head's closing "\n}" reopens for the last key, "maps"
         head = json.dumps(_module_head(obj), indent=2)
         return f'{head[:-2]},\n  "maps": {_maps_text(obj.maps)}\n}}\n'
-    if isinstance(obj, Barcode):
-        return json.dumps(barcode_to_dict(obj), indent=2) + "\n"
     raise TypeError(f"dumps takes a Barcode or a SampledModule, not {type(obj).__name__}")
 
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-from .distances import bottleneck_distance, interleaving_distance_bruteforce
+from .distances import bottleneck_distance
 from .ellipsoid import EllipsoidParams, cz_index, ellipsoid_barcode, gaps_longer_than
 from .errors import InPiSpanError
+from .interleaving import interleaving_distance_bruteforce
 from .invariants import (
     PerturbationBall,
     check_lipschitz,
@@ -35,16 +35,19 @@ from .random_instances import (
     random_rational,
     random_spectrum,
 )
-from .scalar import ZERO, rational
+from .scalar import Frozen, ZERO, rational
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CriterionResult(Frozen):
+    __slots__ = ("number", "name", "passed", "detail", "seconds")
+
+    def __init__(self, number: int, name: str, passed: bool, detail: str,
+                 seconds: float):
+        object.__setattr__(self, "number", number)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "seconds", seconds)
 
 
 def _scale(n: int, quick: bool) -> int:

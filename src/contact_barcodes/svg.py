@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List
 
-from .persistence import Barcode
+from .barcode import Barcode
 
 _COLORS = ("#2b6cb0", "#c53030")
 _WIDTH = 720

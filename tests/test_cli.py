@@ -5,10 +5,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from contact_barcodes.barcode import Bar, Barcode, Spectrum
 from contact_barcodes.cli import main, run
 from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
 from contact_barcodes.errors import ParseError
-from contact_barcodes.persistence import Bar, Barcode, Spectrum, module_from_barcode
+from contact_barcodes.persistence import module_from_barcode
 from contact_barcodes.scalar import NEG_INF, POS_INF, rational
 from contact_barcodes.serialization import dumps, loads
 
@@ -300,6 +301,21 @@ def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: document nests too deeply to parse\n"
+
+
+def test_reduce_refuses_a_dimension_past_the_bound(tmp_path, capsys):
+    # a short document may state any dimension; decompose's first basis
+    # would hold one vector per coordinate, so it refuses before building it
+    path = tmp_path / "big.json"
+    path.write_text('{"cpv": 1, "spectrum": {"points": [], "horizon": ["0", "1"]}, '
+                    '"samples": ["1/2"], "dims": [[1000000, 0]], "maps": []}')
+    start = time.perf_counter()
+    assert main(["reduce", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "decomposition bound" in captured.err
 
 
 def _invalid_module_doc():

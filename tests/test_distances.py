@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from bisect import bisect_right
 from collections import Counter
@@ -13,29 +12,22 @@ from contact_barcodes.errors import (
     ShapeMismatchError,
     TooLargeError,
 )
+from contact_barcodes.barcode import Bar, Barcode, Spectrum
 from contact_barcodes.gf2 import Gf2Matrix
-from contact_barcodes.distances import (
+from contact_barcodes.distances import _hopcroft_karp, bottleneck_distance
+from contact_barcodes.interleaving import (
     InterleavingCertificate,
     _GLayout,
     _Regions,
     _add_identity,
-    _hopcroft_karp,
+    _candidate_grid,
     _shift_tables,
-    bottleneck_distance,
     find_interleaving,
-    interleaving_candidates,
     interleaving_distance_bruteforce,
     verify_interleaving,
 )
 from contact_barcodes.oracles import bar_cost, endpoint_gap, exhaustive_bottleneck
-from contact_barcodes.persistence import (
-    Bar,
-    Barcode,
-    SampledModule,
-    Spectrum,
-    decompose,
-    module_from_barcode,
-)
+from contact_barcodes.persistence import SampledModule, decompose, module_from_barcode
 from contact_barcodes.random_instances import (
     random_barcode,
     random_module,
@@ -43,6 +35,12 @@ from contact_barcodes.random_instances import (
     scramble,
 )
 from contact_barcodes.scalar import NEG_INF, POS_INF, ZERO, Scalar, rational
+
+
+def candidate_deltas(m1, m2):
+    """The candidate deltas of the interleaving search, as Scalars."""
+    coords, grid = _candidate_grid(m1, m2)
+    return [coords.scalar(g) for g in grid]
 
 
 def test_endpoint_gap_conventions():
@@ -388,7 +386,7 @@ def test_interleaving_feasibility_monotone():
         sp = random_spectrum(rng, max_points=3)
         m1 = random_module(rng, max_dim=2, spectrum=sp)
         m2 = random_module(rng, max_dim=2, spectrum=sp)
-        grid = interleaving_candidates(m1, m2)
+        grid = candidate_deltas(m1, m2)
         state = [find_interleaving(m1, m2, g) is not None for g in grid]
         assert state == sorted(state)
 
@@ -502,7 +500,7 @@ def test_search_backs_out_of_later_regions():
     rng = random.Random(1241)
     m1 = scramble(rng, module_from_barcode(code))
     m2 = scramble(rng, module_from_barcode(code))
-    for delta in interleaving_candidates(m1, m2):
+    for delta in candidate_deltas(m1, m2):
         cert = find_interleaving(m1, m2, delta)
         assert cert is not None and verify_interleaving(cert, m1, m2) == [], delta
 
@@ -518,7 +516,9 @@ def test_verify_interleaving_reports_each_family():
         maps = list(getattr(cert, which))
         even, odd = maps[1]
         maps[1] = (Gf2Matrix.zeros(*even.shape), odd)
-        broken = dataclasses.replace(cert, **{which: tuple(maps)})
+        broken = InterleavingCertificate(**{
+            "delta": cert.delta, "forward_maps": cert.forward_maps,
+            "backward_maps": cert.backward_maps, which: tuple(maps)})
         assert verify_interleaving(broken, m, m) == [
             f"{square} square at regions 1->2 parity 0",
             "2-delta composite through module 2 at region 1 parity 0",
@@ -925,7 +925,7 @@ def reference_shift_tables(regions1, regions2, delta):
 
 
 def reference_candidates(m1, m2):
-    """interleaving_candidates as a double loop over Scalar gaps."""
+    """candidate_deltas as a double loop over Scalar gaps."""
     values = set(m1.spectrum.points) | set(m2.spectrum.points)
     values |= {m1.spectrum.lo, m1.spectrum.hi, m2.spectrum.lo, m2.spectrum.hi}
     vals = sorted(values)
@@ -954,7 +954,7 @@ def test_shift_tables_and_candidates_match_scalar_reference():
         m1 = random_module(rng, max_dim=2, spectrum=twelfths_spectrum(rng, 7),
                            density=rng.choice((1, 2)))
         m2 = random_module(rng, max_dim=2, spectrum=twelfths_spectrum(rng, 7))
-        grid = interleaving_candidates(m1, m2)
+        grid = candidate_deltas(m1, m2)
         want = reference_candidates(m1, m2)
         assert grid == want
         assert [str(g) for g in grid] == [str(g) for g in want]
@@ -974,7 +974,8 @@ def test_infinite_delta_is_a_domain_error():
         find_interleaving(m, m, POS_INF)
     cert = find_interleaving(m, m, ZERO)
     with pytest.raises(InfiniteDeltaError, match="delta must be finite, got inf"):
-        verify_interleaving(dataclasses.replace(cert, delta=POS_INF), m, m)
+        verify_interleaving(
+            InterleavingCertificate(POS_INF, cert.forward_maps, cert.backward_maps), m, m)
     # a module without cuts refuses it the same way
     flat = interval_module(Spectrum.of([], 0, 3), ())
     with pytest.raises(InfiniteDeltaError):

@@ -14,7 +14,8 @@ import random
 from collections import Counter
 
 from contact_barcodes import cli
-from contact_barcodes.persistence import Bar, Barcode, Spectrum, module_from_barcode
+from contact_barcodes.barcode import Bar, Barcode, Spectrum
+from contact_barcodes.persistence import module_from_barcode
 from contact_barcodes.scalar import NEG_INF, POS_INF, rational
 from contact_barcodes.serialization import dumps
 

@@ -1,6 +1,7 @@
 """What a process imports: the lazy package exports and the real `cpv`
 entry point, `python -m contact_barcodes`, one process per command."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -36,16 +37,25 @@ def _loaded(importtime_stderr):
     return names
 
 
-# every cpv process loads the package, cli, errors and scalar; then these
-READERS = {"gf2", "persistence", "serialization"}
+# every cpv process loads the package, cli, errors and scalar; then these.
+# A barcode command reads and writes barcodes only, so it loads no GF(2),
+# module or interleaving code.
+BARCODES = {"barcode", "serialization"}
+MODULES = BARCODES | {"gf2", "persistence"}
 COMMANDS = [
     ("help", ["--help"], set()),
-    ("verify", ["verify", "{module}"], READERS),
-    ("reduce", ["reduce", "{module}"], READERS),
+    ("verify", ["verify", "{module}"], MODULES),
+    ("reduce", ["reduce", "{module}"], MODULES),
+    ("interleave", ["interleave", "{module}", "{module}"],
+     MODULES | {"distances", "interleaving"}),
     ("ellipsoid", ["ellipsoid", "-a", "1", "-a", "3/2", "-T", "6"],
-     READERS | {"ellipsoid"}),
-    ("distance", ["distance", "{barcode}", "{barcode}"], READERS | {"distances"}),
-    ("depth", ["depth", "{barcode}"], READERS | {"invariants"}),
+     BARCODES | {"ellipsoid"}),
+    ("distance", ["distance", "{barcode}", "{barcode}"], BARCODES | {"distances"}),
+    ("spectral", ["spectral", "{barcode}", "--class", "0"], BARCODES | {"invariants"}),
+    ("depth", ["depth", "{barcode}"], BARCODES | {"invariants"}),
+    ("cover", ["cover", "{barcode}", "--delta", "1"], BARCODES | {"invariants"}),
+    ("bound", ["bound", "{barcode}", "--delta", "1"], BARCODES | {"invariants"}),
+    ("diagram", ["diagram", "{barcode}", "-o", "{out}"], BARCODES | {"svg"}),
 ]
 
 
@@ -54,13 +64,28 @@ COMMANDS = [
 def test_each_command_loads_only_its_layers(tmp_path, argv, expected):
     code = ellipsoid_barcode(EllipsoidParams.of(["1", "3/2"], 6))
     barcode, module = tmp_path / "bc.json", tmp_path / "m.json"
+    out = tmp_path / "out.svg"
     barcode.write_text(dumps(code))
     module.write_text(dumps(module_from_barcode(code)))
-    args = [a.format(barcode=barcode, module=module) for a in argv]
+    args = [a.format(barcode=barcode, module=module, out=out) for a in argv]
     done = _python("-X", "importtime", "-m", "contact_barcodes", *args)
     assert done.returncode == 0, done.stderr
-    assert done.stdout
+    assert done.stdout or out.stat().st_size
     assert _loaded(done.stderr) == {"cli", "errors", "scalar"} | expected
+
+
+def test_no_module_imports_dataclasses():
+    # `dataclasses` pulls in `inspect`, and each class it makes execs
+    # generated methods: a start-up cost paid by every cpv process
+    for path in sorted((ROOT / "src" / "contact_barcodes").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name
 
 
 def test_missing_file_through_the_real_process(tmp_path):

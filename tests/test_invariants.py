@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from contact_barcodes.barcode import Bar, Barcode, Spectrum
 from contact_barcodes.distances import bottleneck_distance
 from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
 from contact_barcodes.errors import InPiSpanError
@@ -22,7 +23,6 @@ from contact_barcodes.invariants import (
     vanishing_predicates,
 )
 from contact_barcodes.oracles import covering_min_partition, covering_min_subsets
-from contact_barcodes.persistence import Bar, Barcode, Spectrum
 from contact_barcodes.random_instances import random_barcode, random_rational
 from contact_barcodes.scalar import NEG_INF, POS_INF, Scalar, ZERO, rational
 

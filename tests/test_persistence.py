@@ -1,23 +1,25 @@
+import copy
+import pickle
 import random
 from bisect import bisect_left, bisect_right
 
 import pytest
 
+from contact_barcodes.barcode import Bar, Barcode, Spectrum
 from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
-from contact_barcodes.distances import find_interleaving
 from contact_barcodes.errors import (
     EmptyHorizonError,
     IndexOutOfRangeError,
     InvalidModuleError,
     NonUniqueSnapError,
+    TooLargeError,
 )
 from contact_barcodes.gf2 import Gf2Matrix
+from contact_barcodes.interleaving import find_interleaving
 from contact_barcodes.oracles import brute_force_decompose, rank_formula_decompose
 from contact_barcodes.persistence import (
-    Bar,
-    Barcode,
+    MAX_SAMPLE_DIM,
     SampledModule,
-    Spectrum,
     _count_below,
     _graded_counts,
     _only_point,
@@ -68,6 +70,35 @@ def test_barcode_requires_spectral_endpoints():
         Barcode(sp, (Bar.of(0, rational(1, 2)),))
     code = Barcode(sp, (Bar.of(0, 1), Bar(NEG_INF, POS_INF, 1)))
     assert code.graded_dim_at(rational(1, 2)) == (1, 1)
+
+
+def test_value_classes_keep_the_dataclass_contract():
+    # repr as the dataclass wrote it, truncation as metadata only, the
+    # Scalar hash of its one-field tuple, and fields that cannot change
+    bar = Bar.of("1", "inf", 1, True)
+    assert repr(bar) == \
+        "Bar(birth=Scalar(1/1), death=Scalar(inf), parity=1, truncated=True)"
+    assert repr(Spectrum.of(["1/2", 1], 0, 2)) == \
+        "Spectrum(points=(Scalar(1/2), Scalar(1/1)), lo=Scalar(0/1), hi=Scalar(2/1))"
+    assert repr(Gf2Matrix.from_rows([[1, 0], [1, 1]])) == "Gf2Matrix(rows=(1, 3), ncols=2)"
+    plain = Bar.of("1", "inf", 1)
+    assert plain == bar and hash(plain) == hash(bar)
+    assert plain != Bar.of("1", "inf", 0) and plain != (bar.birth, bar.death, 1)
+    for s in (rational(3, 7), rational(-2), ZERO, POS_INF, NEG_INF):
+        assert hash(s) == hash((s.value,))
+    sp = Spectrum.of([1], 0, 2)
+    fields = [(bar, "birth"), (bar, "truncated"), (sp, "points"), (rational(1), "value"),
+              (Gf2Matrix.identity(2), "rows"), (Barcode(sp, ()), "bars"),
+              (SampledModule(sp, (rational(1, 2),), ((1, 0),), ()), "dims")]
+    for obj, name in fields:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        with pytest.raises(AttributeError):
+            obj.unknown_field = 0
+        for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert clone == obj and repr(clone) == repr(obj)
 
 
 def test_validate_trivial_cases():
@@ -137,6 +168,21 @@ def test_decompose_rejects_invalid():
         messages.add(str(exc.value))
     assert messages == {"invalid module: map 0 parity 0 crosses no spectrum "
                         "point but is not invertible"}
+
+
+def test_decompose_bounds_the_dimension_at_a_sample():
+    sp = Spectrum.of([], 0, 1)
+
+    def one_sample(d0, d1):
+        return SampledModule(sp, (rational(1, 2),), ((d0, d1),), ())
+
+    half = MAX_SAMPLE_DIM // 2
+    code = decompose(one_sample(half, MAX_SAMPLE_DIM - half))
+    assert code.graded_dim_at(rational(1, 2)) == (half, MAX_SAMPLE_DIM - half)
+    assert all(b.birth == NEG_INF and b.death == POS_INF for b in code.bars)
+    for d0, d1 in ((MAX_SAMPLE_DIM + 1, 0), (half + 1, MAX_SAMPLE_DIM - half)):
+        with pytest.raises(TooLargeError, match="decomposition bound"):
+            decompose(one_sample(d0, d1))
 
 
 def test_snap_point_requires_unique_point():

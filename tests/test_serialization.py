@@ -4,14 +4,9 @@ from collections import Counter
 
 import pytest
 
+from contact_barcodes.barcode import Bar, Barcode, Spectrum
 from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
-from contact_barcodes.persistence import (
-    Bar,
-    Barcode,
-    SampledModule,
-    Spectrum,
-    module_from_barcode,
-)
+from contact_barcodes.persistence import SampledModule, module_from_barcode
 from contact_barcodes.random_instances import random_barcode, random_module, scramble
 from contact_barcodes.scalar import NEG_INF, POS_INF, rational
 from contact_barcodes.serialization import (
