@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from contact_barcodes import distances
 from contact_barcodes.barcode import Bar, Barcode, Spectrum
-from contact_barcodes.scalar import Scalar
+from contact_barcodes.scalar import Coords, Scalar
 
 POINTS = tuple(Scalar(Fraction(i)) for i in range(101))
 SPECTRUM = Spectrum(POINTS, POINTS[0], POINTS[-1])
@@ -33,15 +33,15 @@ def random_code(rng: random.Random, n: int) -> Barcode:
 
 
 def counting_probes(counter):
-    """`distances._first_feasible` with every probe counted in counter[0]."""
-    search = distances._first_feasible
+    """`Coords.least` with every probe counted in counter[0]."""
+    search = Coords.least
 
-    def first_feasible(n, probe):
-        def counted(k):
+    def least(coords, values, probe):
+        def counted(t):
             counter[0] += 1
-            return probe(k)
-        return search(n, counted)
-    return first_feasible
+            return probe(t)
+        return search(coords, values, counted)
+    return least
 
 
 def main() -> int:
@@ -51,7 +51,7 @@ def main() -> int:
     args = parser.parse_args()
 
     probes = [0]
-    distances._first_feasible = counting_probes(probes)
+    Coords.least = counting_probes(probes)
     print(f"{'bars':>5}  {'graded':>6}  {'delta':>6}  {'probes':>6}  {'seconds':>8}")
     for n in args.sizes:
         rng = random.Random(f"{args.seed}/{n}")

@@ -11,48 +11,20 @@ every larger one, so after the first probe few augmenting paths remain to
 be found.  The interleaving search over sampled modules, in
 `interleaving`, is the independent route this distance is played against.
 
-The computation runs on exact int coordinates (`_Coords`): each call
-scales its finitely many rationals by twice the lcm of their denominators,
-so endpoints, gaps and half-lengths are Python ints, and infinities are
-tags, never floats.  Values become Scalars again only at the output.
-`interleaving` reuses `_Coords` for its region shifts and candidate
-deltas, and `_first_feasible` for its search over them.
+The computation runs on the exact int coordinates of `scalar.Coords`:
+each call scales its finitely many rationals by twice the lcm of their
+denominators, so endpoints, gaps and half-lengths are Python ints, and
+infinities are tags, never floats.  `Coords.least` runs the binary search,
+and values become Scalars again only at the output.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
-from math import lcm
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .barcode import Bar, Barcode
-from .scalar import Frozen, POS_INF, Scalar
-
-
-class _Coords:
-    """Exact int coordinates for the finitely many rationals of one call.
-
-    `scale` is twice the lcm of their denominators, so each value, each
-    difference of two values and half of each difference, times `scale`,
-    is an int.  Scaling by one positive factor keeps every order and
-    equality, so int comparisons decide what Scalar comparisons would.
-    Infinities have no coordinate; callers tag them before mapping.
-    """
-
-    __slots__ = ("scale",)
-
-    def __init__(self, values: Iterable[Scalar]):
-        self.scale = 2 * lcm(*{v.value.denominator for v in values if v.is_finite})
-
-    def of(self, x: Scalar) -> int:
-        """x * scale, for finite x."""
-        q = x.value
-        return q.numerator * (self.scale // q.denominator)
-
-    def scalar(self, n: int) -> Scalar:
-        """The Scalar with coordinate n."""
-        return Scalar(Fraction(n, self.scale))
+from .scalar import Coords, Frozen, POS_INF, Scalar
 
 
 class Matching(Frozen):
@@ -145,30 +117,7 @@ def _hopcroft_karp(adj: Sequence[int], match_l: List[int], match_r: List[int]) -
                 path.append(match_r[v])
 
 
-T = TypeVar("T")
-
-
-def _first_feasible(n: int, probe: Callable[[int], Optional[T]]
-                    ) -> Optional[Tuple[int, T]]:
-    """Least k in range(n) at which probe(k) is not None, with that result.
-
-    The probe must fail below some threshold and succeed from it on.
-    Returns None when it fails on all of range(n).
-    """
-    lo, hi = 0, n - 1
-    best: Optional[Tuple[int, T]] = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        res = probe(mid)
-        if res is not None:
-            best = (mid, res)
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return best
-
-
-def _int_bars(bars: Sequence[Bar], coords: _Coords, graded: bool
+def _int_bars(bars: Sequence[Bar], coords: Coords, graded: bool
               ) -> List[Tuple[int, int, int]]:
     """(kind, birth, death) int triples of the bars.
 
@@ -200,7 +149,7 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, graded: bool = False
     vertices the bars of b2, then one ghost per bar of b1.  A bar meets the
     ghost standing for it at its half-length (+inf for an infinite bar) and
     ghosts meet each other at 0.  Costs are int maxima of endpoint
-    differences in the `_Coords` of all endpoints; +inf is the int `never`,
+    differences in the `Coords` of all endpoints; +inf is the int `never`,
     1 + 2 max|coordinate|, above every endpoint gap and half-length.  The
     binary search runs over the sorted finite costs (pair costs,
     half-lengths and 0), and a probe at threshold t admits the edges
@@ -211,7 +160,7 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, graded: bool = False
     """
     left, right = b1.bars, b2.bars
     n1, n2 = len(left), len(right)
-    coords = _Coords(end for bar in left + right for end in (bar.birth, bar.death))
+    coords = Coords(end for bar in left + right for end in (bar.birth, bar.death))
     ends1 = _int_bars(left, coords, graded)
     ends2 = _int_bars(right, coords, graded)
     if (Counter(kind for kind, _, _ in ends1 if kind & 3)
@@ -228,8 +177,7 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, graded: bool = False
     ghosts1 = ((1 << n1) - 1) << n2
     match_l, match_r = [-1] * size, [-1] * size
 
-    def probe(k: int) -> Optional[List[int]]:
-        t = values[k]
+    def probe(t: int) -> Optional[List[int]]:
         adj = [sum(1 << j for j, c in enumerate(row) if c <= t)
                | (1 << (n2 + i) if halves1[i] <= t else 0)
                for i, row in enumerate(costs)]
@@ -243,8 +191,7 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, graded: bool = False
 
     # the largest value admits every edge of finite cost, and equal kind
     # counts give a perfect matching of finite cost, so some probe succeeds
-    k, perfect = _first_feasible(len(values), probe)
+    delta, perfect = coords.least(values, probe)
     pairs = [(i, v if v < n2 else None) for i, v in enumerate(perfect[:n1])]
     pairs += [(None, v) for v in perfect[n1:] if v < n2]
-    delta = coords.scalar(values[k])
     return delta, Matching(tuple(pairs), delta)

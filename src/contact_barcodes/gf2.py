@@ -8,7 +8,7 @@ linear systems and the sweep of `persistence.decompose` all run on it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalar import Frozen
 
@@ -206,25 +206,3 @@ class Gf2System:
             x |= (((row & (x << 1)).bit_count() ^ row) & 1) << (top - 1)
         return x
 
-
-def all_matrices(nrows: int, ncols: int) -> Iterator[Gf2Matrix]:
-    if nrows == 0 or ncols == 0:
-        yield Gf2Matrix((0,) * nrows, ncols)
-        return
-    total = 1 << (nrows * ncols)
-    mask = (1 << ncols) - 1
-    for code in range(total):
-        rows = tuple((code >> (i * ncols)) & mask for i in range(nrows))
-        yield Gf2Matrix(rows, ncols)
-
-
-def invertible_matrices(n: int) -> List[Gf2Matrix]:
-    """All elements of GL_n(F2); cached for small n."""
-    cached = _GL_CACHE.get(n)
-    if cached is None:
-        cached = [m for m in all_matrices(n, n) if m.is_invertible()]
-        _GL_CACHE[n] = cached
-    return cached
-
-
-_GL_CACHE: dict = {}

@@ -5,18 +5,18 @@ interleaving maps F region by region; every constraint on the backward
 maps G, a matrix identity sum(L @ G[t] @ R) == C, becomes linear equations
 through one routine, `_add_identity`.  It is kept independent of the
 bottleneck distance of `distances`, so that the two routes can be played
-against each other.  Region shifts and candidate deltas are exact ints in
-the `_Coords` of `distances`; values become Scalars again only at the
-output.
+against each other: the two share only `scalar.Coords`, the exact int
+coordinates of region shifts and candidate deltas and the search over
+them.  Values become Scalars again only at the output.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate, product
+from sys import getsizeof
 from typing import List, Optional, Sequence, Tuple
 
-from .distances import _Coords, _first_feasible
 from .errors import (
     HorizonMismatchError,
     InfiniteDeltaError,
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .gf2 import Echelon, Gf2Matrix, Gf2System
 from .persistence import SampledModule, _valid_gaps, composite_map
-from .scalar import Frozen, POS_INF, Scalar, ZERO
+from .scalar import Coords, Frozen, POS_INF, Scalar, ZERO
 
 
 class InterleavingCertificate(Frozen):
@@ -78,11 +78,11 @@ def _shift_tables(regions1: _Regions, regions2: _Regions, delta: Scalar):
     Region r > 0 starts at cut r - 1 and lands in the target region that
     holds the points just right of that cut plus the shift; region 0
     reaches to -inf and lands in region 0.  Cuts and delta are compared
-    in one `_Coords`, so any finite delta works.
+    in one `Coords`, so any finite delta works.
     """
     if not delta.is_finite:
         raise InfiniteDeltaError(f"interleaving parameter delta must be finite, got {delta}")
-    coords = _Coords(regions1.cuts + regions2.cuts + (delta,))
+    coords = Coords(regions1.cuts + regions2.cuts + (delta,))
     cuts1 = [coords.of(c) for c in regions1.cuts]
     cuts2 = [coords.of(c) for c in regions2.cuts]
     shift = coords.of(delta)
@@ -94,13 +94,26 @@ def _shift_tables(regions1: _Regions, regions2: _Regions, delta: Scalar):
             table(cuts1, 2 * shift, cuts1), table(cuts2, 2 * shift, cuts2))
 
 
-def _candidate_grid(m1: SampledModule, m2: SampledModule) -> Tuple[_Coords, List[int]]:
+# bytes the gaps of the candidate grid may take, estimated before any is built
+_GRID_BYTES = 1 << 26
+
+
+def _candidate_grid(m1: SampledModule, m2: SampledModule) -> Tuple[Coords, List[int]]:
     """0, every gap between two of the spectrum points and horizon ends of
     both modules, and half of every gap, ascending, as ints in the
-    `_Coords` of those values."""
+    `Coords` of those values.
+
+    P values have P(P - 1)/2 gaps, each an int about as long as the scale;
+    past _GRID_BYTES of them the grid is refused with TooLargeError.
+    """
     values = set(m1.spectrum.points) | set(m2.spectrum.points)
     values |= {m1.spectrum.lo, m1.spectrum.hi, m2.spectrum.lo, m2.spectrum.hi}
-    coords = _Coords(values)
+    coords = Coords(values)
+    n_gaps = len(values) * (len(values) - 1) // 2
+    if n_gaps * getsizeof(coords.scale) > _GRID_BYTES:
+        raise TooLargeError(
+            f"the candidate grid of {n_gaps} gaps at a {coords.scale.bit_length()}-bit "
+            f"scale exceeds the grid bound ({_GRID_BYTES} bytes)")
     xs = sorted(coords.of(v) for v in values)
     gaps = {b - a for i, a in enumerate(xs) for b in xs[i + 1:]}
     return coords, sorted({0} | gaps | {g // 2 for g in gaps})
@@ -168,9 +181,10 @@ def _add_identity(system: Gf2System, g: _GLayout,
 
 
 def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
-                  delta: Scalar
+                  tables: Tuple[List[int], List[int], List[int], List[int]]
                   ) -> Optional[Tuple[List[Gf2Matrix], List[Gf2Matrix]]]:
-    """The first (F maps, G maps) pair satisfying every constraint, or None.
+    """The first (F maps, G maps) pair satisfying every constraint at the
+    delta of the shift `tables`, or None.
 
     F maps are searched depth-first along the forward naturality chain, on
     an explicit stack with one frame per region; G equations are accumulated
@@ -180,7 +194,7 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
     R1, R2 = regions1.n, regions2.n
     d1 = [d[parity] for d in regions1.dims]
     d2 = [d[parity] for d in regions2.dims]
-    phi, psi, phi2, psi2 = _shift_tables(regions1, regions2, delta)
+    phi, psi, phi2, psi2 = tables
     g = _GLayout([d1[psi[t]] for t in range(R2)], d2)
 
     # backward naturality chain, G[t+1] A2 = C1 G[t], is independent of F
@@ -285,9 +299,10 @@ def find_interleaving(m1: SampledModule, m2: SampledModule, delta: Scalar
 def _certificate(regions1: _Regions, regions2: _Regions, delta: Scalar
                  ) -> Optional[InterleavingCertificate]:
     """find_interleaving on modules already validated and bounded."""
+    tables = _shift_tables(regions1, regions2, delta)
     per_parity = []
     for parity in (0, 1):
-        found = _search_chain(regions1, regions2, parity, delta)
+        found = _search_chain(regions1, regions2, parity, tables)
         if found is None:
             return None
         per_parity.append(found)
@@ -318,9 +333,9 @@ def interleaving_distance_bruteforce(m1: SampledModule, m2: SampledModule
     _check_enumeration_bound(m1, m2)
     regions1, regions2 = _Regions(m1), _Regions(m2)
     coords, grid = _candidate_grid(m1, m2)
-    found = _first_feasible(
-        len(grid), lambda k: _certificate(regions1, regions2, coords.scalar(grid[k])))
-    return POS_INF if found is None else coords.scalar(grid[found[0]])
+    found = coords.least(
+        grid, lambda n: _certificate(regions1, regions2, coords.scalar(n)))
+    return POS_INF if found is None else found[0]
 
 
 def verify_interleaving(cert: InterleavingCertificate, m1: SampledModule,

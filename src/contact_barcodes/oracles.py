@@ -11,13 +11,36 @@ They exist to be slow and obviously correct.
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .barcode import Bar, Barcode
 from .errors import TooLargeError
-from .gf2 import Gf2Matrix, invertible_matrices
+from .gf2 import Gf2Matrix
 from .persistence import SampledModule, _make_bar, _valid_gaps
 from .scalar import POS_INF, Scalar, ZERO, midpoint
+
+
+def all_matrices(nrows: int, ncols: int) -> Iterator[Gf2Matrix]:
+    if nrows == 0 or ncols == 0:
+        yield Gf2Matrix((0,) * nrows, ncols)
+        return
+    total = 1 << (nrows * ncols)
+    mask = (1 << ncols) - 1
+    for code in range(total):
+        rows = tuple((code >> (i * ncols)) & mask for i in range(nrows))
+        yield Gf2Matrix(rows, ncols)
+
+
+def invertible_matrices(n: int) -> List[Gf2Matrix]:
+    """All elements of GL_n(F2); cached for small n."""
+    cached = _GL_CACHE.get(n)
+    if cached is None:
+        cached = [m for m in all_matrices(n, n) if m.is_invertible()]
+        _GL_CACHE[n] = cached
+    return cached
+
+
+_GL_CACHE: dict = {}
 
 
 def brute_force_decompose(m: SampledModule) -> Barcode:

@@ -6,7 +6,8 @@ defined on finite values only.  The canonical text form is "p/q" with
 q > 0 and gcd(p, q) = 1, or "-inf" / "inf", and round-trips bit-exactly.
 
 `Frozen`, the base of every immutable value class of the package, lives
-here because every process loads this module.
+here because every process loads this module, and so does `Coords`, the
+exact int coordinates and delta search of both distance routes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import re
 from fractions import Fraction
 from operator import attrgetter
-from typing import Union
+from typing import Callable, Iterable, Optional, Sequence, Tuple, TypeVar, Union
 
 ScalarLike = Union["Scalar", Fraction, int, str]
 
@@ -189,6 +190,52 @@ class Scalar(Frozen):
             return cls(Fraction(t))
         except ZeroDivisionError as exc:
             raise ValueError(f"not a scalar: {text!r}") from exc
+
+
+T = TypeVar("T")
+
+
+class Coords:
+    """Exact int coordinates for the finitely many rationals of one call.
+
+    `scale` is twice the lcm of their denominators, so each value, each
+    difference of two values and half of each difference, times `scale`,
+    is an int.  Scaling by one positive factor keeps every order and
+    equality, so int comparisons decide what Scalar comparisons would.
+    Infinities have no coordinate; callers tag them before mapping.
+    """
+
+    __slots__ = ("scale",)
+
+    def __init__(self, values: Iterable[Scalar]):
+        self.scale = 2 * math.lcm(*{v.value.denominator for v in values if v.is_finite})
+
+    def of(self, x: Scalar) -> int:
+        """x * scale, for finite x."""
+        q = x.value
+        return q.numerator * (self.scale // q.denominator)
+
+    def scalar(self, n: int) -> Scalar:
+        """The Scalar with coordinate n."""
+        return Scalar(Fraction(n, self.scale))
+
+    def least(self, values: Sequence[int], probe: Callable[[int], Optional[T]]
+              ) -> Optional[Tuple[Scalar, T]]:
+        """The least of the ascending ints `values` at which probe succeeds
+        (is not None), as a Scalar, with its result; None if it never does.
+
+        The probe must fail below some value and succeed from it on, so a
+        binary search takes at most len(values).bit_length() probes.
+        """
+        lo, hi, best = 0, len(values) - 1, None
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            res = probe(values[mid])
+            if res is None:
+                lo = mid + 1
+            else:
+                hi, best = mid - 1, (values[mid], res)
+        return None if best is None else (self.scalar(best[0]), best[1])
 
 
 def as_scalar(x: ScalarLike) -> Scalar:

@@ -1,5 +1,7 @@
 import json
+import random
 import time
+from fractions import Fraction
 from pathlib import Path
 import xml.etree.ElementTree as ET
 
@@ -10,7 +12,7 @@ from contact_barcodes.cli import main, run
 from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
 from contact_barcodes.errors import ParseError
 from contact_barcodes.persistence import module_from_barcode
-from contact_barcodes.scalar import NEG_INF, POS_INF, rational
+from contact_barcodes.scalar import NEG_INF, POS_INF, Scalar, rational
 from contact_barcodes.serialization import dumps, loads
 
 
@@ -316,6 +318,28 @@ def test_reduce_refuses_a_dimension_past_the_bound(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert "decomposition bound" in captured.err
+
+
+
+def test_interleave_refuses_a_candidate_grid_past_the_bound(tmp_path, capsys):
+    # 1,000 points k/q with q < 10**4: a million candidate deltas, each
+    # thousands of bits long, are refused before the grid is built
+    rng = random.Random(3)
+    points = set()
+    while len(points) < 1000:
+        q = rng.randrange(1, 10 ** 4)
+        points.add(Fraction(rng.randrange(100 * q), q))
+    pts = [Scalar(p) for p in sorted(points)]
+    sp = Spectrum(tuple(pts), rational(0), rational(100))
+    paths = []
+    for bar in (Bar(pts[0], pts[-1], 0), Bar(pts[1], pts[-2], 1)):
+        paths.append(tmp_path / f"m{len(paths)}.json")
+        paths[-1].write_text(dumps(module_from_barcode(Barcode(sp, (bar,)))))
+    assert main(["interleave", *map(str, paths)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "candidate grid" in captured.err
 
 
 def _invalid_module_doc():

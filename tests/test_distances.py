@@ -1,4 +1,5 @@
 import random
+import time
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -34,7 +35,7 @@ from contact_barcodes.random_instances import (
     random_spectrum,
     scramble,
 )
-from contact_barcodes.scalar import NEG_INF, POS_INF, ZERO, Scalar, rational
+from contact_barcodes.scalar import NEG_INF, POS_INF, ZERO, Coords, Scalar, rational
 
 
 def candidate_deltas(m1, m2):
@@ -491,6 +492,43 @@ def test_interleaving_on_400_regions():
     assert find_interleaving(m1, m2, rational(1, 2)) is None
 
 
+def dense_region_pair(n_points):
+    """Two modules over n_points random points k/q with q < 10**4, one
+    short and one long bar each, as in test_interleaving_on_400_regions."""
+    rng = random.Random(f"dense regions/{n_points}")
+    points = set()
+    while len(points) < n_points:
+        q = rng.randrange(1, 10 ** 4)
+        points.add(Fraction(rng.randrange(100 * q), q))
+    pts = tuple(Scalar(p) for p in sorted(points))
+    sp = Spectrum(pts, rational(0), rational(100))
+    one = Barcode(sp, (Bar(pts[0], pts[-1], 0), Bar(pts[1], pts[3], 1)))
+    other = Barcode(sp, (Bar(pts[1], pts[-1], 0), Bar(pts[1], pts[2], 1)))
+    return module_from_barcode(one), module_from_barcode(other)
+
+
+def test_candidate_grid_past_the_bound_is_refused_before_it_is_built():
+    # 1,002 values at a 3,608-bit scale would give about a million
+    # candidates, hundreds of MB of ints; the refusal costs milliseconds
+    m1, m2 = dense_region_pair(1000)
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError, match="candidate grid of 501501 gaps"):
+        interleaving_distance_bruteforce(m1, m2)
+    assert time.perf_counter() - start < 1
+
+
+def test_candidate_grid_bound_admits_the_integer_pairs():
+    # the two-bar pairs of test_interleaving_on_400_regions at 400 and
+    # 1,000 integer points, and 300 dense points, stay under the bound
+    for n in (400, 1000):
+        sp = Spectrum.of(list(range(n)), 0, n - 1)
+        m = module_from_barcode(Barcode(sp, (Bar.of(0, n - 1, 0), Bar.of(1, 3, 1))))
+        coords, grid = _candidate_grid(m, m)
+        assert coords.scale == 2 and grid[:3] == [0, 1, 2] and grid[-1] == 2 * (n - 1)
+    coords, grid = _candidate_grid(*dense_region_pair(300))
+    assert len(grid) > 90_000
+
+
 def test_search_backs_out_of_later_regions():
     # one barcode in two random bases: at delta = 2 the search takes F maps
     # in early regions that dead-end further along the chain, so it must
@@ -910,6 +948,51 @@ def test_bottleneck_at_1000_bars_a_side():
         below = max(c for c in twice if c < twice_d)
         assert not matching_exists(ends1, ends2, below, graded), (graded, below)
         assert matching_exists(ends1, ends2, int(twice_d), graded), graded
+
+
+def first_primes(n):
+    found = []
+    k = 2
+    while len(found) < n:
+        if all(k % p for p in found if p * p <= k):
+            found.append(k)
+        k += 1
+    return found
+
+
+def test_bottleneck_probes_candidates_not_bits_on_prime_denominators(monkeypatch):
+    # 200 bars a side over 800 points with distinct prime denominators: the
+    # scale has thousands of bits, so a bisection of the int threshold would
+    # take thousands of probes; the search over the sorted candidates takes
+    # one per bit of their count
+    rng = random.Random("prime denominators")
+    points = tuple(Scalar(Fraction(rng.randrange(100 * q), q)) for q in first_primes(800))
+    sp = Spectrum(tuple(sorted(points)), rational(0), rational(100))
+
+    def code():
+        bars = []
+        for _ in range(200):
+            i, j = sorted(rng.sample(range(len(sp.points)), 2))
+            bars.append(Bar(sp.points[i], sp.points[j], rng.randint(0, 1)))
+        return Barcode(sp, tuple(bars))
+
+    searches = []
+    least = Coords.least
+
+    def counted_least(coords, values, probe):
+        probes = []
+        found = least(coords, values, lambda t: probes.append(t) or probe(t))
+        searches.append((coords.scale.bit_length(), len(values), len(probes)))
+        return found
+
+    monkeypatch.setattr(Coords, "least", counted_least)
+    b1, b2 = code(), code()
+    for graded in (False, True):
+        d, matching = bottleneck_distance(b1, b2, graded=graded)
+        assert witness_cost(b1, b2, matching, graded) == d
+        bits, candidates, probes = searches[-1]
+        assert bits > 5000 and candidates > 15_000
+        assert probes <= candidates.bit_length()
 
 
 def reference_shift_tables(regions1, regions2, delta):

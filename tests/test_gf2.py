@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from contact_barcodes.gf2 import (
-    Echelon,
-    Gf2Matrix,
-    Gf2System,
-    all_matrices,
-    invertible_matrices,
-)
+from contact_barcodes.gf2 import Echelon, Gf2Matrix, Gf2System
+from contact_barcodes.oracles import all_matrices, invertible_matrices
 from contact_barcodes.random_instances import random_basis_change
 
 

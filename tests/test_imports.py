@@ -46,8 +46,7 @@ COMMANDS = [
     ("help", ["--help"], set()),
     ("verify", ["verify", "{module}"], MODULES),
     ("reduce", ["reduce", "{module}"], MODULES),
-    ("interleave", ["interleave", "{module}", "{module}"],
-     MODULES | {"distances", "interleaving"}),
+    ("interleave", ["interleave", "{module}", "{module}"], MODULES | {"interleaving"}),
     ("ellipsoid", ["ellipsoid", "-a", "1", "-a", "3/2", "-T", "6"],
      BARCODES | {"ellipsoid"}),
     ("distance", ["distance", "{barcode}", "{barcode}"], BARCODES | {"distances"}),

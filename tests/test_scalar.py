@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from contact_barcodes.scalar import (
     NEG_INF,
     POS_INF,
     ZERO,
+    Coords,
     Scalar,
     as_scalar,
     midpoint,
@@ -100,3 +102,36 @@ def test_comparison_with_a_non_scalar_is_not_implemented():
         ZERO < 1
     with pytest.raises(TypeError):
         rational(1, 2) >= Fraction(1, 2)
+
+
+def test_coords_scale_every_value_and_half_gap_to_ints():
+    coords = Coords([rational(1, 3), rational(-5, 4), POS_INF, NEG_INF])
+    assert coords.scale == 24
+    assert coords.of(rational(1, 3)) == 8 and coords.of(rational(-5, 4)) == -30
+    assert coords.scalar(-19) == rational(-19, 24)
+    assert Coords([]).scale == 2
+
+
+def test_least_finds_the_threshold_in_few_probes():
+    # ascending candidates of every length up to 40, with the threshold at
+    # every position and past the end (a probe that never succeeds)
+    rng = random.Random(5)
+    coords = Coords([rational(1, 6)])
+    for n in range(41):
+        values = sorted(rng.sample(range(-1000, 1000), n))
+        for k in range(n + 1):
+            probed = []
+
+            def probe(t):
+                probed.append(t)
+                return ("ok", t) if k < n and t >= values[k] else None
+
+            found = coords.least(values, probe)
+            if k == n:
+                assert found is None
+            else:
+                assert found == (rational(values[k], 12), ("ok", values[k]))
+                assert isinstance(found[0], Scalar)
+            assert len(probed) <= n.bit_length()
+            assert set(probed) <= set(values)
+    assert coords.least([], lambda t: 1 / 0) is None
