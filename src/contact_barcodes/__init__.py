@@ -28,11 +28,10 @@ _SOURCE = {
     **dict.fromkeys(("EllipsoidParams", "CzIndex", "ellipsoid_spectrum",
                      "cz_index", "ellipsoid_barcode", "gaps_longer_than"),
                     "ellipsoid"),
-    **dict.fromkeys(("PerturbationBall", "VanishingReport", "LipschitzReport",
-                     "spectral_invariant", "translate_barcode", "boundary_depth",
-                     "covering_number", "bar_endpoint_set",
-                     "translated_point_lower_bound", "vanishing_predicates",
-                     "perturb_barcode", "check_lipschitz"), "invariants"),
+    **dict.fromkeys(("VanishingReport", "spectral_invariant", "translate_barcode",
+                     "boundary_depth", "covering_number", "bar_endpoint_set",
+                     "translated_point_lower_bound", "vanishing_predicates"),
+                    "invariants"),
     "errors": "errors",
 }
 

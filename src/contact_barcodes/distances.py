@@ -35,12 +35,10 @@ class Matching(Frozen):
     index appears exactly once per side.
     """
 
-    __slots__ = ("pairs", "cost")
+    __slots__ = ("pairs",)
 
-    def __init__(self, pairs: Tuple[Tuple[Optional[int], Optional[int]], ...],
-                 cost: Scalar):
+    def __init__(self, pairs: Tuple[Tuple[Optional[int], Optional[int]], ...]):
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "cost", cost)
 
 
 def _set_bits(x: int) -> Iterator[int]:
@@ -194,4 +192,4 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, graded: bool = False
     delta, perfect = coords.least(values, probe)
     pairs = [(i, v if v < n2 else None) for i, v in enumerate(perfect[:n1])]
     pairs += [(None, v) for v in perfect[n1:] if v < n2]
-    return delta, Matching(tuple(pairs), delta)
+    return delta, Matching(tuple(pairs))

@@ -94,7 +94,7 @@ def _shift_tables(regions1: _Regions, regions2: _Regions, delta: Scalar):
             table(cuts1, 2 * shift, cuts1), table(cuts2, 2 * shift, cuts2))
 
 
-# bytes the gaps of the candidate grid may take, estimated before any is built
+# bytes the distinct gaps of the candidate grid may take
 _GRID_BYTES = 1 << 26
 
 
@@ -103,19 +103,23 @@ def _candidate_grid(m1: SampledModule, m2: SampledModule) -> Tuple[Coords, List[
     both modules, and half of every gap, ascending, as ints in the
     `Coords` of those values.
 
-    P values have P(P - 1)/2 gaps, each an int about as long as the scale;
-    past _GRID_BYTES of them the grid is refused with TooLargeError.
+    The distinct gaps are collected one point at a time, each an int about
+    as long as the scale; once they pass _GRID_BYTES the grid is refused
+    with TooLargeError.
     """
     values = set(m1.spectrum.points) | set(m2.spectrum.points)
     values |= {m1.spectrum.lo, m1.spectrum.hi, m2.spectrum.lo, m2.spectrum.hi}
     coords = Coords(values)
-    n_gaps = len(values) * (len(values) - 1) // 2
-    if n_gaps * getsizeof(coords.scale) > _GRID_BYTES:
-        raise TooLargeError(
-            f"the candidate grid of {n_gaps} gaps at a {coords.scale.bit_length()}-bit "
-            f"scale exceeds the grid bound ({_GRID_BYTES} bytes)")
     xs = sorted(coords.of(v) for v in values)
-    gaps = {b - a for i, a in enumerate(xs) for b in xs[i + 1:]}
+    gap_bytes = getsizeof(coords.scale)
+    gaps = set()
+    for i, a in enumerate(xs):
+        gaps.update(b - a for b in xs[i + 1:])
+        if len(gaps) * gap_bytes > _GRID_BYTES:
+            raise TooLargeError(
+                f"the candidate grid passed {len(gaps)} distinct gaps at a "
+                f"{coords.scale.bit_length()}-bit scale, over the grid bound "
+                f"({_GRID_BYTES} bytes)")
     return coords, sorted({0} | gaps | {g // 2 for g in gaps})
 
 

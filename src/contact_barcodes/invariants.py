@@ -3,17 +3,16 @@
 Spectral invariants read births of undying bars, boundary depth
 measures the longest certified finite bar, covering numbers of endpoint
 sets bound the count of distinct translated-point lengths from below, and
-a perturbation-ball harness exercises the Lipschitz and monotonicity
-behaviour of the spectral invariants under bottleneck-bounded noise.
+`vanishing_predicates` reads whether the barcode forces SH to vanish.
+Each is a deterministic read of one barcode; the seeded stability check
+of the spectral invariants is criterion 6 of `suite`.
 """
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
-from .barcode import Bar, Barcode, Spectrum
+from .barcode import Bar, Barcode
 from .errors import InPiSpanError, NonPositiveDeltaError
 from .scalar import Frozen, POS_INF, Scalar, ZERO
 
@@ -118,145 +117,23 @@ def translated_point_lower_bound(b_id: Barcode, delta: Scalar) -> int:
 class VanishingReport(Frozen):
     """Reporting predicate on an identity-model barcode.
 
-    forces_sh_zero is None when truncation makes the verdict undecidable
-    from the window alone.
+    forces_sh_zero is False when a certified half-infinite bar exists,
+    and None when truncation makes the verdict undecidable from the window
+    alone.
     """
 
-    __slots__ = ("has_bar_at_zero", "has_half_infinite", "forces_sh_zero", "status")
+    __slots__ = ("has_bar_at_zero", "forces_sh_zero")
 
-    def __init__(self, has_bar_at_zero: bool, has_half_infinite: bool,
-                 forces_sh_zero: Optional[bool], status: str):
+    def __init__(self, has_bar_at_zero: bool, forces_sh_zero: Optional[bool]):
         object.__setattr__(self, "has_bar_at_zero", has_bar_at_zero)
-        object.__setattr__(self, "has_half_infinite", has_half_infinite)
         object.__setattr__(self, "forces_sh_zero", forces_sh_zero)
-        object.__setattr__(self, "status", status)
 
 
 def vanishing_predicates(b: Barcode) -> VanishingReport:
     has_zero = any(bar.birth == ZERO for bar in b.bars)
-    certified_half = any(
-        bar.death.is_pos_inf and bar.birth.is_finite and not bar.truncated
-        for bar in b.bars)
-    has_truncated = any(bar.truncated for bar in b.bars)
-    if certified_half:
-        return VanishingReport(has_zero, True, False, "certain")
-    if has_truncated:
-        return VanishingReport(has_zero, False, None, "unknown under truncation")
-    return VanishingReport(has_zero, False, True, "certain")
-
-
-class PerturbationBall(Frozen):
-    """Radius of allowed barcode perturbations, modelling a Hofer-type ball."""
-
-    __slots__ = ("radius",)
-
-    def __init__(self, radius: Scalar):
-        if radius < ZERO:
-            raise ValueError("radius must be nonnegative")
-        object.__setattr__(self, "radius", radius)
-
-
-def perturb_barcode(b: Barcode, ball: PerturbationBall, rng: random.Random
-                    ) -> Barcode:
-    """A random barcode within bottleneck distance <= ball.radius of b.
-
-    Finite endpoints move by at most the radius, short bars may be dropped,
-    and fresh bars of half-length at most the radius may appear; the new
-    spectrum is rebuilt from the perturbed endpoints.
-    """
-    r = ball.radius
-    if r == ZERO:
-        return b
-
-    def jitter() -> Scalar:
-        return r * Fraction(rng.randint(-8, 8), 8)
-
-    new_bars: List[Bar] = []
-    for bar in b.bars:
-        if bar.is_finite and not (r < bar.half_length()) and rng.random() < 0.2:
-            continue  # drop a short bar: its ersatz partner costs <= r
-        birth, death = bar.birth, bar.death
-        if birth.is_finite and death.is_finite:
-            db, dd = jitter(), jitter()
-            if birth + db < death + dd:
-                birth, death = birth + db, death + dd
-            else:
-                shift = jitter()
-                birth, death = birth + shift, death + shift
-        elif birth.is_finite:
-            birth = birth + jitter()
-        elif death.is_finite:
-            death = death + jitter()
-        new_bars.append(Bar(birth, death, bar.parity, bar.truncated))
-    n_new = rng.randint(0, 2)
-    lo, hi = b.spectrum.lo, b.spectrum.hi
-    for _ in range(n_new):
-        center = lo + (hi - lo) * Fraction(rng.randint(0, 16), 16)
-        half = r * Fraction(rng.randint(1, 8), 8)
-        new_bars.append(Bar(center - half, center + half, rng.randint(0, 1)))
-    points = sorted({e for bar in new_bars for e in (bar.birth, bar.death)
-                     if e.is_finite})
-    new_lo = min([lo - r] + points)
-    new_hi = max([hi + r] + points)
-    spectrum = Spectrum(tuple(points), new_lo, new_hi)
-    return Barcode(spectrum, tuple(new_bars))
-
-
-class LipschitzReport(Frozen):
-    __slots__ = ("invariant", "trials", "max_deviation", "violations")
-
-    def __init__(self, invariant: str, trials: int, max_deviation: Scalar,
-                 violations: Tuple[str, ...]):
-        object.__setattr__(self, "invariant", invariant)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "max_deviation", max_deviation)
-        object.__setattr__(self, "violations", violations)
-
-    def to_dict(self) -> dict:
-        return {
-            "invariant": self.invariant,
-            "trials": self.trials,
-            "max_deviation": str(self.max_deviation),
-            "violations": list(self.violations),
-        }
-
-
-def check_lipschitz(b: Barcode, ball: PerturbationBall, trials: int,
-                    seed: int = 0) -> LipschitzReport:
-    """Empirical Lipschitz check of spectral invariants under perturbation.
-
-    Each trial draws a perturbation inside the ball, matches half-infinite
-    bars through the bottleneck witness, and compares births; any deviation
-    beyond the radius (or distance beyond the radius) is recorded.
-    """
-    # imported here, its only use, so that the other invariants do not load
-    # the distances module
-    from .distances import bottleneck_distance
-
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    r = ball.radius
-    max_dev = ZERO
-    violations: List[str] = []
-    for trial in range(trials):
-        rng = random.Random((seed << 20) ^ trial)
-        perturbed = perturb_barcode(b, ball, rng)
-        dist, matching = bottleneck_distance(b, perturbed)
-        if matching is None or r < dist:
-            violations.append(
-                f"trial {trial}: bottleneck distance {dist} exceeds radius {r}")
-            continue
-        for left, right in matching.pairs:
-            if left is None or right is None:
-                continue
-            bar_l, bar_r = b.bars[left], perturbed.bars[right]
-            if not (bar_l.death.is_pos_inf and bar_r.death.is_pos_inf):
-                continue
-            if bar_l.birth.is_neg_inf or bar_r.birth.is_neg_inf:
-                continue
-            dev = abs(bar_l.birth - bar_r.birth)
-            max_dev = max(max_dev, dev)
-            if r < dev:
-                violations.append(
-                    f"trial {trial}: spectral deviation {dev} exceeds radius {r}")
-    return LipschitzReport("lipschitz-spectral", trials, max_dev, tuple(violations))
+    if any(bar.death.is_pos_inf and bar.birth.is_finite and not bar.truncated
+           for bar in b.bars):
+        return VanishingReport(has_zero, False)
+    if any(bar.truncated for bar in b.bars):
+        return VanishingReport(has_zero, None)
+    return VanishingReport(has_zero, True)

@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 from .barcode import Bar, Barcode, Spectrum
 from .gf2 import Gf2Matrix
 from .persistence import SampledModule, _sample_positions
-from .scalar import NEG_INF, POS_INF, Scalar, rational
+from .scalar import NEG_INF, POS_INF, ZERO, Scalar, rational
 
 
 def random_rational(rng: random.Random, lo: int = -8, hi: int = 8) -> Scalar:
@@ -60,6 +60,52 @@ def random_barcode(rng: random.Random, max_bars: int = 8, max_points: int = 6,
             b.birth.is_finite and b.death.is_pos_inf for b in bars):
         bars.append(Bar(rng.choice(points), POS_INF, rng.randint(0, 1)))
     return Barcode(spectrum, tuple(bars))
+
+
+def perturb_barcode(b: Barcode, radius: Scalar, rng: random.Random) -> Barcode:
+    """A random barcode within bottleneck distance <= radius of b.
+
+    Finite endpoints move by at most the radius, short bars may be dropped,
+    and fresh bars of half-length at most the radius may appear; the new
+    spectrum is rebuilt from the perturbed endpoints.
+    """
+    if radius < ZERO:
+        raise ValueError("radius must be nonnegative")
+    if radius == ZERO:
+        return b
+
+    def jitter() -> Scalar:
+        return radius * Fraction(rng.randint(-8, 8), 8)
+
+    new_bars: List[Bar] = []
+    for bar in b.bars:
+        if bar.is_finite and not (radius < bar.half_length()) and rng.random() < 0.2:
+            continue  # drop a short bar: its ersatz partner costs <= radius
+        birth, death = bar.birth, bar.death
+        if birth.is_finite and death.is_finite:
+            db, dd = jitter(), jitter()
+            if birth + db < death + dd:
+                birth, death = birth + db, death + dd
+            else:
+                shift = jitter()
+                birth, death = birth + shift, death + shift
+        elif birth.is_finite:
+            birth = birth + jitter()
+        elif death.is_finite:
+            death = death + jitter()
+        new_bars.append(Bar(birth, death, bar.parity, bar.truncated))
+    n_new = rng.randint(0, 2)
+    lo, hi = b.spectrum.lo, b.spectrum.hi
+    for _ in range(n_new):
+        center = lo + (hi - lo) * Fraction(rng.randint(0, 16), 16)
+        half = radius * Fraction(rng.randint(1, 8), 8)
+        new_bars.append(Bar(center - half, center + half, rng.randint(0, 1)))
+    points = sorted({e for bar in new_bars for e in (bar.birth, bar.death)
+                     if e.is_finite})
+    new_lo = min([lo - radius] + points)
+    new_hi = max([hi + radius] + points)
+    spectrum = Spectrum(tuple(points), new_lo, new_hi)
+    return Barcode(spectrum, tuple(new_bars))
 
 
 def random_module(rng: random.Random, max_points: int = 4, max_dim: int = 2,

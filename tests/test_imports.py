@@ -87,6 +87,23 @@ def test_no_module_imports_dataclasses():
             assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name
 
 
+def test_invariants_import_only_barcode_errors_and_scalar():
+    # the invariants are reads of one barcode, loaded by four cpv commands:
+    # no distance, module or random code, not even inside a function
+    path = ROOT / "src" / "contact_barcodes" / "invariants.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "contact_barcodes." * bool(node.level) + (node.module or "")
+            names = [f"{module.rstrip('.')}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        imported |= {n.split(".")[1] for n in names if n.startswith("contact_barcodes.")}
+    assert imported <= {"barcode", "errors", "scalar"}, imported
+
+
 def test_missing_file_through_the_real_process(tmp_path):
     done = _python("-m", "contact_barcodes", "depth", str(tmp_path / "missing.json"))
     assert done.returncode == 2

@@ -10,21 +10,22 @@ from contact_barcodes.distances import bottleneck_distance
 from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
 from contact_barcodes.errors import InPiSpanError
 from contact_barcodes.invariants import (
-    LipschitzReport,
-    PerturbationBall,
     bar_endpoint_set,
     boundary_depth,
-    check_lipschitz,
     covering_number,
-    perturb_barcode,
     spectral_invariant,
     translate_barcode,
     translated_point_lower_bound,
     vanishing_predicates,
 )
 from contact_barcodes.oracles import covering_min_partition, covering_min_subsets
-from contact_barcodes.random_instances import random_barcode, random_rational
+from contact_barcodes.random_instances import (
+    perturb_barcode,
+    random_barcode,
+    random_rational,
+)
 from contact_barcodes.scalar import NEG_INF, POS_INF, Scalar, ZERO, rational
+from contact_barcodes.suite import stability_violations
 
 
 def test_sh_class_structure():
@@ -187,17 +188,16 @@ def test_bound_monotone_in_delta():
 def test_vanishing_predicates():
     unknown = vanishing_predicates(ellipsoid_barcode(EllipsoidParams.of([1], 2)))
     assert unknown.has_bar_at_zero
-    assert not unknown.has_half_infinite
     assert unknown.forces_sh_zero is None
-    assert unknown.status == "unknown under truncation"
 
     alive = vanishing_predicates(
         Barcode(Spectrum.of([0], 0, 1), (Bar(rational(0), POS_INF, 0),)))
-    assert alive.has_bar_at_zero and alive.has_half_infinite
+    assert alive.has_bar_at_zero
     assert alive.forces_sh_zero is False
 
     dead = vanishing_predicates(Barcode(Spectrum.of([0, 3], 0, 3), (Bar.of(0, 3),)))
-    assert dead.forces_sh_zero is True and dead.status == "certain"
+    assert dead.has_bar_at_zero
+    assert dead.forces_sh_zero is True
 
 
 def test_perturb_stays_in_ball():
@@ -207,7 +207,7 @@ def test_perturb_stays_in_ball():
         radius = abs(random_rational(rng, 1, 2))
         if radius == ZERO:
             radius = rational(1, 2)
-        perturbed = perturb_barcode(b, PerturbationBall(radius), rng)
+        perturbed = perturb_barcode(b, radius, rng)
         d, _ = bottleneck_distance(b, perturbed)
         assert not (radius < d)
 
@@ -215,33 +215,32 @@ def test_perturb_stays_in_ball():
 def test_perturb_radius_zero_is_identity():
     rng = random.Random(19)
     b = random_barcode(rng)
-    assert perturb_barcode(b, PerturbationBall(ZERO), rng) is b
-    with pytest.raises(ValueError):
-        PerturbationBall(rational(-1))
+    assert perturb_barcode(b, ZERO, rng) is b
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        perturb_barcode(b, rational(-1), rng)
 
 
-def test_check_lipschitz_reports():
+def test_stability_violations():
     base = Barcode(
         Spectrum.of([0, 1, 2, 3], 0, 3),
         (Bar.of(0, 2), Bar(rational(1), POS_INF, 0), Bar.of(2, 3, 1)))
-    report = check_lipschitz(base, PerturbationBall(rational(1, 4)), trials=40, seed=5)
-    assert isinstance(report, LipschitzReport)
-    assert report.trials == 40
-    assert not report.violations
-    assert not (rational(1, 4) < report.max_deviation)
-    d = report.to_dict()
-    assert d["invariant"] == "lipschitz-spectral"
-    assert isinstance(d["max_deviation"], str)
+    radius = rational(1, 4)
+    rng = random.Random(5)
+    for _ in range(40):
+        assert stability_violations(base, perturb_barcode(base, radius, rng), radius) == []
 
-    zero = check_lipschitz(base, PerturbationBall(ZERO), trials=2)
-    assert zero.max_deviation == ZERO
-    with pytest.raises(ValueError):
-        check_lipschitz(base, PerturbationBall(ZERO), trials=0)
+    # the undying bar's birth moves from 1 to 2: the bottleneck distance
+    # is 1 and passes the radius
+    moved = Barcode(base.spectrum, (Bar.of(0, 2), Bar(rational(2), POS_INF, 0),
+                                    Bar.of(2, 3, 1)))
+    assert stability_violations(base, moved, radius) == [
+        "bottleneck distance 1/1 exceeds radius 1/4"]
+    assert stability_violations(base, moved, rational(1)) == []
 
 
-def test_lipschitz_deterministic_per_seed():
+def test_perturbation_deterministic_per_seed():
     base = Barcode(Spectrum.of([0, 1], 0, 1),
                    (Bar.of(0, 1), Bar(rational(0), POS_INF, 1)))
-    a = check_lipschitz(base, PerturbationBall(rational(1, 2)), trials=10, seed=3)
-    b = check_lipschitz(base, PerturbationBall(rational(1, 2)), trials=10, seed=3)
-    assert a == b
+    a = perturb_barcode(base, rational(1, 2), random.Random(3))
+    b = perturb_barcode(base, rational(1, 2), random.Random(3))
+    assert a == b and a != base
