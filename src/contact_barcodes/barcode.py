@@ -8,7 +8,7 @@ lie on the spectrum.  Nothing here touches GF(2) or sampled modules;
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .scalar import Frozen, POS_INF, Scalar, ScalarLike, as_scalar
 
@@ -98,18 +98,53 @@ class Bar(Frozen):
         return (self.birth, self.death, self.parity)
 
 
+def _end_positions(points: Sequence[Scalar], bars: Iterable[Bar]
+                   ) -> Optional[List[Tuple[int, int]]]:
+    """The positions of each bar's birth and death among the sorted
+    spectrum points: the index of a finite end, -1 for -inf and len(points)
+    for +inf; None when some finite end is not a point.
+
+    The index is keyed by each point's (numerator, denominator) ints, which
+    Fraction keeps in lowest terms, so no Fraction hash or comparison runs.
+    Positions keep the order of the ends, since every finite end is a point.
+    """
+    index = {}
+    for i, p in enumerate(points):
+        q = p.value
+        index[q.numerator, q.denominator] = i
+    find = index.get
+    top = len(points)
+    ends = []
+    for bar in bars:
+        b, d = bar.birth.value, bar.death.value
+        # a bar's only infinite birth is -inf and its only infinite death +inf
+        b = -1 if b.__class__ is float else find((b.numerator, b.denominator))
+        d = top if d.__class__ is float else find((d.numerator, d.denominator))
+        if b is None or d is None:
+            return None
+        ends.append((b, d))
+    return ends
+
+
 class Barcode(Frozen):
-    """A multiset of bars over a common spectrum (stored sorted)."""
+    """A multiset of bars over a common spectrum (stored sorted by
+    `Bar.sort_key`, equal keys in the order given)."""
 
     __slots__ = ("spectrum", "bars")
 
     def __init__(self, spectrum: Spectrum, bars: Tuple[Bar, ...]):
-        bars = tuple(sorted(bars, key=Bar.sort_key))
-        points = set(spectrum.points)
-        for b in bars:
-            for end in (b.birth, b.death):
-                if end.is_finite and end not in points:
-                    raise ValueError(f"bar endpoint {end} is not a spectrum point")
+        bars = tuple(bars)
+        ends = _end_positions(spectrum.points, bars)
+        if ends is None:
+            # name the first endpoint off the spectrum in sorted bar order
+            points = set(spectrum.points)
+            for b in sorted(bars, key=Bar.sort_key):
+                for end in (b.birth, b.death):
+                    if end.is_finite and end not in points:
+                        raise ValueError(f"bar endpoint {end} is not a spectrum point")
+        # positions order the ends as Bar.sort_key does, with int compares
+        keys = [(b, d, bar.parity) for (b, d), bar in zip(ends, bars)]
+        bars = tuple([bars[i] for i in sorted(range(len(bars)), key=keys.__getitem__)])
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "bars", bars)
 

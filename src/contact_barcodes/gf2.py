@@ -63,16 +63,19 @@ class Gf2Matrix(Frozen):
         """Pack 0/1 rows.  Each row's entries become bytes, read backwards
         as base-2 digits: floats, strings and ints outside 0..255 fail in
         bytes(), and a byte above 1 becomes a digit int() refuses (bools
-        pass as 0 and 1)."""
+        pass as 0 and 1).  A row of ncols digits packs into range(1 << ncols),
+        so the rows need no range check."""
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
         if rows and set(map(len, rows)) != {ncols}:
             raise ValueError("ragged rows")
+        if ncols < 0:
+            raise ValueError("ncols must be nonnegative")
         try:
             packed = [int(b"0" + bytes(row)[::-1].translate(_BASE2_DIGITS), 2) for row in rows]
         except (TypeError, ValueError):
             raise ValueError("entries must be 0 or 1") from None
-        return cls(tuple(packed), ncols)
+        return cls._unchecked(tuple(packed), ncols)
 
     def to_rows(self) -> List[List[int]]:
         return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
@@ -94,6 +97,17 @@ class Gf2Matrix(Frozen):
                 r &= r - 1
             out.append(acc)
         return Gf2Matrix._unchecked(tuple(out), other.ncols)
+
+    def transpose(self) -> "Gf2Matrix":
+        """The matrix whose row j is column j of self: one OR per set bit."""
+        cols = [0] * self.ncols
+        for i, r in enumerate(self.rows):
+            bit = 1 << i
+            while r:
+                low = r & -r
+                cols[low.bit_length() - 1] |= bit
+                r ^= low
+        return Gf2Matrix._unchecked(tuple(cols), len(self.rows))
 
     def rank(self) -> int:
         return len(Echelon(self.rows).pivots)

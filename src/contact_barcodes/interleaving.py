@@ -25,7 +25,7 @@ from .errors import (
     TooLargeError,
 )
 from .gf2 import Echelon, Gf2Matrix, Gf2System
-from .persistence import SampledModule, _valid_gaps, composite_map
+from .persistence import SampledModule, _valid_placement, composite_map
 from .scalar import Coords, Frozen, POS_INF, Scalar, ZERO
 
 
@@ -52,7 +52,7 @@ class _Regions:
     """Cut-point/region view of a validated SampledModule."""
 
     def __init__(self, m: SampledModule):
-        gaps = _valid_gaps(m)
+        gaps = _valid_placement(m)[0]
         if m.n_samples == 0:
             raise InvalidModuleError("module has no samples")
         self.module = m
@@ -94,7 +94,7 @@ def _shift_tables(regions1: _Regions, regions2: _Regions, delta: Scalar):
             table(cuts1, 2 * shift, cuts1), table(cuts2, 2 * shift, cuts2))
 
 
-# bytes the distinct gaps of the candidate grid may take
+# bytes the candidates of the grid may take
 _GRID_BYTES = 1 << 26
 
 
@@ -103,9 +103,10 @@ def _candidate_grid(m1: SampledModule, m2: SampledModule) -> Tuple[Coords, List[
     both modules, and half of every gap, ascending, as ints in the
     `Coords` of those values.
 
-    The distinct gaps are collected one point at a time, each an int about
-    as long as the scale; once they pass _GRID_BYTES the grid is refused
-    with TooLargeError.
+    The distinct gaps are collected one point at a time.  Each is charged
+    for itself and its half, and 0 once, each an int as long as the scale:
+    at least what the returned list holds.  Once that passes _GRID_BYTES
+    the grid is refused with TooLargeError.
     """
     values = set(m1.spectrum.points) | set(m2.spectrum.points)
     values |= {m1.spectrum.lo, m1.spectrum.hi, m2.spectrum.lo, m2.spectrum.hi}
@@ -115,7 +116,7 @@ def _candidate_grid(m1: SampledModule, m2: SampledModule) -> Tuple[Coords, List[
     gaps = set()
     for i, a in enumerate(xs):
         gaps.update(b - a for b in xs[i + 1:])
-        if len(gaps) * gap_bytes > _GRID_BYTES:
+        if (2 * len(gaps) + 1) * gap_bytes > _GRID_BYTES:
             raise TooLargeError(
                 f"the candidate grid passed {len(gaps)} distinct gaps at a "
                 f"{coords.scale.bit_length()}-bit scale, over the grid bound "

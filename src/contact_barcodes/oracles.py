@@ -16,7 +16,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .barcode import Bar, Barcode
 from .errors import TooLargeError
 from .gf2 import Gf2Matrix
-from .persistence import SampledModule, _make_bar, _valid_gaps
+from .persistence import SampledModule, _make_bar, _valid_placement
 from .scalar import POS_INF, Scalar, ZERO, midpoint
 
 
@@ -50,7 +50,7 @@ def brute_force_decompose(m: SampledModule) -> Barcode:
     partial permutation, then reads the intervals off the surviving threads.
     The structure theorem guarantees some tuple works.
     """
-    gaps = _valid_gaps(m)
+    gaps = _valid_placement(m)[0]
     bars: List[Bar] = []
     for parity in (0, 1):
         dims = [d[parity] for d in m.dims]
@@ -89,7 +89,7 @@ def rank_formula_decompose(m: SampledModule) -> Barcode:
     composite maps per parity, so it is quadratic in the number of samples,
     but it needs no basis enumeration and so scales to wide modules.
     """
-    gaps = _valid_gaps(m)
+    gaps = _valid_placement(m)[0]
     k = m.n_samples
     bars: List[Bar] = []
     for parity in (0, 1):

@@ -16,21 +16,25 @@ the persistence reduction of a chain of linear maps: it carries a basis
 of the current sample's space, each vector tagged with the sample where
 its bar was born, and pushes it through every structure map, keeping the
 older bar whenever two images become dependent (the elder rule).
-Every placement of scalars among sorted scalars is one sort and one merge,
-`_count_below`, which gives each value the number of scalars below it and
-at or below it: the samples among the spectrum points give each sample
-gap its points and `validate_module` its collisions and unstraddled
-points (`_placement`), and the bar ends among the samples give the bars
-alive at each sample (`_alive`), which `module_from_barcode` and the
-closing dimension check of `decompose` both read.
+Every placement is of the samples among the spectrum points: one sort
+and one merge, `_count_below`, which gives each sample the number of
+points below it and at or below it, comparing numerator and denominator
+ints.  Those counts give each sample gap its points and `validate_module`
+its collisions and unstraddled points (`_placement`).  Every finite bar
+end is a spectrum point, so a bar end is its int position among the points
+(`barcode._end_positions`), and a bisect of the two count lists gives the
+samples each bar contains: the bars alive at each sample (`_alive`), which
+`module_from_barcode` and the closing dimension check of `decompose` both
+read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .barcode import Bar, Barcode, Parity, Spectrum
+from .barcode import Bar, Barcode, Parity, Spectrum, _end_positions
 from .errors import (
     EmptyHorizonError,
     IndexOutOfRangeError,
@@ -75,9 +79,14 @@ def validate_module(m: SampledModule) -> List[str]:
     return _placement(m)[1]
 
 
-def _placement(m: SampledModule) -> Tuple[List[Tuple[Scalar, ...]], List[str]]:
-    """The spectrum points of every sample gap, and the module's invariant
-    violations, from one placement of the samples among the spectrum points.
+Counts = Tuple[List[int], List[int]]
+
+
+def _placement(m: SampledModule
+               ) -> Tuple[List[Tuple[Scalar, ...]], List[str], Counts]:
+    """The spectrum points of every sample gap, the module's invariant
+    violations, and the placement they come from: the counts (below, upto)
+    of the samples among the spectrum points.
 
     below[i] and upto[i] count the points below samples[i] and at or below
     it; any sample order is read as given.  Gap i holds the points from
@@ -123,7 +132,7 @@ def _placement(m: SampledModule) -> Tuple[List[Tuple[Scalar, ...]], List[str]]:
                     issues.append(
                         f"map {i} parity {parity} crosses no spectrum point "
                         "but is not invertible")
-    return gaps, issues
+    return gaps, issues, (below, upto)
 
 
 def composite_map(m: SampledModule, i: int, j: int, parity: Parity) -> Gf2Matrix:
@@ -143,12 +152,12 @@ def rank_invariant(m: SampledModule, i: int, j: int) -> Tuple[int, int]:
     return (composite_map(m, i, j, 0).rank(), composite_map(m, i, j, 1).rank())
 
 
-def _valid_gaps(m: SampledModule) -> List[Tuple[Scalar, ...]]:
-    """The spectrum points of every sample gap of m; an invalid m is refused."""
-    gaps, issues = _placement(m)
+def _valid_placement(m: SampledModule) -> Tuple[List[Tuple[Scalar, ...]], Counts]:
+    """The gaps and counts of `_placement` of m; an invalid m is refused."""
+    gaps, issues, counts = _placement(m)
     if issues:
         raise InvalidModuleError("invalid module: " + "; ".join(issues))
-    return gaps
+    return gaps, counts
 
 
 def _only_point(between: Sequence[Scalar], gap_index: int) -> Scalar:
@@ -187,8 +196,10 @@ def decompose(m: SampledModule) -> Barcode:
     is the youngest of a dependent set, so its bar ends at sample i (the
     elder rule).  The surviving images keep their births, and unit
     vectors at the positions no survivor pivots on complete the basis as
-    bars born at sample i+1.  Each step costs O(d^2) word operations for
-    per-sample dimension d.
+    bars born at sample i+1.  Each step transposes the structure map once,
+    so that a basis vector's image is the XOR of the map's columns at its
+    set bits: one pass over the map's set bits and one over the basis
+    vectors' set bits, besides the `Echelon` inserts.
 
     Bar ends snap as `_make_bar` snaps them: births to the unique spectrum
     point in the gap just before the birth sample (or -inf at the grid's
@@ -197,7 +208,7 @@ def decompose(m: SampledModule) -> Barcode:
     inclusion-exclusion of composite ranks.  A module with more than
     MAX_SAMPLE_DIM dimensions at some sample raises TooLargeError.
     """
-    gaps = _valid_gaps(m)
+    gaps, counts = _valid_placement(m)
     if any(d0 + d1 > MAX_SAMPLE_DIM for d0, d1 in m.dims):
         raise TooLargeError(
             f"per-sample total dimension exceeds the decomposition bound ({MAX_SAMPLE_DIM})")
@@ -209,69 +220,88 @@ def decompose(m: SampledModule) -> Barcode:
         # over the coordinates of the current sample's space
         basis = [(1 << c, 0) for c in range(m.dims[0][parity])] if k else []
         for i in range(k - 1):
-            rows = m.maps[i][parity].rows
+            step = m.maps[i][parity]
+            cols = step.transpose().rows
             images = Echelon()
             kept = []
             for vec, birth in basis:
                 image = 0
-                for r, row in enumerate(rows):
-                    if (row & vec).bit_count() & 1:
-                        image |= 1 << r
+                while vec:  # XOR in the column at each set bit
+                    low = vec & -vec
+                    image ^= cols[low.bit_length() - 1]
+                    vec ^= low
                 image = images.insert(image)[0]
                 if image:
                     kept.append((image, birth))
                 else:
                     spans.append((birth, i))
-            kept.extend((1 << c, i + 1) for c in range(len(rows))
+            kept.extend((1 << c, i + 1) for c in range(step.nrows)
                         if c not in images.pivots)
             basis = kept
         spans.extend((birth, k - 1) for _, birth in basis)
         bars.extend(_make_bar(gaps, i, j, parity) for i, j in spans)
     code = Barcode(m.spectrum, tuple(bars))
-    for idx, (count, dims) in enumerate(zip(_graded_counts(code.bars, m.samples), m.dims)):
+    for idx, (count, dims) in enumerate(zip(_graded_counts(code, *counts), m.dims)):
         if count != dims:
             raise AssertionError(f"decomposition loses rank at sample {idx}: {count} != {dims}")
     return code
 
 
-def _graded_counts(bars: Sequence[Bar], samples: Sequence[Scalar]
+def _graded_counts(code: Barcode, below: List[int], upto: List[int]
                    ) -> List[Tuple[int, int]]:
-    """Graded number of bars containing each sample."""
-    return [(len(a0), len(a1)) for a0, a1 in _alive(bars, samples)]
+    """Graded number of bars containing each sample, from the counts of
+    the sorted samples among the spectrum points (see `_alive`)."""
+    return [(len(a0), len(a1)) for a0, a1 in _alive(code, below, upto)]
 
 
-def _alive(bars: Sequence[Bar], samples: Sequence[Scalar]
+def _alive(code: Barcode, below: List[int], upto: List[int]
            ) -> List[Tuple[List[int], List[int]]]:
-    """For each of the sorted samples, the indices of the bars containing
-    it, one list per parity, in bar order.  A bar contains the samples from
-    the count of those at or below its birth up to the count below its
-    death, which one merge of the births and deaths gives."""
-    n = len(bars)
-    below, upto = _count_below(
-        [bar.birth for bar in bars] + [bar.death for bar in bars], samples)
-    alive: List[Tuple[List[int], List[int]]] = [([], []) for _ in samples]
-    for idx, bar in enumerate(bars):
-        for s in range(upto[idx], below[n + idx]):
+    """For each of the sorted samples, the indices of the bars of code
+    containing it, one list per parity, in bar order.
+
+    below[i] and upto[i] count the spectrum points below samples[i] and at
+    or below it (`_count_below`); both lists ascend.  The bar from point
+    position b to point position d contains samples[i] exactly when
+    b < below[i] and upto[i] <= d, so it contains the samples from
+    bisect_right(below, b) up to bisect_right(upto, d).
+    """
+    alive: List[Tuple[List[int], List[int]]] = [([], []) for _ in below]
+    ends = _end_positions(code.spectrum.points, code.bars)
+    for idx, ((b, d), bar) in enumerate(zip(ends, code.bars)):
+        for s in range(bisect_right(below, b), bisect_right(upto, d)):
             alive[s][bar.parity].append(idx)
     return alive
 
 
 def _count_below(values: Sequence[Scalar], ref: Sequence[Scalar]
-                 ) -> Tuple[List[int], List[int]]:
-    """For each value, the numbers of the sorted scalars `ref` below it and
-    at most it (bisect_left and bisect_right of the value into ref), from
-    one merge of the sorted values into ref.  Only Scalar.__lt__ is called,
-    and the values may come in any order."""
+                 ) -> Counts:
+    """For each value, the numbers of the sorted finite scalars `ref` below
+    it and at most it (bisect_left and bisect_right of the value into ref),
+    from one merge of the sorted values into ref.
+
+    The values may come in any order; sorting them is the only use of
+    Scalar.__lt__.  The merge compares numerator and denominator ints,
+    taken out once, by cross-multiplication (denominators are positive),
+    and an infinite value goes by its tag: -inf lies below every entry of
+    ref and +inf above.
+    """
     below = [0] * len(values)
     upto = [0] * len(values)
+    fracs = [r.value for r in ref]
+    nums = [f.numerator for f in fracs]
+    dens = [f.denominator for f in fracs]
     k = len(ref)
     p = 0
     for e in sorted(range(len(values)), key=values.__getitem__):
-        x = values[e]
-        while p < k and ref[p] < x:
+        x = values[e].value
+        if x.__class__ is float:
+            below[e] = upto[e] = 0 if x < 0 else k
+            continue
+        n, d = x.numerator, x.denominator
+        while p < k and nums[p] * d < n * dens[p]:
             p += 1
         below[e] = q = p
-        while q < k and not (x < ref[q]):  # step past the ref entries equal to x
+        while q < k and not (n * dens[q] < nums[q] * d):  # step past the entries equal to x
             q += 1
         upto[e] = q
     return below, upto
@@ -292,16 +322,20 @@ def _sample_positions(spectrum: Spectrum, density: int) -> List[Scalar]:
     if not points:
         regions = [(lo, hi)]
     else:
-        gaps = [b - a for a, b in zip(points, points[1:])]
-        pad = min(gaps) if gaps else rational(1)
-        left = (lo, points[0]) if lo < points[0] else (points[0] - pad, points[0])
-        right = (points[-1], hi) if points[-1] < hi else (points[-1], points[-1] + pad)
+        def pad() -> Scalar:
+            gaps = [b - a for a, b in zip(points, points[1:])]
+            return min(gaps) if gaps else rational(1)
+        left = (lo, points[0]) if lo < points[0] else (points[0] - pad(), points[0])
+        right = (points[-1], hi) if points[-1] < hi else (points[-1], points[-1] + pad())
         regions = [left] + list(zip(points, points[1:])) + [right]
+    m = density + 1
     positions: List[Scalar] = []
     for a, b in regions:
-        width = b - a
-        for t in range(1, density + 1):
-            positions.append(a + width * Fraction(t, density + 1))
+        # a + (b - a) * t / m, over the one denominator of a, b and m
+        an, ad = a.value.numerator, a.value.denominator
+        bn, bd = b.value.numerator, b.value.denominator
+        positions.extend([Scalar(Fraction(an * bd * (m - t) + bn * ad * t, ad * bd * m))
+                          for t in range(1, m)])
     return positions
 
 
@@ -315,7 +349,7 @@ def module_from_barcode(b: Barcode, grid_density_hint: int = 1) -> SampledModule
     if grid_density_hint < 1:
         raise ValueError("grid_density_hint must be a positive integer")
     samples = _sample_positions(b.spectrum, grid_density_hint)
-    alive = _alive(b.bars, samples)
+    alive = _alive(b, *_count_below(samples, b.spectrum.points))
     dims = tuple((len(a0), len(a1)) for a0, a1 in alive)
     maps: List[Tuple[Gf2Matrix, Gf2Matrix]] = []
     for i in range(len(samples) - 1):
@@ -328,6 +362,6 @@ def module_from_barcode(b: Barcode, grid_density_hint: int = 1) -> SampledModule
                 (1 << col_of[bar_idx]) if bar_idx in col_of else 0
                 for bar_idx in dst
             )
-            pair.append(Gf2Matrix(rows, len(src)))
+            pair.append(Gf2Matrix._unchecked(rows, len(src)))
         maps.append((pair[0], pair[1]))
     return SampledModule(b.spectrum, tuple(samples), dims, tuple(maps))

@@ -99,13 +99,18 @@ class Scalar(Frozen):
     def is_finite(self) -> bool:
         return isinstance(self.value, Fraction)
 
+    # The only float values are the two infinities, so the class and the
+    # sign tell them apart; no Fraction-to-float comparison runs.
+
     @property
     def is_pos_inf(self) -> bool:
-        return self.value == _POS
+        value = self.value
+        return value.__class__ is float and value > 0
 
     @property
     def is_neg_inf(self) -> bool:
-        return self.value == _NEG
+        value = self.value
+        return value.__class__ is float and value < 0
 
     # -- order ----------------------------------------------------------
 

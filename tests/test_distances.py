@@ -4,6 +4,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from sys import getsizeof
 
 import pytest
 
@@ -19,6 +20,7 @@ from contact_barcodes.distances import _hopcroft_karp, bottleneck_distance
 from contact_barcodes.interleaving import (
     InterleavingCertificate,
     _GLayout,
+    _GRID_BYTES,
     _Regions,
     _add_identity,
     _candidate_grid,
@@ -536,6 +538,26 @@ def test_candidate_grid_bound_counts_only_distinct_gaps():
     m = module_from_barcode(Barcode(sp, (Bar.of(0, n - 1, 0), Bar.of(1, 3, 1))))
     coords, grid = _candidate_grid(m, m)
     assert coords.scale == 2 and len(grid) == 3300 and grid[-1] == 2 * (n - 1)
+
+
+def test_candidate_grid_bound_charges_every_candidate():
+    # the bound charges each distinct gap for itself and its half, each as
+    # long as the scale, so an admitted grid fits it; dense 550 (about
+    # 304,000 candidates of 2,318 bits) passes it and is refused before the
+    # grid is built
+    pairs = [dense_region_pair(300)]
+    for n in (400, 1000):
+        sp = Spectrum.of(list(range(n)), 0, n - 1)
+        m = module_from_barcode(Barcode(sp, (Bar.of(0, n - 1, 0), Bar.of(1, 3, 1))))
+        pairs.append((m, m))
+    for m1, m2 in pairs:
+        coords, grid = _candidate_grid(m1, m2)
+        assert len(grid) * getsizeof(coords.scale) <= _GRID_BYTES
+    m1, m2 = dense_region_pair(550)
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError, match=r"candidate grid passed \d+ distinct gaps"):
+        _candidate_grid(m1, m2)
+    assert time.perf_counter() - start < 1
 
 
 def test_search_backs_out_of_later_regions():

@@ -115,6 +115,37 @@ def test_from_rows_round_trip():
         Gf2Matrix.from_rows([[2]])
 
 
+def test_from_rows_keeps_its_errors_and_packs_in_range():
+    for rows, ncols, message in (([[1, 0], [1]], None, "ragged rows"),
+                                 ([[1, 0]], -1, "ragged rows"),
+                                 ([], -1, "ncols must be nonnegative"),
+                                 ([[0, 2]], None, "entries must be 0 or 1"),
+                                 ([[1.0]], None, "entries must be 0 or 1"),
+                                 ([["1"]], None, "entries must be 0 or 1")):
+        with pytest.raises(ValueError) as caught:
+            Gf2Matrix.from_rows(rows, ncols)
+        assert str(caught.value) == message
+    rng = random.Random(18)
+    for _ in range(200):
+        n, k = rng.randint(0, 5), rng.randint(0, 9)
+        rows = [[rng.randint(0, 1) for _ in range(k)] for _ in range(n)]
+        got = Gf2Matrix.from_rows(rows, k)
+        assert got == Gf2Matrix(tuple(got.rows), k) and got.to_rows() == rows
+
+
+def test_transpose_swaps_rows_and_columns_at_every_density():
+    rng = random.Random(19)
+    for _ in range(600):
+        n, k = rng.randint(0, 9), rng.randint(0, 9)
+        p = rng.choice((0.02, 0.1, 0.2, 0.5, 0.9))
+        m = Gf2Matrix(tuple(sum((rng.random() < p) << j for j in range(k))
+                            for _ in range(n)), k)
+        t = m.transpose()
+        assert t.shape == (k, n) and t == Gf2Matrix(tuple(t.rows), n)
+        assert all(t.entry(j, i) == m.entry(i, j) for i in range(n) for j in range(k))
+        assert t.transpose() == m
+
+
 def test_span_solver_express_and_nullspace():
     rng = random.Random(9)
     for _ in range(50):

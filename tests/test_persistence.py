@@ -1,7 +1,9 @@
 import copy
 import pickle
 import random
+import time
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
 import pytest
 
@@ -400,7 +402,7 @@ def test_graded_counts_match_bar_containment():
     for _ in range(40):
         b = random_barcode(rng, max_bars=10, max_points=8)
         m = module_from_barcode(b, grid_density_hint=rng.choice((1, 2)))
-        assert _graded_counts(b.bars, m.samples) == \
+        assert _graded_counts(b, *_count_below(m.samples, b.spectrum.points)) == \
             [b.graded_dim_at(s) for s in m.samples]
         # samples on bar endpoints and empty bars (birth = death) at samples,
         # where bisect_right of births and bisect_left of deaths differ
@@ -409,7 +411,7 @@ def test_graded_counts_match_bar_containment():
                       for p in extra.sample(points, len(points) // 2))
         on_ends = Barcode(b.spectrum, b.bars + empty)
         samples = sorted(set(m.samples) | set(extra.sample(points, len(points) // 2)))
-        assert _graded_counts(on_ends.bars, samples) == \
+        assert _graded_counts(on_ends, *_count_below(samples, points)) == \
             [on_ends.graded_dim_at(s) for s in samples]
         assert _placement(m)[0] == [
             tuple(p for p in m.spectrum.points if m.samples[i] < p < m.samples[i + 1])
@@ -587,3 +589,99 @@ def test_validate_matches_reference_issue_lists():
                         if word in issue)
     assert invalid > 300
     assert len(seen) == 8
+
+
+def mixed_spectrum(rng, n_points):
+    """n_points points k + 1/q with q in {2, 3, 7}, one per unit interval."""
+    pts = tuple(Scalar(k + Fraction(1, rng.choice((2, 3, 7)))) for k in range(n_points))
+    return Spectrum(pts, rational(0), rational(n_points))
+
+
+def test_barcode_sorts_bars_by_sort_key_and_keeps_ties_in_order():
+    # the bars are ordered by their ends' positions among the spectrum
+    # points; that must be Bar.sort_key's order, stable among equal keys
+    # (truncated flags tell the tied bars apart)
+    rng = random.Random(152)
+    for _ in range(200):
+        sp = mixed_spectrum(rng, rng.randint(1, 12))
+        ends = (NEG_INF,) + sp.points + (POS_INF,)
+        bars = []
+        for _ in range(rng.randint(0, 25)):
+            i = rng.randrange(len(ends) - 1)
+            j = rng.randrange(max(i, 1), len(ends))
+            bar = Bar(ends[i], ends[j], rng.randint(0, 1), rng.random() < 0.3)
+            bars.append(bar)
+            if rng.random() < 0.3:  # a copy with the same key
+                bars.append(Bar(bar.birth, bar.death, bar.parity, not bar.truncated))
+        rng.shuffle(bars)
+        got = Barcode(sp, tuple(bars)).bars
+        want = sorted(bars, key=Bar.sort_key)
+        assert [id(b) for b in got] == [id(b) for b in want]
+
+
+def test_barcode_names_the_first_bad_endpoint_in_bar_order():
+    sp = Spectrum.of([1, 2, 3], 0, 4)
+    cases = [
+        ((Bar.of(2, "7/2"), Bar.of("1/2", 3), Bar(NEG_INF, rational(5, 2), 1)), "5/2"),
+        ((Bar.of(2, "7/2"), Bar.of("1/2", 3), Bar.of(1, "5/2", 1)), "1/2"),
+        ((Bar.of("3/2", 3), Bar.of(1, "9/4"), Bar(rational(2), POS_INF, 0)), "9/4"),
+    ]
+    for bars, end in cases:
+        with pytest.raises(ValueError) as caught:
+            Barcode(sp, bars)
+        assert str(caught.value) == f"bar endpoint {end} is not a spectrum point"
+
+
+def test_module_stages_make_linearly_many_scalar_compares(monkeypatch):
+    # Bar ends are placed by their int positions among the spectrum points
+    # and samples by numerator and denominator ints; what Scalar.__lt__ is
+    # left with is one pass over the samples and points per stage
+    rng = random.Random(153)
+    sp = mixed_spectrum(rng, 400)
+    ends = (NEG_INF,) + sp.points + (POS_INF,)
+    bars = []
+    for _ in range(400):
+        i, j = sorted(rng.sample(range(len(ends)), 2))
+        bars.append(Bar(ends[i], ends[j], rng.randint(0, 1), rng.random() < 0.1))
+    calls = [0]
+    less = Scalar.__lt__
+
+    def counted(a, b):
+        calls[0] += 1
+        return less(a, b)
+
+    monkeypatch.setattr(Scalar, "__lt__", counted)
+
+    def stage(f):
+        calls[0] = 0
+        return f(), calls[0]
+
+    code, n = stage(lambda: Barcode(sp, tuple(bars)))
+    assert n <= len(bars)
+    m, n_build = stage(lambda: module_from_barcode(code))
+    assert m.n_samples == 401
+    bound = 3 * (m.n_samples + len(sp.points))
+    issues, n_check = stage(lambda: validate_module(m))
+    out, n_split = stage(lambda: decompose(m))
+    assert issues == [] and out.same_bars(code)
+    assert max(n_build, n_check, n_split) <= bound, (n_build, n_check, n_split)
+
+
+def test_decompose_of_a_wide_sparse_module_takes_seconds_not_minutes():
+    # 1,000 random long bars over 1,000 integer points: about 500 bars at
+    # the widest sample, one set bit per map row.  The sweep pays per set
+    # bit, not per row and basis vector.
+    n = 1000
+    rng = random.Random(154)
+    sp = Spectrum.of(range(n), 0, n - 1)
+    bars = []
+    for _ in range(n):
+        i, j = sorted(rng.sample(range(n), 2))
+        bars.append(Bar(sp.points[i], sp.points[j], 0))
+    code = Barcode(sp, tuple(bars))
+    m = module_from_barcode(code)
+    assert max(d0 for d0, _ in m.dims) >= 450
+    start = time.perf_counter()
+    out = decompose(m)
+    assert time.perf_counter() - start < 3
+    assert out.same_bars(code)

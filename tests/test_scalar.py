@@ -78,6 +78,15 @@ def test_as_scalar_coercions():
     assert as_scalar(POS_INF) is POS_INF
 
 
+def test_infinity_tags():
+    # the float tag and its sign decide, whatever the finite value
+    for value in (Fraction(0), Fraction(-10 ** 30), Fraction(10 ** 30, 7)):
+        s = Scalar(value)
+        assert s.is_finite and not s.is_pos_inf and not s.is_neg_inf
+    assert POS_INF.is_pos_inf and not POS_INF.is_neg_inf and not POS_INF.is_finite
+    assert NEG_INF.is_neg_inf and not NEG_INF.is_pos_inf and not NEG_INF.is_finite
+
+
 def test_scalars_hash_consistently():
     assert len({rational(1, 2), Scalar(Fraction(2, 4)), ZERO}) == 2
 
