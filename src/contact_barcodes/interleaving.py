@@ -15,10 +15,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate, product
 from sys import getsizeof
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     HorizonMismatchError,
+    IndexOutOfRangeError,
     InfiniteDeltaError,
     InvalidModuleError,
     ShapeMismatchError,
@@ -49,7 +50,8 @@ class InterleavingCertificate(Frozen):
 
 
 class _Regions:
-    """Cut-point/region view of a validated SampledModule."""
+    """Cut-point/region view of a validated SampledModule, with the
+    composite maps between its regions that the search reads."""
 
     def __init__(self, m: SampledModule):
         gaps = _valid_placement(m)[0]
@@ -66,9 +68,46 @@ class _Regions:
         self.reps = tuple(reps)
         self.n = len(reps)
         self.dims = tuple(m.dims[i] for i in reps)
+        # per parity, jumps[k][a] is the map from region a to region a + 2**k
+        self._jumps: Tuple[List[List[Gf2Matrix]], ...] = ([], [])
+        self._identities: Dict[int, Gf2Matrix] = {}
 
     def comp(self, a: int, b: int, parity: int) -> Gf2Matrix:
-        return composite_map(self.module, self.reps[a], self.reps[b], parity)
+        """The structure map from region a to region b (a <= b): a product
+        of the table entries of the set bits of b - a, lowest first.
+
+        The table grows a level at a time, up to the longest span asked
+        for: level 0 holds the region steps, level k the products of pairs
+        of level k - 1.  A zero span gives one shared identity per
+        dimension.
+        """
+        if not 0 <= a <= b < self.n:
+            raise IndexOutOfRangeError(f"region range ({a}, {b}) outside 0..{self.n - 1}")
+        span = b - a
+        if span == 0:
+            d = self.dims[a][parity]
+            eye = self._identities.get(d)
+            if eye is None:
+                eye = self._identities[d] = Gf2Matrix.identity(d)
+            return eye
+        jumps = self._jumps[parity]
+        if not jumps:
+            m, reps = self.module, self.reps
+            jumps.append([composite_map(m, reps[i], reps[i + 1], parity)
+                          for i in range(self.n - 1)])
+        while len(jumps) < span.bit_length():
+            below, half = jumps[-1], 1 << (len(jumps) - 1)
+            jumps.append([below[i + half] @ below[i]
+                          for i in range(len(below) - half)])
+        acc, k = None, 0
+        while span:
+            if span & 1:
+                step = jumps[k][a]
+                acc = step if acc is None else step @ acc
+                a += 1 << k
+            span >>= 1
+            k += 1
+        return acc
 
 
 def _shift_tables(regions1: _Regions, regions2: _Regions, delta: Scalar):
@@ -172,8 +211,7 @@ def _add_identity(system: Gf2System, g: _GLayout,
         if right is None:
             cols = [1 << j for j in range(g.widths[t])]
         else:
-            cols = [sum((row >> j & 1) << k for k, row in enumerate(right.rows))
-                    for j in range(right.ncols)]
+            cols = right.transpose().rows
         factors.append((spread, cols))
     for i, bits in enumerate(rhs.rows):
         for j in range(rhs.ncols):
@@ -212,15 +250,18 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
 
     # rank obstructions that need no enumeration at all: each 2-delta map of
     # one module (direct) factors through the other module and back; both
-    # maps also enter the equations that F maps bring in, below
+    # maps also enter the equations that F maps bring in, below.  A map
+    # that spans no region is an identity: its rank is its size, and every
+    # map into its region factors through it, so neither needs an Echelon
     e2_maps, e3_maps = [], []
     for maps, regions, there, back, twice, d_there in (
             (e2_maps, regions1, phi, psi, phi2, d2), (e3_maps, regions2, psi, phi, psi2, d1)):
         for r in range(regions.n):
-            direct = regions.comp(r, twice[r], parity)
-            through = regions.comp(back[there[r]], twice[r], parity)
-            need = direct.rank()
-            if need > d_there[there[r]] or need > through.rank():
+            u, via = twice[r], back[there[r]]
+            direct = regions.comp(r, u, parity)
+            through = regions.comp(via, u, parity)
+            need = direct.nrows if r == u else direct.rank()
+            if need > d_there[there[r]] or (via < u and need > through.rank()):
                 return None
             maps.append((through, direct))
 
@@ -345,7 +386,12 @@ def interleaving_distance_bruteforce(m1: SampledModule, m2: SampledModule
 
 def verify_interleaving(cert: InterleavingCertificate, m1: SampledModule,
                         m2: SampledModule) -> List[str]:
-    """Check every square and 2-delta composite; empty list means valid."""
+    """Check every square and 2-delta composite; empty list means valid.
+
+    Every composite comes from `persistence.composite_map`, not from the
+    tables of `_Regions.comp` that the search reads, so that the check
+    stays independent of the search.
+    """
     regions1, regions2 = _Regions(m1), _Regions(m2)
     delta = cert.delta
     R1, R2 = regions1.n, regions2.n
@@ -367,30 +413,33 @@ def verify_interleaving(cert: InterleavingCertificate, m1: SampledModule,
                     f"backward map at region {t} parity {parity} has shape "
                     f"{cert.backward_maps[t][parity].shape}, expected {want}")
 
+    def comp(regions: _Regions, a: int, b: int, parity: int) -> Gf2Matrix:
+        return composite_map(regions.module, regions.reps[a], regions.reps[b], parity)
+
     issues: List[str] = []
     for parity in (0, 1):
         F = [pair[parity] for pair in cert.forward_maps]
         G = [pair[parity] for pair in cert.backward_maps]
         for r in range(R1 - 1):
-            lhs = F[r + 1] @ regions1.comp(r, r + 1, parity)
-            rhs = regions2.comp(phi[r], phi[r + 1], parity) @ F[r]
+            lhs = F[r + 1] @ comp(regions1, r, r + 1, parity)
+            rhs = comp(regions2, phi[r], phi[r + 1], parity) @ F[r]
             if lhs != rhs:
                 issues.append(f"forward square at regions {r}->{r + 1} parity {parity}")
         for t in range(R2 - 1):
-            lhs = G[t + 1] @ regions2.comp(t, t + 1, parity)
-            rhs = regions1.comp(psi[t], psi[t + 1], parity) @ G[t]
+            lhs = G[t + 1] @ comp(regions2, t, t + 1, parity)
+            rhs = comp(regions1, psi[t], psi[t + 1], parity) @ G[t]
             if lhs != rhs:
                 issues.append(f"backward square at regions {t}->{t + 1} parity {parity}")
         for r in range(R1):
             u = phi2[r]
-            lhs = regions1.comp(psi[phi[r]], u, parity) @ G[phi[r]] @ F[r]
-            if lhs != regions1.comp(r, u, parity):
+            lhs = comp(regions1, psi[phi[r]], u, parity) @ G[phi[r]] @ F[r]
+            if lhs != comp(regions1, r, u, parity):
                 issues.append(
                     f"2-delta composite through module 2 at region {r} parity {parity}")
         for t in range(R2):
             v = psi2[t]
-            lhs = regions2.comp(phi[psi[t]], v, parity) @ F[psi[t]] @ G[t]
-            if lhs != regions2.comp(t, v, parity):
+            lhs = comp(regions2, phi[psi[t]], v, parity) @ F[psi[t]] @ G[t]
+            if lhs != comp(regions2, t, v, parity):
                 issues.append(
                     f"2-delta composite through module 1 at region {t} parity {parity}")
     return issues

@@ -10,6 +10,7 @@ import pytest
 
 from contact_barcodes.errors import (
     DomainError,
+    IndexOutOfRangeError,
     InfiniteDeltaError,
     ShapeMismatchError,
     TooLargeError,
@@ -17,6 +18,7 @@ from contact_barcodes.errors import (
 from contact_barcodes.barcode import Bar, Barcode, Spectrum
 from contact_barcodes.gf2 import Gf2Matrix
 from contact_barcodes.distances import _hopcroft_karp, bottleneck_distance
+from contact_barcodes import interleaving
 from contact_barcodes.interleaving import (
     InterleavingCertificate,
     _GLayout,
@@ -30,7 +32,12 @@ from contact_barcodes.interleaving import (
     verify_interleaving,
 )
 from contact_barcodes.oracles import bar_cost, endpoint_gap, exhaustive_bottleneck
-from contact_barcodes.persistence import SampledModule, decompose, module_from_barcode
+from contact_barcodes.persistence import (
+    SampledModule,
+    composite_map,
+    decompose,
+    module_from_barcode,
+)
 from contact_barcodes.random_instances import (
     random_barcode,
     random_module,
@@ -574,12 +581,19 @@ def test_search_backs_out_of_later_regions():
         assert cert is not None and verify_interleaving(cert, m1, m2) == [], delta
 
 
-def test_verify_interleaving_reports_each_family():
+def test_verify_interleaving_reports_each_family(monkeypatch):
     # the bar (1, 3) lives in the middle regions 1 and 2; a zero map at
-    # region 1 breaks its square and both 2-delta composites there
+    # region 1 breaks its square and both 2-delta composites there.  The
+    # check stays independent of the search: it takes every composite from
+    # persistence.composite_map, none from the tables of _Regions.comp.
     sp = Spectrum.of([1, 2, 3], 0, 3)
     m = interval_module(sp, (Bar.of(1, 3),))
     cert = find_interleaving(m, m, ZERO)
+
+    def refuse(self, a, b, parity):
+        raise AssertionError("verify_interleaving read _Regions.comp")
+
+    monkeypatch.setattr(_Regions, "comp", refuse)
     assert cert is not None and verify_interleaving(cert, m, m) == []
     for which, square in (("forward_maps", "forward"), ("backward_maps", "backward")):
         maps = list(getattr(cert, which))
@@ -592,6 +606,49 @@ def test_verify_interleaving_reports_each_family():
             f"{square} square at regions 1->2 parity 0",
             "2-delta composite through module 2 at region 1 parity 0",
             "2-delta composite through module 1 at region 1 parity 0"]
+
+
+def test_region_tables_equal_the_reference_composites():
+    # density 2 and 3 put several samples in a region, so a region step is
+    # itself a product of structure maps; nine regions or more build level 3
+    # of the table.  Spans are asked in random order, so levels grow from
+    # whichever span comes first.
+    rng = random.Random(83)
+    for k in range(12):
+        sp = random_spectrum(rng, max_points=12, min_points=8)
+        m = random_module(rng, max_dim=4, spectrum=sp, density=1 + k % 3)
+        regions = _Regions(m)
+        assert regions.n >= 9
+        spans = [(a, b, parity) for a in range(regions.n)
+                 for b in range(a, regions.n) for parity in (0, 1)]
+        rng.shuffle(spans)
+        for a, b, parity in spans:
+            want = composite_map(m, regions.reps[a], regions.reps[b], parity)
+            assert regions.comp(a, b, parity) == want, (a, b, parity)
+        for a, b in ((1, 0), (-1, 0), (0, regions.n)):
+            with pytest.raises(IndexOutOfRangeError):
+                regions.comp(a, b, 0)
+
+
+def test_distance_builds_each_region_step_once(monkeypatch):
+    # the search reads its composites from the lifted tables, whose level 0
+    # holds the region steps: each is built once per module and parity
+    sp = Spectrum.of(list(range(400)), 0, 399)
+    one = Barcode(sp, (Bar.of(0, 399, 0), Bar.of(1, 3, 1)))
+    other = Barcode(sp, (Bar.of(1, 399, 0), Bar.of(1, 2, 1)))
+    m1, m2 = module_from_barcode(one), module_from_barcode(other)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return composite_map(*args)
+
+    monkeypatch.setattr(interleaving, "composite_map", counted)
+    assert interleaving_distance_bruteforce(m1, m2) == rational(1)
+    steps = _Regions(m1).n - 1
+    assert steps == _Regions(m2).n - 1 == 400
+    assert len(calls) <= 2 * 2 * steps
+    assert len(set(calls)) == len(calls)
 
 
 # The G equations of the interleaving search as first written: one entry

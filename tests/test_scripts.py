@@ -52,3 +52,13 @@ def test_bottleneck_scaling_prints_a_row_per_size_and_grading():
     for row in rows:
         _, _, delta, probes, seconds = row.split()
         assert Fraction(delta) >= 0 and int(probes) >= 1 and float(seconds) >= 0
+
+
+def test_interleaving_scaling_prints_a_row_per_size():
+    done = run_script("interleaving_scaling.py", "--sizes", "20", "40")
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split() == ["points", "delta", "seconds"]
+    assert [row.split()[:2] for row in rows] == [["20", "1/1"], ["40", "1/1"]]
+    for row in rows:
+        assert float(row.split()[2]) >= 0
