@@ -4,7 +4,7 @@
 For each size n, draws two barcodes of n bars each on the integer spectrum
 0..100 (random endpoints and parities, one generator seeded by --seed and
 the size) and prints, ungraded and graded, the distance, the number of
-feasibility probes of its binary search and the wall time of one
+feasibility probes of its search and the wall time of one
 `bottleneck_distance` call.  Example:
 
     PYTHONPATH=src python scripts/bottleneck_scaling.py --sizes 50 100 200 400 --seed 0
@@ -36,11 +36,11 @@ def counting_probes(counter):
     """`Coords.least` with every probe counted in counter[0]."""
     search = Coords.least
 
-    def least(coords, values, probe):
+    def least(coords, rows, probe):
         def counted(t):
             counter[0] += 1
             return probe(t)
-        return search(coords, values, counted)
+        return search(coords, rows, counted)
     return least
 
 

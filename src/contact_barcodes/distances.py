@@ -189,7 +189,7 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, graded: bool = False
 
     # the largest value admits every edge of finite cost, and equal kind
     # counts give a perfect matching of finite cost, so some probe succeeds
-    delta, perfect = coords.least(values, probe)
+    delta, perfect = coords.least([((0,), values, 1)], probe)
     pairs = [(i, v if v < n2 else None) for i, v in enumerate(perfect[:n1])]
     pairs += [(None, v) for v in perfect[n1:] if v < n2]
     return delta, Matching(tuple(pairs))

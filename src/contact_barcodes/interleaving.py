@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate, product
-from sys import getsizeof
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -79,7 +78,7 @@ class _Regions:
         The table grows a level at a time, up to the longest span asked
         for: level 0 holds the region steps, level k the products of pairs
         of level k - 1.  A zero span gives one shared identity per
-        dimension.
+        dimension, as delta 0 asks at every region.
         """
         if not 0 <= a <= b < self.n:
             raise IndexOutOfRangeError(f"region range ({a}, {b}) outside 0..{self.n - 1}")
@@ -131,36 +130,6 @@ def _shift_tables(regions1: _Regions, regions2: _Regions, delta: Scalar):
 
     return (table(cuts1, shift, cuts2), table(cuts2, shift, cuts1),
             table(cuts1, 2 * shift, cuts1), table(cuts2, 2 * shift, cuts2))
-
-
-# bytes the candidates of the grid may take
-_GRID_BYTES = 1 << 26
-
-
-def _candidate_grid(m1: SampledModule, m2: SampledModule) -> Tuple[Coords, List[int]]:
-    """0, every gap between two of the spectrum points and horizon ends of
-    both modules, and half of every gap, ascending, as ints in the
-    `Coords` of those values.
-
-    The distinct gaps are collected one point at a time.  Each is charged
-    for itself and its half, and 0 once, each an int as long as the scale:
-    at least what the returned list holds.  Once that passes _GRID_BYTES
-    the grid is refused with TooLargeError.
-    """
-    values = set(m1.spectrum.points) | set(m2.spectrum.points)
-    values |= {m1.spectrum.lo, m1.spectrum.hi, m2.spectrum.lo, m2.spectrum.hi}
-    coords = Coords(values)
-    xs = sorted(coords.of(v) for v in values)
-    gap_bytes = getsizeof(coords.scale)
-    gaps = set()
-    for i, a in enumerate(xs):
-        gaps.update(b - a for b in xs[i + 1:])
-        if (2 * len(gaps) + 1) * gap_bytes > _GRID_BYTES:
-            raise TooLargeError(
-                f"the candidate grid passed {len(gaps)} distinct gaps at a "
-                f"{coords.scale.bit_length()}-bit scale, over the grid bound "
-                f"({_GRID_BYTES} bytes)")
-    return coords, sorted({0} | gaps | {g // 2 for g in gaps})
 
 
 _SEARCH_BUDGET = 400_000
@@ -369,18 +338,26 @@ def _check_enumeration_bound(m1: SampledModule, m2: SampledModule) -> None:
 
 def interleaving_distance_bruteforce(m1: SampledModule, m2: SampledModule
                                      ) -> Scalar:
-    """Smallest candidate delta admitting an interleaving; +inf if none.
+    """Smallest delta >= 0 admitting an interleaving; +inf if none.
 
-    Candidates are spectrum point differences and their halves.  Modules
-    must share a horizon; the search enumerates interleaving maps directly.
+    The search at delta reads the regions only through the shift tables,
+    and these change only where delta reaches the gap from a cut of one
+    module to a later cut of the other, or 2 delta the gap between two
+    cuts of one module.  `Coords.least` selects delta among those gaps,
+    their halves and 0, which it never lists.  Modules must share a
+    horizon; the search enumerates interleaving maps directly.
     """
     if (m1.spectrum.lo, m1.spectrum.hi) != (m2.spectrum.lo, m2.spectrum.hi):
         raise HorizonMismatchError("modules must share one horizon")
     _check_enumeration_bound(m1, m2)
     regions1, regions2 = _Regions(m1), _Regions(m2)
-    coords, grid = _candidate_grid(m1, m2)
+    coords = Coords(regions1.cuts + regions2.cuts)
+    cuts1 = [coords.of(c) for c in regions1.cuts]
+    cuts2 = [coords.of(c) for c in regions2.cuts]
+    rows = [(cuts1, cuts2, 1), (cuts2, cuts1, 1), (cuts1, cuts1, 2), (cuts2, cuts2, 2),
+            ((0,), (0,), 1)]
     found = coords.least(
-        grid, lambda n: _certificate(regions1, regions2, coords.scalar(n)))
+        rows, lambda n: _certificate(regions1, regions2, coords.scalar(n)))
     return POS_INF if found is None else found[0]
 
 

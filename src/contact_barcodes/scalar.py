@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence, Tuple, TypeVar, Union
 
 ScalarLike = Union["Scalar", Fraction, int, str]
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 _POS = float("inf")
 _NEG = float("-inf")
@@ -189,10 +191,12 @@ class Scalar(Frozen):
             return POS_INF
         if t == "-inf":
             return NEG_INF
-        if not _RATIONAL_RE.fullmatch(t):
+        match = _RATIONAL_RE.fullmatch(t)
+        if not match:
             raise ValueError(f"not a scalar: {text!r}")
+        p, q = match.groups()
         try:
-            return cls(Fraction(t))
+            return cls(Fraction(int(p), int(q or 1)))
         except ZeroDivisionError as exc:
             raise ValueError(f"not a scalar: {text!r}") from exc
 
@@ -224,23 +228,40 @@ class Coords:
         """The Scalar with coordinate n."""
         return Scalar(Fraction(n, self.scale))
 
-    def least(self, values: Sequence[int], probe: Callable[[int], Optional[T]]
-              ) -> Optional[Tuple[Scalar, T]]:
-        """The least of the ascending ints `values` at which probe succeeds
-        (is not None), as a Scalar, with its result; None if it never does.
+    def least(self, rows: Iterable[Tuple[Sequence[int], Sequence[int], int]],
+              probe: Callable[[int], Optional[T]]) -> Optional[Tuple[Scalar, T]]:
+        """The least nonnegative candidate at which probe succeeds (is not
+        None), as a Scalar, with its result; None if it never does.
 
-        The probe must fail below some value and succeed from it on, so a
-        binary search takes at most len(values).bit_length() probes.
+        Each row (cs, xs, k) stands for the candidates (x - c) // k, with c
+        in cs, x in the ascending ints xs and k > 0; none is materialized.
+        For each c those in the open window (lo, hi), from (-1, no end), are
+        one slice xs[a:b].  A probe goes to the weighted median of the
+        slices' lower-middle candidates, weighted by slice length; a failure
+        moves lo up to it, a success hi down.  At least a quarter of the
+        window lies on each side, so N candidates take at most
+        floor(log_{4/3} N) + 1 probes (sorted-matrix selection,
+        Johnson-Mizoguchi 1978); with one c it is a binary search.  The
+        probe must fail below some value and succeed from it on.
         """
-        lo, hi, best = 0, len(values) - 1, None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            res = probe(values[mid])
+        spans = [(c, xs, k) for cs, xs, k in rows for c in cs]
+        window = [(bisect_left(xs, c), len(xs)) for c, xs, _ in spans]
+        best = None
+        while True:
+            mids = sorted(((xs[(a + b - 1) // 2] - c) // k, b - a)
+                          for (c, xs, k), (a, b) in zip(spans, window) if a < b)
+            if not mids:
+                return None if best is None else (self.scalar(best[0]), best[1])
+            weights = list(accumulate(n for _, n in mids))
+            t = mids[bisect_left(weights, (weights[-1] + 1) // 2)][0]
+            res = probe(t)
             if res is None:
-                lo = mid + 1
+                window = [(bisect_left(xs, c + k * (t + 1), a, b), b)
+                          for (c, xs, k), (a, b) in zip(spans, window)]
             else:
-                hi, best = mid - 1, (values[mid], res)
-        return None if best is None else (self.scalar(best[0]), best[1])
+                best = (t, res)
+                window = [(a, bisect_left(xs, c + k * t, a, b))
+                          for (c, xs, k), (a, b) in zip(spans, window)]
 
 
 def as_scalar(x: ScalarLike) -> Scalar:

@@ -9,6 +9,7 @@ import pytest
 
 from contact_barcodes.barcode import Bar, Barcode, Spectrum
 from contact_barcodes.cli import main, run
+from contact_barcodes.distances import bottleneck_distance
 from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
 from contact_barcodes.errors import ParseError
 from contact_barcodes.persistence import module_from_barcode
@@ -321,25 +322,28 @@ def test_reduce_refuses_a_dimension_past_the_bound(tmp_path, capsys):
 
 
 
-def test_interleave_refuses_a_candidate_grid_past_the_bound(tmp_path, capsys):
-    # 1,000 points k/q with q < 10**4: a million candidate deltas, each
-    # thousands of bits long, are refused before the grid is built
-    rng = random.Random(3)
+def test_interleave_answers_a_dense_300_point_pair(tmp_path, capsys):
+    # 300 points k/q with q < 10**4 (the pair of test_distances'
+    # dense_region_pair): about 90,000 gaps and halves, thousands of bits
+    # long, of which the search probes a few without listing them
+    rng = random.Random("dense regions/300")
     points = set()
-    while len(points) < 1000:
+    while len(points) < 300:
         q = rng.randrange(1, 10 ** 4)
         points.add(Fraction(rng.randrange(100 * q), q))
-    pts = [Scalar(p) for p in sorted(points)]
-    sp = Spectrum(tuple(pts), rational(0), rational(100))
+    pts = tuple(Scalar(p) for p in sorted(points))
+    sp = Spectrum(pts, rational(0), rational(100))
+    codes = (Barcode(sp, (Bar(pts[0], pts[-1], 0), Bar(pts[1], pts[3], 1))),
+             Barcode(sp, (Bar(pts[1], pts[-1], 0), Bar(pts[1], pts[2], 1))))
     paths = []
-    for bar in (Bar(pts[0], pts[-1], 0), Bar(pts[1], pts[-2], 1)):
+    for code in codes:
         paths.append(tmp_path / f"m{len(paths)}.json")
-        paths[-1].write_text(dumps(module_from_barcode(Barcode(sp, (bar,)))))
-    assert main(["interleave", *map(str, paths)]) == 1
+        paths[-1].write_text(dumps(module_from_barcode(code)))
+    assert main(["interleave", *map(str, paths)]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
-    assert "candidate grid" in captured.err
+    assert captured.err == ""
+    graded, _ = bottleneck_distance(*codes, graded=True)
+    assert json.loads(captured.out)["delta"] == str(graded) != "0/1"
 
 
 def _invalid_module_doc():

@@ -1,10 +1,8 @@
 import random
-import time
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from sys import getsizeof
 
 import pytest
 
@@ -22,10 +20,8 @@ from contact_barcodes import interleaving
 from contact_barcodes.interleaving import (
     InterleavingCertificate,
     _GLayout,
-    _GRID_BYTES,
     _Regions,
     _add_identity,
-    _candidate_grid,
     _shift_tables,
     find_interleaving,
     interleaving_distance_bruteforce,
@@ -48,9 +44,19 @@ from contact_barcodes.scalar import NEG_INF, POS_INF, ZERO, Coords, Scalar, rati
 
 
 def candidate_deltas(m1, m2):
-    """The candidate deltas of the interleaving search, as Scalars."""
-    coords, grid = _candidate_grid(m1, m2)
-    return [coords.scalar(g) for g in grid]
+    """0, every gap between two of the spectrum points and horizon ends of
+    both modules, and half of every gap, ascending: a superset of the
+    deltas at which the interleaving search can change, in Scalar
+    arithmetic."""
+    values = set(m1.spectrum.points) | set(m2.spectrum.points)
+    values |= {m1.spectrum.lo, m1.spectrum.hi, m2.spectrum.lo, m2.spectrum.hi}
+    vals = sorted(values)
+    out = {ZERO}
+    for i, a in enumerate(vals):
+        for b in vals[i + 1:]:
+            out.add(b - a)
+            out.add((b - a) / 2)
+    return sorted(out)
 
 
 def test_endpoint_gap_conventions():
@@ -514,57 +520,69 @@ def dense_region_pair(n_points):
     return module_from_barcode(one), module_from_barcode(other)
 
 
-def test_candidate_grid_past_the_bound_is_refused_in_under_a_second():
-    # 1,002 values at a 3,603-bit scale would give about a million
-    # candidates, hundreds of MB of ints; the distinct gaps pass the bound
-    # within the first rows, long before the grid is built
-    m1, m2 = dense_region_pair(1000)
-    start = time.perf_counter()
-    with pytest.raises(TooLargeError, match=r"candidate grid passed \d+ distinct gaps"):
-        interleaving_distance_bruteforce(m1, m2)
-    assert time.perf_counter() - start < 1
-
-
-def test_candidate_grid_bound_admits_the_integer_pairs():
-    # the two-bar pairs of test_interleaving_on_400_regions at 400 and
-    # 1,000 integer points, and 300 dense points, stay under the bound
-    for n in (400, 1000):
-        sp = Spectrum.of(list(range(n)), 0, n - 1)
-        m = module_from_barcode(Barcode(sp, (Bar.of(0, n - 1, 0), Bar.of(1, 3, 1))))
-        coords, grid = _candidate_grid(m, m)
-        assert coords.scale == 2 and grid[:3] == [0, 1, 2] and grid[-1] == 2 * (n - 1)
-    coords, grid = _candidate_grid(*dense_region_pair(300))
-    assert len(grid) > 90_000
-
-
-def test_candidate_grid_bound_counts_only_distinct_gaps():
-    # 2,200 integer points have 2,418,900 pairs, more than the bound takes
-    # at a 2-bit scale, but only 2,199 distinct gaps: 3,300 candidates
-    n = 2200
-    sp = Spectrum.of(list(range(n)), 0, n - 1)
-    m = module_from_barcode(Barcode(sp, (Bar.of(0, n - 1, 0), Bar.of(1, 3, 1))))
-    coords, grid = _candidate_grid(m, m)
-    assert coords.scale == 2 and len(grid) == 3300 and grid[-1] == 2 * (n - 1)
-
-
-def test_candidate_grid_bound_charges_every_candidate():
-    # the bound charges each distinct gap for itself and its half, each as
-    # long as the scale, so an admitted grid fits it; dense 550 (about
-    # 304,000 candidates of 2,318 bits) passes it and is refused before the
-    # grid is built
-    pairs = [dense_region_pair(300)]
-    for n in (400, 1000):
-        sp = Spectrum.of(list(range(n)), 0, n - 1)
-        m = module_from_barcode(Barcode(sp, (Bar.of(0, n - 1, 0), Bar.of(1, 3, 1))))
-        pairs.append((m, m))
-    for m1, m2 in pairs:
-        coords, grid = _candidate_grid(m1, m2)
-        assert len(grid) * getsizeof(coords.scale) <= _GRID_BYTES
+def test_dense_550_point_pair_gives_the_graded_distance():
+    # 552 values at a 2,318-bit scale: about 300,000 gaps and halves, which
+    # the search selects among without listing them
     m1, m2 = dense_region_pair(550)
-    start = time.perf_counter()
-    with pytest.raises(TooLargeError, match=r"candidate grid passed \d+ distinct gaps"):
-        _candidate_grid(m1, m2)
-    assert time.perf_counter() - start < 1
+    graded, _ = bottleneck_distance(decompose(m1), decompose(m2), graded=True)
+    assert graded > ZERO
+    assert interleaving_distance_bruteforce(m1, m2) == graded
+
+
+def least_over_candidate_deltas(m1, m2):
+    """The least of candidate_deltas admitting an interleaving, by binary
+    search, and the number of deltas probed."""
+    grid = candidate_deltas(m1, m2)
+    lo, hi, best, probes = 0, len(grid) - 1, POS_INF, 0
+    while lo <= hi:
+        mid, probes = (lo + hi) // 2, probes + 1
+        if find_interleaving(m1, m2, grid[mid]) is None:
+            lo = mid + 1
+        else:
+            hi, best = mid - 1, grid[mid]
+    return best, probes
+
+
+def test_interleaving_distance_matches_the_candidate_grid_search(monkeypatch):
+    # seeded pairs on one spectrum, 30 % of them one module in two bases:
+    # the same delta as a binary search over every gap and half-gap, with
+    # no more probes in total
+    probes = []
+    certificate = interleaving._certificate
+
+    def counted(regions1, regions2, delta):
+        probes.append(delta)
+        return certificate(regions1, regions2, delta)
+
+    monkeypatch.setattr(interleaving, "_certificate", counted)
+    rng = random.Random(67)
+    reference_probes = search_probes = 0
+    for _ in range(150):
+        sp = random_spectrum(rng, max_points=rng.randint(1, 4))
+        m1 = random_module(rng, max_dim=2, spectrum=sp, density=rng.randint(1, 3))
+        if rng.random() < 0.3:
+            m2 = scramble(rng, m1)
+        else:
+            m2 = random_module(rng, max_dim=2, spectrum=sp, density=rng.randint(1, 3))
+        want, count = least_over_candidate_deltas(m1, m2)
+        reference_probes += count
+        del probes[:]
+        assert interleaving_distance_bruteforce(m1, m2) == want
+        search_probes += len(probes)
+    assert search_probes <= reference_probes
+
+
+def test_interleaving_of_modules_without_cuts():
+    # a spectrum without points: each module has one region and the search
+    # has no gap to select, so 0 is its only candidate
+    sp = Spectrum.of([], 0, 3)
+    samples = (rational(1, 2),)
+    zero = SampledModule(sp, samples, ((0, 0),), ())
+    one = SampledModule(sp, samples, ((1, 0),), ())
+    assert _Regions(one).cuts == () and _Regions(zero).cuts == ()
+    assert interleaving_distance_bruteforce(one, one) == ZERO
+    assert interleaving_distance_bruteforce(zero, zero) == ZERO
+    assert interleaving_distance_bruteforce(one, zero) == POS_INF
 
 
 def test_search_backs_out_of_later_regions():
@@ -1065,10 +1083,11 @@ def test_bottleneck_probes_candidates_not_bits_on_prime_denominators(monkeypatch
     searches = []
     least = Coords.least
 
-    def counted_least(coords, values, probe):
+    def counted_least(coords, rows, probe):
         probes = []
-        found = least(coords, values, lambda t: probes.append(t) or probe(t))
-        searches.append((coords.scale.bit_length(), len(values), len(probes)))
+        found = least(coords, rows, lambda t: probes.append(t) or probe(t))
+        candidates = sum(len(cs) * len(xs) for cs, xs, _ in rows)
+        searches.append((coords.scale.bit_length(), candidates, len(probes)))
         return found
 
     monkeypatch.setattr(Coords, "least", counted_least)
@@ -1093,17 +1112,16 @@ def reference_shift_tables(regions1, regions2, delta):
             table(regions1, two, regions1), table(regions2, two, regions2))
 
 
-def reference_candidates(m1, m2):
-    """candidate_deltas as a double loop over Scalar gaps."""
-    values = set(m1.spectrum.points) | set(m2.spectrum.points)
-    values |= {m1.spectrum.lo, m1.spectrum.hi, m2.spectrum.lo, m2.spectrum.hi}
-    vals = sorted(values)
+def search_candidates(regions1, regions2):
+    """The nonnegative deltas Coords.least selects among in
+    interleaving_distance_bruteforce, in Scalar arithmetic: 0, the gaps
+    from a cut of one module to a cut of the other, and half the gaps
+    between two cuts of one module."""
+    cuts1, cuts2 = regions1.cuts, regions2.cuts
     out = {ZERO}
-    for i, a in enumerate(vals):
-        for b in vals[i + 1:]:
-            out.add(b - a)
-            out.add((b - a) / 2)
-    return sorted(out)
+    out |= {b - a for a, b in product(cuts1, cuts2)} | {b - a for a, b in product(cuts2, cuts1)}
+    out |= {(b - a) / 2 for cuts in (cuts1, cuts2) for a, b in product(cuts, cuts)}
+    return sorted(d for d in out if ZERO <= d)
 
 
 def twelfths_spectrum(rng, max_points):
@@ -1124,14 +1142,20 @@ def test_shift_tables_and_candidates_match_scalar_reference():
                            density=rng.choice((1, 2)))
         m2 = random_module(rng, max_dim=2, spectrum=twelfths_spectrum(rng, 7))
         grid = candidate_deltas(m1, m2)
-        want = reference_candidates(m1, m2)
-        assert grid == want
-        assert [str(g) for g in grid] == [str(g) for g in want]
         regions1, regions2 = _Regions(m1), _Regions(m2)
         extra = [ZERO, rational(1, 7), rational(5, 13), rational(-3, 11)]
         for delta in grid + extra:
             assert _shift_tables(regions1, regions2, delta) == \
                 reference_shift_tables(regions1, regions2, delta), delta
+        # the search's candidates lie on the grid, and the shift tables
+        # change only at them: every delta of the grid has the tables of
+        # the largest candidate at most delta
+        candidates = search_candidates(regions1, regions2)
+        assert set(candidates) <= set(grid)
+        for delta in grid + extra[1:3]:
+            below = candidates[bisect_right(candidates, delta) - 1]
+            assert _shift_tables(regions1, regions2, delta) == \
+                _shift_tables(regions1, regions2, below), delta
 
 
 def test_infinite_delta_is_a_domain_error():

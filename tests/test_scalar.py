@@ -71,6 +71,18 @@ def test_parse_rejects_floats_and_garbage():
         Scalar(1.5)
 
 
+def test_parse_reads_signs_zeros_and_padding():
+    assert Scalar.parse("+3") == rational(3) and str(Scalar.parse("+3")) == "3/1"
+    assert Scalar.parse("-0/5") == ZERO and str(Scalar.parse("-0/5")) == "0/1"
+    assert str(Scalar.parse("007/010")) == "7/10"
+    assert str(Scalar.parse(" 3/4 ")) == "3/4"
+    assert str(Scalar.parse("-12")) == "-12/1"
+    for bad in ("1/0", "3/-4", "+-3", "3/", "/4", "3 /4"):
+        with pytest.raises(ValueError) as caught:
+            Scalar.parse(bad)
+        assert str(caught.value) == f"not a scalar: {bad!r}"
+
+
 def test_as_scalar_coercions():
     assert as_scalar(3) == rational(3)
     assert as_scalar("7/2") == rational(7, 2)
@@ -122,12 +134,13 @@ def test_coords_scale_every_value_and_half_gap_to_ints():
 
 
 def test_least_finds_the_threshold_in_few_probes():
-    # ascending candidates of every length up to 40, with the threshold at
-    # every position and past the end (a probe that never succeeds)
+    # ascending nonnegative candidates of every length up to 40, in one
+    # row, with the threshold at every position and past the end (a probe
+    # that never succeeds)
     rng = random.Random(5)
     coords = Coords([rational(1, 6)])
     for n in range(41):
-        values = sorted(rng.sample(range(-1000, 1000), n))
+        values = sorted(rng.sample(range(2000), n))
         for k in range(n + 1):
             probed = []
 
@@ -135,7 +148,7 @@ def test_least_finds_the_threshold_in_few_probes():
                 probed.append(t)
                 return ("ok", t) if k < n and t >= values[k] else None
 
-            found = coords.least(values, probe)
+            found = coords.least([((0,), values, 1)], probe)
             if k == n:
                 assert found is None
             else:
@@ -144,3 +157,91 @@ def test_least_finds_the_threshold_in_few_probes():
             assert len(probed) <= n.bit_length()
             assert set(probed) <= set(values)
     assert coords.least([], lambda t: 1 / 0) is None
+    assert coords.least([((0,), [], 1), ((), [1, 2], 1)], lambda t: 1 / 0) is None
+
+
+def binary_search_least(values, probe):
+    """Coords.least before the rows: a binary search over ascending
+    candidates, as (candidate, result) or None."""
+    lo, hi, best = 0, len(values) - 1, None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        res = probe(values[mid])
+        if res is None:
+            lo = mid + 1
+        else:
+            hi, best = mid - 1, (values[mid], res)
+    return best
+
+
+def row_candidates(rows):
+    """Every nonnegative candidate of the rows, with repeats, ascending."""
+    return sorted(c for c in ((x - c) // k for cs, xs, k in rows for c in cs for x in xs)
+                  if c >= 0)
+
+
+def random_rows(rng, width):
+    """One to four rows, k in {1, 2}, each with up to width c's and 1.5
+    width x's over ints below 10 width: some rows are empty, and values and
+    whole xs lists repeat across rows."""
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        cs = sorted(rng.choices(range(-width, 5 * width), k=rng.randint(0, width)))
+        if rows and rng.random() < 0.3:
+            xs = rows[-1][1]
+        else:
+            xs = sorted(rng.choices(range(-width, 10 * width), k=rng.randint(0, 3 * width // 2)))
+        rows.append((cs, xs, rng.choice((1, 2))))
+    return rows
+
+
+def log43_floor(n):
+    """floor(log_{4/3} n) for n >= 1, in ints."""
+    p = 0
+    while 4 ** (p + 1) <= n * 3 ** (p + 1):
+        p += 1
+    return p
+
+
+def test_least_selects_like_a_binary_search_over_the_materialized_candidates():
+    rng = random.Random(7)
+    coords = Coords([rational(1, 2)])
+    for width in [4] * 400 + [40] * 10:
+        rows = random_rows(rng, width)
+        every = row_candidates(rows)
+        distinct = sorted(set(every))
+        thresholds = distinct if width < 40 else rng.sample(distinct, 30)
+        for threshold in [-3] + thresholds + [max(distinct, default=0) + 1]:
+            probed = []
+
+            def probe(t):
+                probed.append(t)
+                return t if t >= threshold else None
+
+            found = coords.least(rows, probe)
+            want = binary_search_least(distinct, lambda t: t if t >= threshold else None)
+            assert found == (None if want is None else (coords.scalar(want[0]), want[1]))
+            assert all(t >= 0 for t in probed) and set(probed) <= set(distinct)
+            assert len(probed) <= (log43_floor(len(every)) + 1 if every else 0)
+
+
+def test_least_with_one_row_probes_as_the_binary_search():
+    # one c and distinct candidates: the lower middle of the window is the
+    # binary search's midpoint, probe for probe
+    rng = random.Random(11)
+    coords = Coords([])
+    for _ in range(300):
+        c, k = rng.randrange(-20, 20), rng.choice((1, 2))
+        xs = sorted(c + k * d for d in rng.sample(range(-15, 60), rng.randint(0, 30)))
+        distinct = row_candidates([((c,), xs, k)])
+        assert len(set(distinct)) == len(distinct)
+        for threshold in [-1] + distinct + [10 ** 6]:
+            probed, reference = [], []
+
+            def probe(t, log):
+                log.append(t)
+                return t if t >= threshold else None
+
+            coords.least([((c,), xs, k)], lambda t: probe(t, probed))
+            binary_search_least(distinct, lambda t: probe(t, reference))
+            assert probed == reference
