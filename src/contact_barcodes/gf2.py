@@ -8,6 +8,7 @@ linear systems and the sweep of `persistence.decompose` all run on it.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalar import Frozen
@@ -60,22 +61,26 @@ class Gf2Matrix(Frozen):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> "Gf2Matrix":
-        """Pack 0/1 rows.  Each row's entries become bytes, read backwards
-        as base-2 digits: floats, strings and ints outside 0..255 fail in
-        bytes(), and a byte above 1 becomes a digit int() refuses (bools
-        pass as 0 and 1).  A row of ncols digits packs into range(1 << ncols),
-        so the rows need no range check."""
+        """Pack 0/1 rows.  All entries become one bytes object, read
+        backwards as base-2 digits: floats, strings, lists and ints outside
+        0..255 fail in bytes(), and a byte above 1 becomes a digit int()
+        refuses (bools pass as 0 and 1).  Row r is then the ncols bits from
+        bit r * ncols of that int, so the rows need no range check."""
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
         if rows and set(map(len, rows)) != {ncols}:
             raise ValueError("ragged rows")
         if ncols < 0:
             raise ValueError("ncols must be nonnegative")
+        if not (rows and ncols):  # no entries, and 1 << ncols may not fit in memory
+            return cls._unchecked((0,) * len(rows), ncols)
         try:
-            packed = [int(b"0" + bytes(row)[::-1].translate(_BASE2_DIGITS), 2) for row in rows]
+            packed = int(bytes(chain.from_iterable(rows))[::-1].translate(_BASE2_DIGITS), 2)
         except (TypeError, ValueError):
             raise ValueError("entries must be 0 or 1") from None
-        return cls._unchecked(tuple(packed), ncols)
+        mask = (1 << ncols) - 1
+        return cls._unchecked(
+            tuple([packed >> s & mask for s in range(0, len(rows) * ncols, ncols)]), ncols)
 
     def to_rows(self) -> List[List[int]]:
         return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]

@@ -13,9 +13,10 @@ against each other.
 
 `decompose` reads the barcode off in one left-to-right sweep per parity,
 the persistence reduction of a chain of linear maps: it carries a basis
-of the current sample's space, each vector tagged with the sample where
-its bar was born, and pushes it through every structure map, keeping the
-older bar whenever two images become dependent (the elder rule).
+of the current sample's space, coordinate-major, each vector tagged with
+the sample where its bar was born, and multiplies it by every structure
+map, keeping the older bar whenever two images become dependent (the
+elder rule).
 Every placement is of the samples among the spectrum points: one sort
 and one merge, `_count_below`, which gives each sample the number of
 points below it and at or below it, comparing numerator and denominator
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import compress
 from typing import List, Sequence, Tuple
 
 from .barcode import Bar, Barcode, Parity, Spectrum, _end_positions
@@ -179,7 +181,7 @@ def _make_bar(gaps: Sequence[Sequence[Scalar]], i: int, j: int, parity: Parity) 
 
 
 # The largest total dimension d0 + d1 at one sample that `decompose` takes.
-# Its first basis holds one d-bit vector per coordinate, so memory grows
+# Its first basis holds one d-bit int per coordinate, so memory grows
 # with the square of a dimension that a short document can state.
 MAX_SAMPLE_DIM = 10_000
 
@@ -190,16 +192,18 @@ def decompose(m: SampledModule) -> Barcode:
     One sweep per parity over the samples.  The sweep holds a basis of the
     space at sample i in which each vector is tagged with its birth sample
     b, arranged so that the vectors born at or before b span the image of
-    the composite map from sample b to sample i.  Crossing to sample i+1,
-    the images of the basis vectors are inserted oldest first into an
-    `Echelon` of the images already kept; an image that reduces to zero
-    is the youngest of a dependent set, so its bar ends at sample i (the
-    elder rule).  The surviving images keep their births, and unit
-    vectors at the positions no survivor pivots on complete the basis as
-    bars born at sample i+1.  Each step transposes the structure map once,
-    so that a basis vector's image is the XOR of the map's columns at its
-    set bits: one pass over the map's set bits and one over the basis
-    vectors' set bits, besides the `Echelon` inserts.
+    the composite map from sample b to sample i.  The basis is kept
+    coordinate-major: one int per coordinate, whose bit made - 1 - n says
+    that the n-th vector made so far has that coordinate, so elder vectors
+    sit on higher bits (the bits of dead vectors are squeezed out once they
+    outnumber the live ones).  Crossing to sample i+1, the images at a
+    coordinate are the XOR of the ints at the set bits of the structure
+    map's row, inserted into an `Echelon`.  Its top-bit pivots are the
+    greedy independent columns from the top: the vectors on them survive,
+    and every other vector is the youngest of a dependent set, whose bar
+    ends at sample i (the elder rule).  The coordinates whose images reduce
+    to zero are those whose unit vectors complete the survivors to a basis,
+    as bars born at sample i+1.
 
     Bar ends snap as `_make_bar` snaps them: births to the unique spectrum
     point in the gap just before the birth sample (or -inf at the grid's
@@ -216,29 +220,44 @@ def decompose(m: SampledModule) -> Barcode:
     bars: List[Bar] = []
     for parity in (0, 1):
         spans: List[Tuple[int, int]] = []
-        # (vector, birth sample) pairs in birth order; vectors are bit sets
-        # over the coordinates of the current sample's space
-        basis = [(1 << c, 0) for c in range(m.dims[0][parity])] if k else []
+        births = [0] * m.dims[0][parity] if k else []  # by creation order
+        made = len(births)
+        coords = [1 << (made - 1 - c) for c in range(made)]
+        alive = (1 << made) - 1
         for i in range(k - 1):
-            step = m.maps[i][parity]
-            cols = step.transpose().rows
-            images = Echelon()
-            kept = []
-            for vec, birth in basis:
+            images = []
+            echelon = Echelon()
+            fresh = []  # the coordinates whose unit vectors are new vectors
+            for c, row in enumerate(m.maps[i][parity].rows):
                 image = 0
-                while vec:  # XOR in the column at each set bit
-                    low = vec & -vec
-                    image ^= cols[low.bit_length() - 1]
-                    vec ^= low
-                image = images.insert(image)[0]
-                if image:
-                    kept.append((image, birth))
-                else:
-                    spans.append((birth, i))
-            kept.extend((1 << c, i + 1) for c in range(step.nrows)
-                        if c not in images.pivots)
-            basis = kept
-        spans.extend((birth, k - 1) for _, birth in basis)
+                while row:  # XOR in the coordinate at each set bit
+                    low = row & -row
+                    image ^= coords[low.bit_length() - 1]
+                    row ^= low
+                images.append(image)
+                if not echelon.insert(image)[0]:
+                    fresh.append(c)
+            kept = sum(1 << top for top in echelon.pivots)
+            dead = alive ^ kept
+            while dead:
+                low = dead & -dead
+                spans.append((births[made - low.bit_length()], i))
+                dead ^= low
+            new = len(fresh)
+            births += [i + 1] * new
+            made += new
+            coords = [(image & kept) << new for image in images]
+            for bit, c in enumerate(fresh):
+                coords[c] |= 1 << bit
+            alive = kept << new | (1 << new) - 1
+            if made > 2 * alive.bit_count() + 64:  # squeeze out the bits of dead vectors
+                keep = [digit == "1" for digit in format(alive, f"0{made}b")]
+                births = list(compress(births, keep))
+                coords = [int("0" + "".join(compress(format(x, f"0{made}b"), keep)), 2)
+                          for x in coords]
+                made = len(births)
+                alive = (1 << made) - 1
+        spans.extend((births[made - 1 - b], k - 1) for b in range(made) if alive >> b & 1)
         bars.extend(_make_bar(gaps, i, j, parity) for i, j in spans)
     code = Barcode(m.spectrum, tuple(bars))
     for idx, (count, dims) in enumerate(zip(_graded_counts(code, *counts), m.dims)):

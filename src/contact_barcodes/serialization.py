@@ -10,8 +10,9 @@ neither.
 
 Documents are written as `json.dumps(..., indent=2)` would write them.
 With an indent, `json` runs its pure-Python encoder, one generator frame
-per matrix entry, so the `maps` of a module are rendered here instead,
-straight from the row bits; the text is the same byte for byte.
+per value, so every document is rendered here instead, the `maps` of a
+module straight from the row bits; the text is the same byte for byte.
+Reading packs each matrix with one `Gf2Matrix.from_rows` call.
 """
 
 from __future__ import annotations
@@ -85,13 +86,6 @@ def _pair(value: Any, path: str) -> list:
     return value
 
 
-def spectrum_to_dict(sp: Spectrum) -> Dict[str, Any]:
-    return {
-        "points": [str(p) for p in sp.points],
-        "horizon": [str(sp.lo), str(sp.hi)],
-    }
-
-
 def spectrum_from_dict(d: Dict[str, Any], path: str = "spectrum") -> Spectrum:
     points = _array(d, "points", path)
     where = _join(path, "horizon")
@@ -102,17 +96,6 @@ def spectrum_from_dict(d: Dict[str, Any], path: str = "spectrum") -> Spectrum:
         _scalar(lo, f"{where}[0]"),
         _scalar(hi, f"{where}[1]"),
     )
-
-
-def bar_to_dict(b: Bar) -> Dict[str, Any]:
-    d: Dict[str, Any] = {
-        "birth": str(b.birth),
-        "death": str(b.death),
-        "parity": b.parity,
-    }
-    if b.truncated:
-        d["truncated"] = True
-    return d
 
 
 def bar_from_dict(d: Dict[str, Any], path: str = "") -> Bar:
@@ -127,14 +110,6 @@ def bar_from_dict(d: Dict[str, Any], path: str = "") -> Bar:
     return _build(path, Bar, birth, death, parity, truncated)
 
 
-def barcode_to_dict(b: Barcode) -> Dict[str, Any]:
-    return {
-        "cpv": SCHEMA_VERSION,
-        "spectrum": spectrum_to_dict(b.spectrum),
-        "bars": [bar_to_dict(bar) for bar in b.bars],
-    }
-
-
 def barcode_from_dict(d: Dict[str, Any]) -> Barcode:
     _check_version(d)
     spectrum = spectrum_from_dict(_field(d, "spectrum", ""))
@@ -143,22 +118,6 @@ def barcode_from_dict(d: Dict[str, Any]) -> Barcode:
         "", Barcode, spectrum,
         tuple(bar_from_dict(bd, f"bars[{i}]") for i, bd in enumerate(bars)),
     )
-
-
-def _module_head(m: SampledModule) -> Dict[str, Any]:
-    """Every key of a module document but "maps", which comes last."""
-    return {
-        "cpv": SCHEMA_VERSION,
-        "spectrum": spectrum_to_dict(m.spectrum),
-        "samples": [str(s) for s in m.samples],
-        "dims": [list(d) for d in m.dims],
-    }
-
-
-def module_to_dict(m: SampledModule) -> Dict[str, Any]:
-    d = _module_head(m)
-    d["maps"] = [[mat.to_rows() for mat in pair] for pair in m.maps]
-    return d
 
 
 def module_from_dict(d: Dict[str, Any]) -> SampledModule:
@@ -180,7 +139,7 @@ def module_from_dict(d: Dict[str, Any]) -> SampledModule:
         mats = []
         for parity in (0, 1):
             rows = pair[parity]
-            if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+            if not (isinstance(rows, list) and {list}.issuperset(map(type, rows))):
                 raise ParseError(f"maps[{i}][{parity}]: expected an array of 0/1 rows")
             try:
                 mats.append(Gf2Matrix.from_rows(rows, ncols=dims[i][parity]))
@@ -239,14 +198,31 @@ def loads(text: str):
 def dumps(obj) -> str:
     """The indent=2 JSON document of a Barcode or a SampledModule."""
     if isinstance(obj, Barcode):
-        return json.dumps(barcode_to_dict(obj), indent=2) + "\n"
-    from .persistence import SampledModule
+        body = f'"bars": {_json_array([_bar_text(bar) for bar in obj.bars], 4)}'
+    else:
+        from .persistence import SampledModule
 
-    if isinstance(obj, SampledModule):
-        # the head's closing "\n}" reopens for the last key, "maps"
-        head = json.dumps(_module_head(obj), indent=2)
-        return f'{head[:-2]},\n  "maps": {_maps_text(obj.maps)}\n}}\n'
-    raise TypeError(f"dumps takes a Barcode or a SampledModule, not {type(obj).__name__}")
+        if not isinstance(obj, SampledModule):
+            raise TypeError(f"dumps takes a Barcode or a SampledModule, not {type(obj).__name__}")
+        samples = _json_array([f'"{s}"' for s in obj.samples], 4)
+        dims = _json_array([f"[\n      {d0},\n      {d1}\n    ]" for d0, d1 in obj.dims], 4)
+        body = f'"samples": {samples},\n  "dims": {dims},\n  "maps": {_maps_text(obj.maps)}'
+    spectrum = _spectrum_text(obj.spectrum)
+    return f'{{\n  "cpv": {SCHEMA_VERSION},\n  "spectrum": {spectrum},\n  {body}\n}}\n'
+
+
+def _spectrum_text(sp: Spectrum) -> str:
+    """The value of the "spectrum" key: its arrays' items 6 spaces deep."""
+    points = _json_array([f'"{p}"' for p in sp.points], 6)
+    return f'{{\n    "points": {points},\n    "horizon": ' \
+        f'[\n      "{sp.lo}",\n      "{sp.hi}"\n    ]\n  }}'
+
+
+def _bar_text(bar: Bar) -> str:
+    """One item of "bars", its keys 6 spaces deep."""
+    flag = ',\n      "truncated": true' if bar.truncated else ""
+    return f'{{\n      "birth": "{bar.birth}",\n      "death": "{bar.death}",\n' \
+        f'      "parity": {bar.parity}{flag}\n    }}'
 
 
 def _json_array(items: Sequence[str], indent: int) -> str:
@@ -284,8 +260,8 @@ def _maps_text(maps: Sequence[Tuple[Gf2Matrix, Gf2Matrix]]) -> str:
             texts = row_texts.get(mat.ncols)
             if texts is None:
                 texts = row_texts[mat.ncols] = _RowTexts(mat.ncols)
-            mats.append(_json_array([texts[r] for r in mat.rows], 8))
-        pairs.append(_json_array(mats, 6))
+            mats.append(_json_array(list(map(texts.__getitem__, mat.rows)), 8))
+        pairs.append(f"[\n      {mats[0]},\n      {mats[1]}\n    ]")
     return _json_array(pairs, 4)
 
 

@@ -133,6 +133,41 @@ def test_from_rows_keeps_its_errors_and_packs_in_range():
         assert got == Gf2Matrix(tuple(got.rows), k) and got.to_rows() == rows
 
 
+def row_packed(rows, ncols):
+    """from_rows as first written: each row's entries as bytes, read
+    backwards as base-2 digits, one int() per row."""
+    digits = b"01" + b"x" * 254
+    try:
+        packed = [int(b"0" + bytes(row)[::-1].translate(digits), 2) for row in rows]
+    except (TypeError, ValueError):
+        raise ValueError("entries must be 0 or 1") from None
+    return Gf2Matrix(tuple(packed), ncols)
+
+
+def test_from_rows_packs_as_the_per_row_packer():
+    rng = random.Random(20)
+    shapes = [(0, 7), (7, 0), (0, 0), (1, 200), (200, 1), (3, 64), (2, 65)]
+    shapes += [(rng.randint(0, 40), rng.randint(0, 40)) for _ in range(300)]
+    for n, k in shapes:
+        p = rng.choice((0.0, 0.1, 0.5, 1.0))
+        rows = [[int(rng.random() < p) for _ in range(k)] for _ in range(n)]
+        if rng.random() < 0.1:
+            rows = [[bool(v) for v in row] for row in rows]
+        got = Gf2Matrix.from_rows(rows, k)
+        assert got == row_packed(rows, k) and got.to_rows() == [[int(v) for v in row] for row in rows]
+        bad = [row[:] for row in rows]
+        if n and k:
+            bad[rng.randrange(n)][rng.randrange(k)] = rng.choice((2, -1, 256, 1.0, "1", None, [1]))
+            with pytest.raises(ValueError, match="^entries must be 0 or 1$"):
+                Gf2Matrix.from_rows(bad, k)
+            with pytest.raises(ValueError, match="^entries must be 0 or 1$"):
+                row_packed(bad, k)
+    # no entries: a column count far past memory is only recorded
+    assert Gf2Matrix.from_rows([], 2 ** 70).shape == (0, 2 ** 70)
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        Gf2Matrix.from_rows([[1, 0]], 2 ** 70)
+
+
 def test_transpose_swaps_rows_and_columns_at_every_density():
     rng = random.Random(19)
     for _ in range(600):

@@ -16,7 +16,7 @@ from contact_barcodes.errors import (
     NonUniqueSnapError,
     TooLargeError,
 )
-from contact_barcodes.gf2 import Gf2Matrix
+from contact_barcodes.gf2 import Echelon, Gf2Matrix
 from contact_barcodes.interleaving import find_interleaving
 from contact_barcodes.oracles import brute_force_decompose, rank_formula_decompose
 from contact_barcodes.persistence import (
@@ -24,9 +24,11 @@ from contact_barcodes.persistence import (
     SampledModule,
     _count_below,
     _graded_counts,
+    _make_bar,
     _only_point,
     _placement,
     _sample_positions,
+    _valid_placement,
     composite_map,
     decompose,
     module_from_barcode,
@@ -387,6 +389,71 @@ def test_sweep_agrees_with_rank_formula_oracle():
         kinds = {(b.parity, b.birth.is_neg_inf, b.death.is_pos_inf) for b in code.bars}
         assert {(0, True, False), (0, False, True), (1, False, False)} <= kinds
     assert 12 <= widest <= 20
+
+
+def column_push_decompose(m):
+    """decompose as it was before its basis went coordinate-major: a list
+    of (vector, birth) pairs, each vector pushed through the columns of
+    the transposed structure map, images inserted oldest first."""
+    gaps, counts = _valid_placement(m)
+    k = m.n_samples
+    bars = []
+    for parity in (0, 1):
+        spans = []
+        basis = [(1 << c, 0) for c in range(m.dims[0][parity])] if k else []
+        for i in range(k - 1):
+            step = m.maps[i][parity]
+            cols = step.transpose().rows
+            images = Echelon()
+            kept = []
+            for vec, birth in basis:
+                image = 0
+                while vec:
+                    low = vec & -vec
+                    image ^= cols[low.bit_length() - 1]
+                    vec ^= low
+                image = images.insert(image)[0]
+                if image:
+                    kept.append((image, birth))
+                else:
+                    spans.append((birth, i))
+            kept.extend((1 << c, i + 1) for c in range(step.nrows) if c not in images.pivots)
+            basis = kept
+        spans.extend((birth, k - 1) for _, birth in basis)
+        bars.extend(_make_bar(gaps, i, j, parity) for i, j in spans)
+    return Barcode(m.spectrum, tuple(bars))
+
+
+def long_bar_code(rng, n_points, n_bars, parities=(0, 1)):
+    """Random bars over 0..n_points-1, most of them long, some infinite."""
+    sp = Spectrum.of(range(n_points), 0, n_points - 1)
+    ends = (NEG_INF,) + sp.points + (POS_INF,)
+    bars = []
+    for _ in range(n_bars):
+        i, j = sorted(rng.sample(range(len(ends)), 2))
+        bars.append(Bar(ends[i], ends[j], rng.choice(parities)))
+    return Barcode(sp, tuple(bars))
+
+
+def test_sweep_matches_the_column_push_sweep():
+    rng = random.Random(155)
+    modules = [scramble(rng, random_module(rng, max_points=6, max_dim=6, density=1 + t % 3))
+               for t in range(80)]
+    modules += [scramble(rng, module_from_barcode(long_bar_code(rng, n, n), 1 + n % 2))
+                for n in (60, 90, 120)]
+    # a chain of unit bars under infinite and long bars: more vectors are
+    # made than stay alive, so the sweep renumbers its bits on the way
+    n = 400
+    sp = Spectrum.of(range(n), 0, n - 1)
+    chain = tuple(Bar(sp.points[i], sp.points[i + 1], 0) for i in range(n - 1))
+    modules.append(scramble(rng, module_from_barcode(Barcode(sp, chain + (
+        Bar(NEG_INF, POS_INF, 0), Bar(sp.points[3], sp.points[n - 5], 0))))))
+    modules.append(module_from_barcode(Barcode(sp, chain)))
+    assert max(max(d) for m in modules for d in m.dims) >= 40
+    for m in modules:
+        want = column_push_decompose(m)
+        got = decompose(m)
+        assert got == want and repr(got) == repr(want)
 
 
 def test_sweep_agrees_with_rank_formula_on_random_modules():

@@ -1,22 +1,75 @@
+import hashlib
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from contact_barcodes.barcode import Bar, Barcode, Spectrum
 from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
-from contact_barcodes.persistence import SampledModule, module_from_barcode
+from contact_barcodes.errors import ParseError, TooLargeError
+from contact_barcodes.gf2 import Gf2Matrix
+from contact_barcodes.persistence import (
+    SampledModule,
+    decompose,
+    module_from_barcode,
+    validate_module,
+)
 from contact_barcodes.random_instances import random_barcode, random_module, scramble
 from contact_barcodes.scalar import NEG_INF, POS_INF, rational
 from contact_barcodes.serialization import (
+    SCHEMA_VERSION,
     barcode_from_dict,
-    barcode_to_dict,
     dumps,
     loads,
     module_from_dict,
-    module_to_dict,
 )
+
+
+# The documents as dicts, as they were first built: json.dumps(..., indent=2)
+# of these is the reference text of `dumps`.
+
+def spectrum_to_dict(sp):
+    return {
+        "points": [str(p) for p in sp.points],
+        "horizon": [str(sp.lo), str(sp.hi)],
+    }
+
+
+def bar_to_dict(b):
+    d = {
+        "birth": str(b.birth),
+        "death": str(b.death),
+        "parity": b.parity,
+    }
+    if b.truncated:
+        d["truncated"] = True
+    return d
+
+
+def barcode_to_dict(b):
+    return {
+        "cpv": SCHEMA_VERSION,
+        "spectrum": spectrum_to_dict(b.spectrum),
+        "bars": [bar_to_dict(bar) for bar in b.bars],
+    }
+
+
+def _module_head(m):
+    """Every key of a module document but "maps", which comes last."""
+    return {
+        "cpv": SCHEMA_VERSION,
+        "spectrum": spectrum_to_dict(m.spectrum),
+        "samples": [str(s) for s in m.samples],
+        "dims": [list(d) for d in m.dims],
+    }
+
+
+def module_to_dict(m):
+    d = _module_head(m)
+    d["maps"] = [[mat.to_rows() for mat in pair] for pair in m.maps]
+    return d
 
 
 def test_barcode_round_trip_random():
@@ -150,6 +203,114 @@ def test_module_dumps_matches_json_indent_encoder():
     assert len(seen) == 4 and all(seen.values()), seen
 
 
+def reference_barcode_dumps(b):
+    """Barcode dumps as first written: the json module's indent=2 encoder."""
+    return json.dumps(barcode_to_dict(b), indent=2) + "\n"
+
+
+def test_barcode_dumps_matches_json_indent_encoder():
+    rng = random.Random(6)
+    codes = [random_barcode(rng, max_bars=rng.randint(0, 14), max_points=rng.randint(1, 9),
+                            force_half_infinite=rng.random() < 0.3) for _ in range(300)]
+    codes.append(ellipsoid_barcode(EllipsoidParams.of(["1", "1393/985"], 200)))
+    codes.append(Barcode(Spectrum.of([], 0, 1), ()))
+    codes.append(Barcode(Spectrum.of([], "-1/2", 3), (Bar(NEG_INF, POS_INF, 1),) * 2))
+    codes.append(Barcode(Spectrum.of(["1/3", 2], 0, 2),
+                         (Bar(NEG_INF, rational(1, 3), 0, True), Bar.of(2, "inf", 1, True))))
+    seen = Counter()
+    for b in codes:
+        text = dumps(b)
+        assert text == reference_barcode_dumps(b)
+        assert loads(text) == b
+        seen["no bars"] += not b.bars
+        seen["no points"] += not b.spectrum.points
+        seen["truncated bar"] += any(bar.truncated for bar in b.bars)
+        seen["-inf birth"] += any(bar.birth == NEG_INF for bar in b.bars)
+        seen["+inf death"] += any(bar.death == POS_INF for bar in b.bars)
+    assert len(seen) == 5 and all(seen.values()), seen
+
+
+def matrix_document(maps, dims):
+    """A module document over the spectrum {1} with the given maps and dims."""
+    return json.dumps({"cpv": 1, "spectrum": {"points": ["1/1"], "horizon": ["0/1", "2/1"]},
+                       "samples": ["1/2", "3/2"], "dims": dims, "maps": [maps]})
+
+
+def test_loads_refuses_each_malformed_matrix_entry_in_one_line():
+    good = [[[1, 0], [0, 1]], []]
+    dims = [[2, 0], [2, 0]]
+    assert loads(matrix_document(good, dims)).maps[0][0] == Gf2Matrix.identity(2)
+    cases = [(2, "got 2"), (-1, "got -1"), (1.5, "got 1.5"), ("1", "got '1'"),
+             (True, "got True"), (None, "got None"), ([1], "got [1]")]
+    for value, tail in cases:
+        maps = json.loads(json.dumps(good))
+        maps[0][1][0] = value
+        with pytest.raises(ParseError) as caught:
+            loads(matrix_document(maps, dims))
+        assert str(caught.value) == f"maps[0][0][1]: entries must be 0 or 1, {tail}"
+    refusals = [
+        ([[[1, 0], [0]], []], dims, "maps[0][0][1]: expected 2 entries, got 1"),
+        ([[[1, 0], [0, 1, 1]], []], dims, "maps[0][0][1]: expected 2 entries, got 3"),
+        ([[[1, 0], 5], []], dims, "maps[0][0]: expected an array of 0/1 rows"),
+        ([[[1, 0], "01"], []], dims, "maps[0][0]: expected an array of 0/1 rows"),
+        ([[[1, 0], [0, 1]], [{}]], [[2, 0], [2, 1]], "maps[0][1]: expected an array of 0/1 rows"),
+        ([[[1, 0], [0, 1]], {}], dims, "maps[0][1]: expected an array of 0/1 rows"),
+        ([[[1, 0], [0, 1]], []], [[2 ** 70, 0], [2, 0]],
+         f"maps[0][0][0]: expected {2 ** 70} entries, got 2"),
+    ]
+    for maps, dims_, message in refusals:
+        with pytest.raises(ParseError) as caught:
+            loads(matrix_document(maps, dims_))
+        assert str(caught.value) == message
+    # a dims entry of 2**70 over empty rows is read without building 1 << 2**70,
+    # and decompose refuses the module as too large
+    m = loads(matrix_document([[], []], [[2 ** 70, 0], [0, 0]]))
+    assert m.maps[0][0].shape == (0, 2 ** 70) and validate_module(m) == []
+    with pytest.raises(TooLargeError):
+        decompose(m)
+
+
 def test_dumps_takes_a_barcode_or_a_module():
     with pytest.raises(TypeError):
         dumps({"cpv": 1})
+
+
+# -- pinned contracts ----------------------------------------------------------
+
+DIGESTS = Path(__file__).parent / "data" / "contract_digests.txt"
+
+
+def contract_cases():
+    """(name, text) for each pinned output: barcode and module documents,
+    and the reprs of decompose on scrambled modules."""
+    cases = []
+    for s in range(40):
+        rng = random.Random(f"barcode/{s}")
+        b = random_barcode(rng, max_bars=4 + s % 12, max_points=2 + s % 8,
+                           force_half_infinite=s % 5 == 0)
+        cases.append((f"dumps random_barcode {s}", dumps(b)))
+    code = ellipsoid_barcode(EllipsoidParams.of(["1", "1393/985"], 200))
+    assert any(bar.truncated for bar in code.bars)
+    cases.append(("dumps E(1, 1393/985) T=200", dumps(code)))
+    cases.append(("dumps empty barcode", dumps(Barcode(Spectrum.of([], 0, 1), ()))))
+    for s in range(30):
+        rng = random.Random(f"module/{s}")
+        m = random_module(rng, max_points=2 + s % 5, max_dim=1 + s % 5, density=1 + s % 3)
+        cases.append((f"dumps random_module {s}", dumps(m)))
+        cases.append((f"decompose scrambled random_module {s}", repr(decompose(scramble(rng, m)))))
+    for s in range(4):
+        rng = random.Random(f"long_bars/{s}")
+        m = scramble(rng, module_from_barcode(long_bars(rng, 30, 45), 1 + s % 2))
+        cases.append((f"dumps scrambled long_bars {s}", dumps(m)))
+        cases.append((f"decompose scrambled long_bars {s}", repr(decompose(m))))
+    return cases
+
+
+def test_documents_and_decompositions_match_their_pinned_digests():
+    # a changed line here is a changed output contract
+    want = dict(line.rsplit(" ", 1) for line in DIGESTS.read_text().splitlines())
+    got = [(name, text, hashlib.sha256(text.encode()).hexdigest())
+           for name, text in contract_cases()]
+    assert [name for name, _, _ in got] == list(want)
+    for name, text, digest in got:
+        assert digest == want[name], f"{name} differs; it now reads:\n{text[:2000]}"
