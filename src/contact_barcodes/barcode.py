@@ -152,6 +152,14 @@ class Barcode(Frozen):
     def of(cls, spectrum: Spectrum, bars: Iterable[Bar]) -> "Barcode":
         return cls(spectrum, tuple(bars))
 
+    @classmethod
+    def _sorted(cls, spectrum: Spectrum, bars: Tuple[Bar, ...]) -> "Barcode":
+        """Bars already sorted, with spectral ends; nothing is checked."""
+        code = object.__new__(cls)
+        object.__setattr__(code, "spectrum", spectrum)
+        object.__setattr__(code, "bars", bars)
+        return code
+
     def graded_dim_at(self, s: Scalar) -> Tuple[int, int]:
         d = [0, 0]
         for b in self.bars:

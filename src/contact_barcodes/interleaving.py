@@ -193,10 +193,10 @@ def _add_identity(system: Gf2System, g: _GLayout,
 
 
 def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
-                  tables: Tuple[List[int], List[int], List[int], List[int]]
+                  tables: Tuple[List[int], List[int], List[int], List[int]], delta: Scalar
                   ) -> Optional[Tuple[List[Gf2Matrix], List[Gf2Matrix]]]:
-    """The first (F maps, G maps) pair satisfying every constraint at the
-    delta of the shift `tables`, or None.
+    """The first (F maps, G maps) pair satisfying every constraint at
+    delta, whose shift `tables` are given, or None.
 
     F maps are searched depth-first along the forward naturality chain, on
     an explicit stack with one frame per region; G equations are accumulated
@@ -280,7 +280,9 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
             continue
         budget -= 1
         if budget <= 0:
-            raise TooLargeError("interleaving search budget exhausted")
+            raise TooLargeError(f"interleaving search budget exhausted at delta {delta}: "
+                                f"{_SEARCH_BUDGET} F candidates tried between modules "
+                                f"of {R1} and {R2} regions")
         fmat = Gf2Matrix(rows, d1[r])
         sub = system.copy()
         through, direct = e2_maps[r]
@@ -317,7 +319,7 @@ def _certificate(regions1: _Regions, regions2: _Regions, delta: Scalar
     tables = _shift_tables(regions1, regions2, delta)
     per_parity = []
     for parity in (0, 1):
-        found = _search_chain(regions1, regions2, parity, tables)
+        found = _search_chain(regions1, regions2, parity, tables, delta)
         if found is None:
             return None
         per_parity.append(found)

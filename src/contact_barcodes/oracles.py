@@ -13,11 +13,11 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .barcode import Bar, Barcode
-from .errors import TooLargeError
+from .barcode import Bar, Barcode, Parity
+from .errors import NonUniqueSnapError, TooLargeError
 from .gf2 import Gf2Matrix
-from .persistence import SampledModule, _make_bar, _valid_placement
-from .scalar import POS_INF, Scalar, ZERO, midpoint
+from .persistence import SampledModule, _valid_placement
+from .scalar import NEG_INF, POS_INF, Scalar, ZERO, midpoint
 
 
 def all_matrices(nrows: int, ncols: int) -> Iterator[Gf2Matrix]:
@@ -115,6 +115,24 @@ def rank_formula_decompose(m: SampledModule) -> Barcode:
                 if mult:
                     bars.extend([_make_bar(gaps, i, j, parity)] * mult)
     return Barcode(m.spectrum, tuple(bars))
+
+
+def _only_point(between: Sequence[Scalar], gap_index: int) -> Scalar:
+    """The one spectrum point `between` holds, for the gap gap_index."""
+    if len(between) != 1:
+        raise NonUniqueSnapError(
+            f"gap between samples {gap_index} and {gap_index + 1} holds "
+            f"{len(between)} spectrum points; endpoint snapping is ambiguous")
+    return between[0]
+
+
+def _make_bar(gaps: Sequence[Sequence[Scalar]], i: int, j: int, parity: Parity) -> Bar:
+    """The bar alive on samples i..j: each end snaps to the one spectrum
+    point of the gap beyond its end sample, or to -inf/+inf at the ends of
+    the grid."""
+    birth = NEG_INF if i == 0 else _only_point(gaps[i - 1], i - 1)
+    death = POS_INF if j == len(gaps) else _only_point(gaps[j], j)
+    return Bar(birth, death, parity)
 
 
 def _threads_to_bars(gaps: Sequence[Sequence[Scalar]], dims: Sequence[int],
@@ -242,13 +260,3 @@ def covering_min_subsets(points: Sequence[Scalar], delta: Scalar) -> int:
                 return k
     return len(pts)
 
-
-def spectrum_member_by_divisibility(s: Scalar, axes: Sequence[Scalar]) -> bool:
-    """Membership of s in the union of the axis multiples, by direct division."""
-    if not s.is_finite:
-        return False
-    for a in axes:
-        ratio = s.value / a.value
-        if ratio.denominator == 1 and ratio >= 0:
-            return True
-    return False

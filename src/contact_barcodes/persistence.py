@@ -17,23 +17,25 @@ of the current sample's space, coordinate-major, each vector tagged with
 the sample where its bar was born, and multiplies it by every structure
 map, keeping the older bar whenever two images become dependent (the
 elder rule).
-Every placement is of the samples among the spectrum points: one sort
-and one merge, `_count_below`, which gives each sample the number of
-points below it and at or below it, comparing numerator and denominator
-ints.  Those counts give each sample gap its points and `validate_module`
-its collisions and unstraddled points (`_placement`).  Every finite bar
-end is a spectrum point, so a bar end is its int position among the points
-(`barcode._end_positions`), and a bisect of the two count lists gives the
-samples each bar contains: the bars alive at each sample (`_alive`), which
-`module_from_barcode` and the closing dimension check of `decompose` both
-read.
+Every placement is of the samples among the spectrum points: one merge,
+`_count_below`, which gives each sample the number of points below it and
+at or below it, comparing numerator and denominator ints (only an invalid
+module's samples are sorted first).  Those counts give each sample gap its
+points and `validate_module` its collisions and unstraddled points
+(`_placement`).  Every finite bar end is a spectrum point, so a bar end is
+its int position among the points: `decompose` reads each end's position
+off the counts and sorts and recounts its bars on those ints, and
+`module_from_barcode` bisects the positions of a barcode's ends
+(`barcode._end_positions`) into the counts for the bars alive at each
+sample (`_alive`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .barcode import Bar, Barcode, Parity, Spectrum, _end_positions
@@ -41,7 +43,6 @@ from .errors import (
     EmptyHorizonError,
     IndexOutOfRangeError,
     InvalidModuleError,
-    NonUniqueSnapError,
     TooLargeError,
 )
 from .gf2 import Echelon, Gf2Matrix
@@ -94,30 +95,31 @@ def _placement(m: SampledModule
     it; any sample order is read as given.  Gap i holds the points from
     upto[i] to below[i + 1], a sample lies on a point exactly when its two
     counts differ, and the points before below[0] or from upto[-1] on are
-    not straddled; without samples, no point is.
+    not straddled; without samples, no point is.  A valid module's checks
+    compare ints only.
     """
-    samples = m.samples
+    samples, dims = m.samples, m.dims
     pts = m.spectrum.points
-    below, upto = _count_below(samples, pts)
+    rising = _rising(samples)
+    below, upto = _count_below(samples, pts, rising)
     gaps = [pts[lo:hi] for lo, hi in zip(upto, below[1:])]
     issues: List[str] = []
-    for i, s in enumerate(samples):
-        if not s.is_finite:
-            issues.append(f"sample {i} is not finite")
-        elif below[i] != upto[i]:
-            issues.append(f"sample {i} collides with spectrum point {s}")
-        if i > 0 and not (samples[i - 1] < s):
-            issues.append(f"samples {i - 1} and {i} are not strictly increasing")
-    for i, (d0, d1) in enumerate(m.dims):
+    if below != upto or not rising:
+        for i, s in enumerate(samples):
+            if not (rising or s.is_finite):
+                issues.append(f"sample {i} is not finite")
+            elif below[i] != upto[i]:
+                issues.append(f"sample {i} collides with spectrum point {s}")
+            if not rising and i > 0 and not (samples[i - 1] < s):
+                issues.append(f"samples {i - 1} and {i} are not strictly increasing")
+    for i, (d0, d1) in enumerate(dims):
         if d0 < 0 or d1 < 0:
             issues.append(f"negative dimension at sample {i}")
-    for i, pair in enumerate(m.maps):
-        for parity in (0, 1):
-            mat = pair[parity]
-            want = (m.dims[i + 1][parity], m.dims[i][parity])
-            if mat.shape != want:
-                issues.append(
-                    f"map {i} parity {parity} has shape {mat.shape}, expected {want}")
+    for i, (pair, src, dst) in enumerate(zip(m.maps, dims, dims[1:])):
+        for parity, mat in enumerate(pair):
+            if len(mat.rows) != dst[parity] or mat.ncols != src[parity]:
+                issues.append(f"map {i} parity {parity} has shape {mat.shape}, "
+                              f"expected {(dst[parity], src[parity])}")
     # Grid discipline relative to the spectrum.
     outside = pts[:below[0]] + pts[max(below[0], upto[-1]):] if samples else pts
     for p in outside:
@@ -129,7 +131,7 @@ def _placement(m: SampledModule
         if not between:
             for parity in (0, 1):
                 mat = m.maps[i][parity]
-                if mat.shape == (m.dims[i + 1][parity], m.dims[i][parity]) \
+                if mat.shape == (dims[i + 1][parity], dims[i][parity]) \
                         and not mat.is_invertible():
                     issues.append(
                         f"map {i} parity {parity} crosses no spectrum point "
@@ -162,24 +164,6 @@ def _valid_placement(m: SampledModule) -> Tuple[List[Tuple[Scalar, ...]], Counts
     return gaps, counts
 
 
-def _only_point(between: Sequence[Scalar], gap_index: int) -> Scalar:
-    """The one spectrum point `between` holds, for the gap gap_index."""
-    if len(between) != 1:
-        raise NonUniqueSnapError(
-            f"gap between samples {gap_index} and {gap_index + 1} holds "
-            f"{len(between)} spectrum points; endpoint snapping is ambiguous")
-    return between[0]
-
-
-def _make_bar(gaps: Sequence[Sequence[Scalar]], i: int, j: int, parity: Parity) -> Bar:
-    """The bar alive on samples i..j: each end snaps to the one spectrum
-    point of the gap beyond its end sample, or to -inf/+inf at the ends of
-    the grid."""
-    birth = NEG_INF if i == 0 else _only_point(gaps[i - 1], i - 1)
-    death = POS_INF if j == len(gaps) else _only_point(gaps[j], j)
-    return Bar(birth, death, parity)
-
-
 # The largest total dimension d0 + d1 at one sample that `decompose` takes.
 # Its first basis holds one d-bit int per coordinate, so memory grows
 # with the square of a dimension that a short document can state.
@@ -205,22 +189,25 @@ def decompose(m: SampledModule) -> Barcode:
     to zero are those whose unit vectors complete the survivors to a basis,
     as bars born at sample i+1.
 
-    Bar ends snap as `_make_bar` snaps them: births to the unique spectrum
-    point in the gap just before the birth sample (or -inf at the grid's
-    left end), deaths symmetrically.
+    Bar ends are int positions among the spectrum points, as in
+    `barcode._end_positions`: a bar dying at sample i or born at sample
+    i+1 ends at the one point of the gap between them, at position
+    upto[i]; -inf is -1 and +inf len(points).  The sorted (birth, death,
+    parity) ints are `Barcode`'s order, and they also recount the bars
+    alive at each sample for the closing check.
     `oracles.rank_formula_decompose` recomputes the same barcode from the
     inclusion-exclusion of composite ranks.  A module with more than
     MAX_SAMPLE_DIM dimensions at some sample raises TooLargeError.
     """
-    gaps, counts = _valid_placement(m)
+    below, upto = _valid_placement(m)[1]
     if any(d0 + d1 > MAX_SAMPLE_DIM for d0, d1 in m.dims):
         raise TooLargeError(
             f"per-sample total dimension exceeds the decomposition bound ({MAX_SAMPLE_DIM})")
     k = m.n_samples
-    bars: List[Bar] = []
+    top = len(m.spectrum.points)
+    ends: List[Tuple[int, int, Parity]] = []  # (birth, death, parity) positions
     for parity in (0, 1):
-        spans: List[Tuple[int, int]] = []
-        births = [0] * m.dims[0][parity] if k else []  # by creation order
+        births = [-1] * m.dims[0][parity] if k else []  # positions, by creation order
         made = len(births)
         coords = [1 << (made - 1 - c) for c in range(made)]
         alive = (1 << made) - 1
@@ -237,14 +224,17 @@ def decompose(m: SampledModule) -> Barcode:
                 images.append(image)
                 if not echelon.insert(image)[0]:
                     fresh.append(c)
-            kept = sum(1 << top for top in echelon.pivots)
+            kept = sum(1 << pivot for pivot in echelon.pivots)
             dead = alive ^ kept
+            # a valid module has one point in a gap that a bar ends in: a gap
+            # without points carries invertible maps, which end no bar
+            at = upto[i]
             while dead:
                 low = dead & -dead
-                spans.append((births[made - low.bit_length()], i))
+                ends.append((births[made - low.bit_length()], at, parity))
                 dead ^= low
             new = len(fresh)
-            births += [i + 1] * new
+            births += [at] * new
             made += new
             coords = [(image & kept) << new for image in images]
             for bit, c in enumerate(fresh):
@@ -257,20 +247,24 @@ def decompose(m: SampledModule) -> Barcode:
                           for x in coords]
                 made = len(births)
                 alive = (1 << made) - 1
-        spans.extend((births[made - 1 - b], k - 1) for b in range(made) if alive >> b & 1)
-        bars.extend(_make_bar(gaps, i, j, parity) for i, j in spans)
-    code = Barcode(m.spectrum, tuple(bars))
-    for idx, (count, dims) in enumerate(zip(_graded_counts(code, *counts), m.dims)):
+        ends.extend((births[made - 1 - b], top, parity) for b in range(made) if alive >> b & 1)
+    ends.sort()
+    line = (NEG_INF, *m.spectrum.points, POS_INF)  # position p is line[p + 1]
+    code = Barcode._sorted(m.spectrum, tuple([Bar(line[b + 1], line[d + 1], parity)
+                                              for b, d, parity in ends]))
+    # A bar from position b to d contains sample s when b < below[s] and
+    # upto[s] <= d, and below[s] == upto[s] in a valid module: the bars at
+    # s are those born before below[s] less those dead before upto[s].
+    tally = [[0] * (top + 2) for _ in range(4)]  # births, deaths at position + 1
+    for b, d, parity in ends:
+        tally[parity][b + 1] += 1
+        tally[2 + parity][d + 1] += 1
+    born0, born1, died0, died1 = (list(accumulate(c)) for c in tally)
+    for idx, (lo, hi, dims) in enumerate(zip(below, upto, m.dims)):
+        count = (born0[lo] - died0[hi], born1[lo] - died1[hi])
         if count != dims:
             raise AssertionError(f"decomposition loses rank at sample {idx}: {count} != {dims}")
     return code
-
-
-def _graded_counts(code: Barcode, below: List[int], upto: List[int]
-                   ) -> List[Tuple[int, int]]:
-    """Graded number of bars containing each sample, from the counts of
-    the sorted samples among the spectrum points (see `_alive`)."""
-    return [(len(a0), len(a1)) for a0, a1 in _alive(code, below, upto)]
 
 
 def _alive(code: Barcode, below: List[int], upto: List[int]
@@ -292,14 +286,14 @@ def _alive(code: Barcode, below: List[int], upto: List[int]
     return alive
 
 
-def _count_below(values: Sequence[Scalar], ref: Sequence[Scalar]
+def _count_below(values: Sequence[Scalar], ref: Sequence[Scalar], rising: bool = False
                  ) -> Counts:
     """For each value, the numbers of the sorted finite scalars `ref` below
     it and at most it (bisect_left and bisect_right of the value into ref),
     from one merge of the sorted values into ref.
 
-    The values may come in any order; sorting them is the only use of
-    Scalar.__lt__.  The merge compares numerator and denominator ints,
+    Values not known to be `rising` (`_rising`) are sorted first, the
+    only use of Scalar.__lt__.  The merge compares numerator and denominator ints,
     taken out once, by cross-multiplication (denominators are positive),
     and an infinite value goes by its tag: -inf lies below every entry of
     ref and +inf above.
@@ -311,7 +305,7 @@ def _count_below(values: Sequence[Scalar], ref: Sequence[Scalar]
     dens = [f.denominator for f in fracs]
     k = len(ref)
     p = 0
-    for e in sorted(range(len(values)), key=values.__getitem__):
+    for e in range(len(values)) if rising else sorted(range(len(values)), key=values.__getitem__):
         x = values[e].value
         if x.__class__ is float:
             below[e] = upto[e] = 0 if x < 0 else k
@@ -324,6 +318,17 @@ def _count_below(values: Sequence[Scalar], ref: Sequence[Scalar]
             q += 1
         upto[e] = q
     return below, upto
+
+
+def _rising(values: Sequence[Scalar]) -> bool:
+    """Whether the values are finite and strictly increasing, by
+    cross-multiplied numerator and denominator ints."""
+    try:
+        nums = [v.value.numerator for v in values]
+        dens = [v.value.denominator for v in values]
+    except AttributeError:  # an infinity, whose value is a float
+        return False
+    return all(map(int.__lt__, map(mul, nums, dens[1:]), map(mul, nums[1:], dens)))
 
 
 def _sample_positions(spectrum: Spectrum, density: int) -> List[Scalar]:
@@ -368,7 +373,7 @@ def module_from_barcode(b: Barcode, grid_density_hint: int = 1) -> SampledModule
     if grid_density_hint < 1:
         raise ValueError("grid_density_hint must be a positive integer")
     samples = _sample_positions(b.spectrum, grid_density_hint)
-    alive = _alive(b, *_count_below(samples, b.spectrum.points))
+    alive = _alive(b, *_count_below(samples, b.spectrum.points, rising=True))
     dims = tuple((len(a0), len(a1)) for a0, a1 in alive)
     maps: List[Tuple[Gf2Matrix, Gf2Matrix]] = []
     for i in range(len(samples) - 1):

@@ -346,6 +346,22 @@ def test_interleave_answers_a_dense_300_point_pair(tmp_path, capsys):
     assert json.loads(captured.out)["delta"] == str(graded) != "0/1"
 
 
+def test_interleave_names_an_exhausted_search_budget(tmp_path, capsys, monkeypatch):
+    from contact_barcodes import interleaving
+
+    sp = Spectrum.of([1, 2], 0, 3)
+    code = Barcode(sp, (Bar(NEG_INF, rational(1), 0), Bar(NEG_INF, rational(2), 0)))
+    path = tmp_path / "m.json"
+    path.write_text(dumps(module_from_barcode(code)))
+    monkeypatch.setattr(interleaving, "_SEARCH_BUDGET", 3)
+    assert main(["interleave", str(path), str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: interleaving search budget exhausted at delta ")
+    assert captured.err.endswith(": 3 F candidates tried between modules of 3 and 3 regions\n")
+
+
 def _invalid_module_doc():
     doc = _module_doc()
     doc["samples"][0] = "1/1"  # collides with the spectrum point

@@ -394,6 +394,20 @@ def test_interleaving_dimension_bound():
         interleaving_distance_bruteforce(big, small)
 
 
+def test_search_budget_refusal_names_delta_budget_and_regions(monkeypatch):
+    sp = Spectrum.of([1, 2], 0, 3)
+    code = Barcode(sp, (Bar.of(NEG_INF, 1), Bar.of(NEG_INF, 2), Bar.of(1, POS_INF, 1)))
+    rng = random.Random(157)
+    m1, m2 = module_from_barcode(code), scramble(rng, module_from_barcode(code, 2))
+    assert find_interleaving(m1, m2, ZERO) is not None
+    monkeypatch.setattr(interleaving, "_SEARCH_BUDGET", 3)
+    with pytest.raises(TooLargeError) as caught:
+        find_interleaving(m1, m2, rational(1, 4))
+    assert str(caught.value) == (
+        "interleaving search budget exhausted at delta 1/4: 3 F candidates "
+        "tried between modules of 3 and 3 regions")
+
+
 def test_interleaving_feasibility_monotone():
     rng = random.Random(31)
     for _ in range(25):

@@ -12,13 +12,23 @@ from contact_barcodes.ellipsoid import (
     gaps_longer_than,
 )
 from contact_barcodes.errors import OnSpectrumError, TooLargeError
-from contact_barcodes.oracles import spectrum_member_by_divisibility
 from contact_barcodes.persistence import decompose, module_from_barcode
 from contact_barcodes.scalar import POS_INF, Scalar, ZERO, rational
 
 
 def params(axes, horizon):
     return EllipsoidParams.of(axes, horizon)
+
+
+def spectrum_member_by_divisibility(s, axes):
+    """Membership of s in the union of the axis multiples, by direct division."""
+    if not s.is_finite:
+        return False
+    for a in axes:
+        ratio = s.value / a.value
+        if ratio.denominator == 1 and ratio >= 0:
+            return True
+    return False
 
 
 def test_params_validation():

@@ -4,6 +4,7 @@ import random
 import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 
@@ -18,14 +19,17 @@ from contact_barcodes.errors import (
 )
 from contact_barcodes.gf2 import Echelon, Gf2Matrix
 from contact_barcodes.interleaving import find_interleaving
-from contact_barcodes.oracles import brute_force_decompose, rank_formula_decompose
+from contact_barcodes.oracles import (
+    _make_bar,
+    _only_point,
+    brute_force_decompose,
+    rank_formula_decompose,
+)
 from contact_barcodes.persistence import (
     MAX_SAMPLE_DIM,
     SampledModule,
+    _alive,
     _count_below,
-    _graded_counts,
-    _make_bar,
-    _only_point,
     _placement,
     _sample_positions,
     _valid_placement,
@@ -129,6 +133,9 @@ def test_validate_flags_collisions_and_shapes():
     unstraddled = SampledModule(sp, (rational(5, 4), rational(3, 2)),
                                 ((0, 0), (0, 0)), ((ident(0), ident(0)),))
     assert any("straddled" in i for i in validate_module(unstraddled))
+    repeated = SampledModule(sp, (rational(1, 2), rational(1, 2), rational(3, 2)),
+                             ((0, 0),) * 3, ((ident(0), ident(0)),) * 2)
+    assert validate_module(repeated) == ["samples 0 and 1 are not strictly increasing"]
 
 
 def test_validator_passes_generator_output():
@@ -456,6 +463,92 @@ def test_sweep_matches_the_column_push_sweep():
         assert got == want and repr(got) == repr(want)
 
 
+def graded_counts(code, below, upto):
+    """Graded number of bars containing each sample, from the counts of
+    the sorted samples among the spectrum points (see `_alive`)."""
+    return [(len(a0), len(a1)) for a0, a1 in _alive(code, below, upto)]
+
+
+def scalar_route_decompose(m):
+    """decompose as it was before its bar ends became int positions: the
+    same sweep over spans of samples, each span snapped to Scalar ends by
+    `_make_bar`, sorted by `Barcode`, and checked by `graded_counts`."""
+    gaps, counts = _valid_placement(m)
+    k = m.n_samples
+    bars = []
+    for parity in (0, 1):
+        spans = []
+        births = [0] * m.dims[0][parity] if k else []
+        made = len(births)
+        coords = [1 << (made - 1 - c) for c in range(made)]
+        alive = (1 << made) - 1
+        for i in range(k - 1):
+            images = []
+            echelon = Echelon()
+            fresh = []
+            for c, row in enumerate(m.maps[i][parity].rows):
+                image = 0
+                while row:
+                    low = row & -row
+                    image ^= coords[low.bit_length() - 1]
+                    row ^= low
+                images.append(image)
+                if not echelon.insert(image)[0]:
+                    fresh.append(c)
+            kept = sum(1 << top for top in echelon.pivots)
+            dead = alive ^ kept
+            while dead:
+                low = dead & -dead
+                spans.append((births[made - low.bit_length()], i))
+                dead ^= low
+            new = len(fresh)
+            births += [i + 1] * new
+            made += new
+            coords = [(image & kept) << new for image in images]
+            for bit, c in enumerate(fresh):
+                coords[c] |= 1 << bit
+            alive = kept << new | (1 << new) - 1
+            if made > 2 * alive.bit_count() + 64:
+                keep = [digit == "1" for digit in format(alive, f"0{made}b")]
+                births = list(compress(births, keep))
+                coords = [int("0" + "".join(compress(format(x, f"0{made}b"), keep)), 2)
+                          for x in coords]
+                made = len(births)
+                alive = (1 << made) - 1
+        spans.extend((births[made - 1 - b], k - 1) for b in range(made) if alive >> b & 1)
+        bars.extend(_make_bar(gaps, i, j, parity) for i, j in spans)
+    code = Barcode(m.spectrum, tuple(bars))
+    for idx, (count, dims) in enumerate(zip(graded_counts(code, *counts), m.dims)):
+        if count != dims:
+            raise AssertionError(f"decomposition loses rank at sample {idx}: {count} != {dims}")
+    return code
+
+
+def test_int_positions_match_the_scalar_route():
+    # bars in Barcode's order, ties included, on scrambled random modules,
+    # long bars, and bars born at -inf or never dying alongside finite ones
+    rng = random.Random(156)
+    modules = [scramble(rng, random_module(rng, max_points=7, max_dim=5, density=1 + t % 3))
+               for t in range(120)]
+    modules += [scramble(rng, module_from_barcode(long_bar_code(rng, n, n), 1 + n % 2))
+                for n in (20, 45, 90)]
+    sp = Spectrum.of(range(6), 0, 5)
+    ends = (NEG_INF,) + sp.points + (POS_INF,)
+    infinite = Barcode(sp, tuple(Bar(ends[i], ends[j], parity)
+                                 for i, j, parity in ((0, 7, 0), (0, 7, 0), (0, 3, 1), (0, 1, 0),
+                                                      (4, 7, 1), (6, 7, 0), (2, 4, 0), (2, 4, 0),
+                                                      (0, 3, 1), (1, 2, 1), (5, 7, 1))))
+    modules += [scramble(rng, module_from_barcode(infinite, density)) for density in (1, 2, 3)]
+    kinds = set()
+    for m in modules:
+        want = scalar_route_decompose(m)
+        got = decompose(m)
+        assert repr(got) == repr(want)
+        kinds.update((b.birth.is_neg_inf, b.death.is_pos_inf) for b in got.bars)
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    assert repr(decompose(modules[-1])) == repr(infinite)
+
+
 def test_sweep_agrees_with_rank_formula_on_random_modules():
     rng = random.Random(145)
     for _ in range(60):
@@ -469,7 +562,7 @@ def test_graded_counts_match_bar_containment():
     for _ in range(40):
         b = random_barcode(rng, max_bars=10, max_points=8)
         m = module_from_barcode(b, grid_density_hint=rng.choice((1, 2)))
-        assert _graded_counts(b, *_count_below(m.samples, b.spectrum.points)) == \
+        assert graded_counts(b, *_count_below(m.samples, b.spectrum.points)) == \
             [b.graded_dim_at(s) for s in m.samples]
         # samples on bar endpoints and empty bars (birth = death) at samples,
         # where bisect_right of births and bisect_left of deaths differ
@@ -478,7 +571,7 @@ def test_graded_counts_match_bar_containment():
                       for p in extra.sample(points, len(points) // 2))
         on_ends = Barcode(b.spectrum, b.bars + empty)
         samples = sorted(set(m.samples) | set(extra.sample(points, len(points) // 2)))
-        assert _graded_counts(on_ends, *_count_below(samples, points)) == \
+        assert graded_counts(on_ends, *_count_below(samples, points)) == \
             [on_ends.graded_dim_at(s) for s in samples]
         assert _placement(m)[0] == [
             tuple(p for p in m.spectrum.points if m.samples[i] < p < m.samples[i + 1])
@@ -701,8 +794,10 @@ def test_barcode_names_the_first_bad_endpoint_in_bar_order():
 
 def test_module_stages_make_linearly_many_scalar_compares(monkeypatch):
     # Bar ends are placed by their int positions among the spectrum points
-    # and samples by numerator and denominator ints; what Scalar.__lt__ is
-    # left with is one pass over the samples and points per stage
+    # and samples by numerator and denominator ints.  Validating a valid
+    # module compares no Scalars, decompose compares one per bar (in Bar's
+    # own check), and building a module at most a pass over its samples
+    # and points
     rng = random.Random(153)
     sp = mixed_spectrum(rng, 400)
     ends = (NEG_INF,) + sp.points + (POS_INF,)
@@ -731,7 +826,8 @@ def test_module_stages_make_linearly_many_scalar_compares(monkeypatch):
     issues, n_check = stage(lambda: validate_module(m))
     out, n_split = stage(lambda: decompose(m))
     assert issues == [] and out.same_bars(code)
-    assert max(n_build, n_check, n_split) <= bound, (n_build, n_check, n_split)
+    assert n_build <= bound and n_check == 0 and n_split <= len(out.bars), \
+        (n_build, n_check, n_split)
 
 
 def test_decompose_of_a_wide_sparse_module_takes_seconds_not_minutes():

@@ -7,17 +7,25 @@ from pathlib import Path
 import pytest
 
 from contact_barcodes.barcode import Bar, Barcode, Spectrum
+from contact_barcodes.distances import bottleneck_distance
 from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
 from contact_barcodes.errors import ParseError, TooLargeError
 from contact_barcodes.gf2 import Gf2Matrix
+from contact_barcodes.interleaving import find_interleaving, interleaving_distance_bruteforce
 from contact_barcodes.persistence import (
     SampledModule,
     decompose,
     module_from_barcode,
     validate_module,
 )
-from contact_barcodes.random_instances import random_barcode, random_module, scramble
-from contact_barcodes.scalar import NEG_INF, POS_INF, rational
+from contact_barcodes.random_instances import (
+    perturb_barcode,
+    random_barcode,
+    random_module,
+    random_spectrum,
+    scramble,
+)
+from contact_barcodes.scalar import NEG_INF, POS_INF, ZERO, rational
 from contact_barcodes.serialization import (
     SCHEMA_VERSION,
     barcode_from_dict,
@@ -282,7 +290,9 @@ DIGESTS = Path(__file__).parent / "data" / "contract_digests.txt"
 
 def contract_cases():
     """(name, text) for each pinned output: barcode and module documents,
-    and the reprs of decompose on scrambled modules."""
+    the reprs of decompose on scrambled modules, of bottleneck distances
+    with their matchings in both modes, and of interleaving certificates
+    at delta 0 and interleaving distances on scrambled module pairs."""
     cases = []
     for s in range(40):
         rng = random.Random(f"barcode/{s}")
@@ -303,7 +313,40 @@ def contract_cases():
         m = scramble(rng, module_from_barcode(long_bars(rng, 30, 45), 1 + s % 2))
         cases.append((f"dumps scrambled long_bars {s}", dumps(m)))
         cases.append((f"decompose scrambled long_bars {s}", repr(decompose(m))))
+    for s in range(48):
+        rng = random.Random(f"bottleneck/{s}")
+        b1 = random_barcode(rng, max_bars=3 + s % 13, max_points=2 + s % 7)
+        b2 = perturb_barcode(b1, rational(1 + s % 5, 3), rng) if s % 4 else \
+            random_barcode(rng, max_bars=3 + s % 13, max_points=2 + s % 7)
+        for graded in (False, True):
+            cases.append((f"bottleneck_distance random_barcode {s} graded={graded}",
+                          repr(bottleneck_distance(b1, b2, graded))))
+    for s in range(24):
+        rng = random.Random(f"interleaving/{s}")
+        m = random_module(rng, max_dim=2,
+                          spectrum=random_spectrum(rng, max_points=4, min_points=2))
+        code = decompose(m)
+        other = code if s % 2 == 0 else moved_death(rng, code)
+        m1, m2 = scramble(rng, m), scramble(rng, module_from_barcode(other))
+        cases.append((f"find_interleaving delta 0 scrambled pair {s}",
+                       repr(find_interleaving(m1, m2, ZERO))))
+        cases.append((f"interleaving_distance_bruteforce scrambled pair {s}",
+                       str(interleaving_distance_bruteforce(m1, m2))))
     return cases
+
+
+def moved_death(rng, code):
+    """The barcode with one finite death moved to a later spectrum point,
+    or the barcode itself when no finite death can move."""
+    last = code.spectrum.points[-1]
+    movable = [k for k, bar in enumerate(code.bars) if bar.death.is_finite and bar.death < last]
+    if not movable:
+        return code
+    bars = list(code.bars)
+    k = rng.choice(movable)
+    later = [p for p in code.spectrum.points if bars[k].death < p]
+    bars[k] = Bar(bars[k].birth, rng.choice(later), bars[k].parity)
+    return Barcode(code.spectrum, tuple(bars))
 
 
 def test_documents_and_decompositions_match_their_pinned_digests():
