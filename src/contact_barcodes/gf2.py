@@ -1,15 +1,17 @@
 """Bit-packed linear algebra over GF(2).
 
 Matrices store one int per row; bit j of a row is the entry in column j.
-There is one Gaussian elimination, `Echelon.reduce`: the rank, the
-inverse, the span witnesses of the interleaving search, its incremental
-linear systems and the sweep of `persistence.decompose` all run on it.
+There is one Gaussian elimination, `Echelon.reduce`, on one vector format:
+an int whose k low bits are a tag.  The rank, the inverse, the span
+witnesses of the interleaving search, the equations on its backward maps
+(one Echelon, backtracked in place) and the sweep of
+`persistence.decompose` all run on it.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .scalar import Frozen
 
@@ -143,85 +145,70 @@ class Gf2Matrix(Frozen):
 
 
 class Echelon:
-    """Top-bit pivots of a set of row vectors, each tagged with its origin.
+    """Top-bit pivots of a set of GF(2) vectors, each carrying k tag bits.
 
-    pivots maps a bit position to the one kept vector whose top set bit it
-    is, paired with a tag: the mask of input rows whose XOR gives that
-    vector.  Built from a row list, row i carries tag 1 << i, and the tags
-    of the rows that reduce to zero form a basis of the left nullspace.
+    A vector is one int whose k low bits are a tag that rides along through
+    every XOR; pivots maps the position of a kept vector's top set bit, at
+    or above k, to that vector.  Built from a row list, k is the row count
+    and row i enters as row << k | 1 << i, so a pivot's tag is the mask of
+    input rows whose XOR gives it, and the tags of the rows that reduce to
+    zero above k form a basis of the left nullspace.  With k = 1 the
+    vectors are equations coeffs << 1 | rhs, and one that reduces to
+    exactly 1 says 0 = 1.  A pivot is only ever added, never replaced, so
+    the dict's insertion order is the order of the inserts and `undo` can
+    pop them.
     """
 
-    __slots__ = ("pivots", "nullspace")
+    __slots__ = ("pivots", "k", "nullspace")
 
-    def __init__(self, rows: Iterable[int] = ()):
-        self.pivots: Dict[int, Tuple[int, int]] = {}
+    def __init__(self, rows: Sequence[int] = (), k: Optional[int] = None):
+        self.pivots: Dict[int, int] = {}
+        self.k = k = len(rows) if k is None else k
         self.nullspace: List[int] = []
         for i, row in enumerate(rows):
-            vec, tag = self.insert(row, 1 << i)
-            if not vec:
-                self.nullspace.append(tag)
+            vec = self.insert(row << k | 1 << i)
+            if vec.bit_length() <= k:
+                self.nullspace.append(vec)
 
-    def reduce(self, vec: int, tag: int = 0) -> Tuple[int, int]:
-        """XOR pivots into vec while its top bit has one; returns (vec, tag).
+    def reduce(self, vec: int) -> int:
+        """XOR pivots into vec while its top bit has one.
 
-        The result is 0 exactly when vec lies in the span of the pivots.
+        Every pivot's top bit is at or above k, so the result lies below k
+        exactly when vec, above its k tag bits, is in the span of the pivots.
         """
         pivots = self.pivots
-        while vec:
-            pivot = pivots.get(vec.bit_length() - 1)
-            if pivot is None:
-                break
-            vec ^= pivot[0]
-            tag ^= pivot[1]
-        return vec, tag
+        while pivot := pivots.get(vec.bit_length() - 1):
+            vec ^= pivot
+        return vec
 
-    def insert(self, vec: int, tag: int = 0) -> Tuple[int, int]:
-        """Reduce vec and keep the result as a pivot unless it is 0."""
-        vec, tag = self.reduce(vec, tag)
-        if vec:
-            self.pivots[vec.bit_length() - 1] = (vec, tag)
-        return vec, tag
+    def insert(self, vec: int) -> int:
+        """Reduce vec and keep the result as a pivot unless it lies below k."""
+        vec = self.reduce(vec)
+        top = vec.bit_length() - 1
+        if top >= self.k:
+            self.pivots[top] = vec
+        return vec
+
+    def undo(self, mark: int) -> None:
+        """Drop the pivots inserted since there were mark of them."""
+        pivots = self.pivots
+        for _ in range(len(pivots) - mark):
+            pivots.popitem()
 
     def express(self, target: int) -> Optional[int]:
         """The tag of a combination of pivots equal to target, or None."""
-        vec, tag = self.reduce(target)
-        return tag if vec == 0 else None
+        vec = self.reduce(target << self.k)
+        return vec if vec.bit_length() <= self.k else None
 
 
-class Gf2System:
-    """Incremental GF(2) linear system.
-
-    The equation coeffs . x = rhs is the vector coeffs << 1 | rhs in an
-    Echelon; `consistent` flips to False as soon as one reduces to exactly
-    1, i.e. 0 = 1.  Copying for backtracking copies one dict.
-    """
-
-    def __init__(self):
-        self.echelon = Echelon()
-        self.consistent = True
-
-    def copy(self) -> "Gf2System":
-        dup = Gf2System()
-        dup.echelon.pivots = self.echelon.pivots.copy()
-        dup.consistent = self.consistent
-        return dup
-
-    def add(self, coeffs: int, rhs: int) -> bool:
-        """Add the equation coeffs . x = rhs; returns consistency."""
-        if self.consistent:
-            self.consistent = self.echelon.insert(coeffs << 1 | rhs)[0] != 1
-        return self.consistent
-
-    def solve(self) -> Optional[int]:
-        """A particular solution (free unknowns set to 0), or None."""
-        if not self.consistent:
-            return None
-        x = 0
-        # Every pivot's other bits sit strictly below its top bit, so solving
-        # in ascending pivot order sees only already-determined unknowns.
-        pivots = self.echelon.pivots
-        for top in sorted(pivots):
-            row = pivots[top][0]
-            x |= (((row & (x << 1)).bit_count() ^ row) & 1) << (top - 1)
-        return x
-
+def solve(equations: Echelon) -> int:
+    """A particular solution (free unknowns set to 0) of the consistent
+    equations coeffs << 1 | rhs held in a k = 1 Echelon."""
+    x = 0
+    # Every pivot's other bits sit strictly below its top bit, so solving
+    # in ascending pivot order sees only already-determined unknowns.
+    pivots = equations.pivots
+    for top in sorted(pivots):
+        row = pivots[top]
+        x |= (((row & (x << 1)).bit_count() ^ row) & 1) << (top - 1)
+    return x

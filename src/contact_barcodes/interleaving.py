@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatchError,
     TooLargeError,
 )
-from .gf2 import Echelon, Gf2Matrix, Gf2System
+from .gf2 import Echelon, Gf2Matrix, solve
 from .persistence import SampledModule, _valid_placement, composite_map
 from .scalar import Coords, Frozen, POS_INF, Scalar, ZERO
 
@@ -136,7 +136,8 @@ _SEARCH_BUDGET = 400_000
 
 
 class _GLayout:
-    """The entries of the backward maps G[t] as unknowns of a Gf2System.
+    """The entries of the backward maps G[t] as the unknowns of equations
+    coeffs << 1 | rhs in a k = 1 Echelon: unknown n is bit n of coeffs.
 
     G[t] has heights[t] rows and widths[t] columns; its entry (i, j) is
     unknown offsets[t] + i * widths[t] + j, so row s of G[t] is a run of
@@ -157,12 +158,12 @@ class _GLayout:
                 for h, w, off in zip(self.heights, self.widths, self.offsets)]
 
 
-def _add_identity(system: Gf2System, g: _GLayout,
+def _add_identity(equations: Echelon, g: _GLayout,
                   terms: Sequence[Tuple[Optional[Gf2Matrix], int, Optional[Gf2Matrix]]],
                   rhs: Gf2Matrix) -> bool:
-    """Add the equations of sum(L @ G[t] @ R for L, t, R in terms) == rhs,
-    one per entry of rhs, row by row; False as soon as one makes the
-    system inconsistent.  None for L or R stands for an identity.
+    """Insert the equations of sum(L @ G[t] @ R for L, t, R in terms) ==
+    rhs, one per entry of rhs, row by row; False at the first that reduces
+    to 0 = 1.  None for L or R stands for an identity.
 
     Entry (i, j) of L @ G[t] @ R is the XOR, over the set bits s of row i
     of L, of column j of R shifted onto the unknowns of row s of G[t].  The
@@ -187,7 +188,7 @@ def _add_identity(system: Gf2System, g: _GLayout,
             coeffs = 0
             for spread, cols in factors:
                 coeffs ^= spread[i] * cols[j]
-            if not system.add(coeffs, bits >> j & 1):
+            if equations.insert(coeffs << 1 | bits >> j & 1) == 1:
                 return False
     return True
 
@@ -199,9 +200,11 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
     delta, whose shift `tables` are given, or None.
 
     F maps are searched depth-first along the forward naturality chain, on
-    an explicit stack with one frame per region; G equations are accumulated
-    incrementally so contradictions prune the search as early as possible.
-    Each F candidate tried costs one unit of the search budget.
+    an explicit stack with one frame per region; G equations are inserted
+    into one Echelon as they arise, so contradictions prune the search as
+    early as possible.  A frame marks the pivot count it started from, and
+    each of its candidates first undoes the pivots inserted since.  Each F
+    candidate tried costs one unit of the search budget.
     """
     R1, R2 = regions1.n, regions2.n
     d1 = [d[parity] for d in regions1.dims]
@@ -210,11 +213,11 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
     g = _GLayout([d1[psi[t]] for t in range(R2)], d2)
 
     # backward naturality chain, G[t+1] A2 = C1 G[t], is independent of F
-    base = Gf2System()
+    equations = Echelon(k=1)
     for t in range(R2 - 1):
         terms = [(None, t + 1, regions2.comp(t, t + 1, parity)),
                  (regions1.comp(psi[t], psi[t + 1], parity), t, None)]
-        if not _add_identity(base, g, terms, Gf2Matrix.zeros(d1[psi[t + 1]], d2[t])):
+        if not _add_identity(equations, g, terms, Gf2Matrix.zeros(d1[psi[t + 1]], d2[t])):
             return None
 
     # rank obstructions that need no enumeration at all: each 2-delta map of
@@ -234,7 +237,7 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
                 return None
             maps.append((through, direct))
 
-    # equations carrying F[r] enter the system at DFS depth r: E2 at r,
+    # equations carrying F[r] enter the echelon at DFS depth r: E2 at r,
     # through G[phi[r]] F[r] = direct, and E3 at each t with psi[t] = r,
     # through F[r] G[t] = direct
     e3_by_depth: List[list] = [[] for _ in range(R1)]
@@ -264,14 +267,15 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
                 rows_options.append(opts)
         return rows_options
 
-    # frames[r] walks the F candidates of region r under the system built
-    # from fs[:r]; fs holds the F map chosen in each region below the top
-    frames = [(product(*f_candidates(0, None)), base)]
+    # frames[r] walks the F candidates of region r from the pivot count
+    # that the equations of fs[:r] left; fs holds the F map chosen in each
+    # region below the top
+    frames = [(product(*f_candidates(0, None)), len(equations.pivots))]
     fs: List[Gf2Matrix] = []
     budget = _SEARCH_BUDGET
     while frames:
         r = len(frames) - 1
-        candidates, system = frames[-1]
+        candidates, mark = frames[-1]
         rows = next(candidates, None)
         if rows is None:
             frames.pop()
@@ -284,22 +288,19 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
                                 f"{_SEARCH_BUDGET} F candidates tried between modules "
                                 f"of {R1} and {R2} regions")
         fmat = Gf2Matrix(rows, d1[r])
-        sub = system.copy()
+        equations.undo(mark)
         through, direct = e2_maps[r]
-        if not (_add_identity(sub, g, [(through, phi[r], fmat)], direct)
-                and all(_add_identity(sub, g, [(c2a @ fmat, t, None)], rhs)
+        if not (_add_identity(equations, g, [(through, phi[r], fmat)], direct)
+                and all(_add_identity(equations, g, [(c2a @ fmat, t, None)], rhs)
                         for c2a, t, rhs in e3_by_depth[r])):
             continue
         if r + 1 == R1:
-            sol = sub.solve()
-            if sol is not None:
-                return fs + [fmat], g.decode(sol)
-            continue
+            return fs + [fmat], g.decode(solve(equations))
         rows_options = f_candidates(r + 1, fmat)
         if rows_options is None:
             continue
         fs.append(fmat)
-        frames.append((product(*rows_options), sub))
+        frames.append((product(*rows_options), len(equations.pivots)))
     return None
 
 

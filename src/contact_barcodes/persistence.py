@@ -222,7 +222,7 @@ def decompose(m: SampledModule) -> Barcode:
                     image ^= coords[low.bit_length() - 1]
                     row ^= low
                 images.append(image)
-                if not echelon.insert(image)[0]:
+                if not echelon.insert(image):
                     fresh.append(c)
             kept = sum(1 << pivot for pivot in echelon.pivots)
             dead = alive ^ kept

@@ -408,6 +408,48 @@ def test_search_budget_refusal_names_delta_budget_and_regions(monkeypatch):
         "tried between modules of 3 and 3 regions")
 
 
+def refutation_pair(P, s):
+    """Modules of two barcodes on the integer spectrum 0..P-1 with at most
+    3 bars over any unit step; the second moves one death a point earlier."""
+    rng = random.Random(f"{P}/{s}")
+    cover = [0] * (P - 1)
+    bars = []
+    for _ in range(2 * P):
+        i = rng.randrange(P - 1)
+        j = rng.randrange(i + 1, min(P, i + 1 + rng.choice([1, 2, 4, P])))
+        if max(cover[i:j]) >= 3:
+            continue
+        for u in range(i, j):
+            cover[u] += 1
+        bars.append((i, j, rng.randint(0, 1)))
+    moved = list(bars)
+    k = rng.randrange(len(bars))
+    i, j, parity = bars[k]
+    moved[k] = (i, max(i + 1, j - 1), parity)
+    sp = Spectrum.of(list(range(P)), 0, P - 1)
+    return tuple(module_from_barcode(Barcode(sp, tuple(Bar.of(*bar) for bar in code)))
+                 for code in (bars, moved))
+
+
+@pytest.mark.parametrize("P, s, tried", [(12, 3, 4121), (14, 3, 4593), (18, 9, 2601),
+                                         (20, 11, 2184)])
+def test_search_budget_counts_each_f_candidate(monkeypatch, P, s, tried):
+    # refuting delta 1/2, below these pairs' distance 1, takes exactly
+    # `tried` F candidates in the search that exhausts first: a budget of
+    # that many refuses, and one more answers.  Every point cuts both
+    # modules, into P + 1 regions
+    m1, m2 = refutation_pair(P, s)
+    monkeypatch.setattr(interleaving, "_SEARCH_BUDGET", tried)
+    with pytest.raises(TooLargeError) as caught:
+        find_interleaving(m1, m2, rational(1, 2))
+    assert str(caught.value) == (
+        f"interleaving search budget exhausted at delta 1/2: {tried} F candidates "
+        f"tried between modules of {P + 1} and {P + 1} regions")
+    monkeypatch.setattr(interleaving, "_SEARCH_BUDGET", tried + 1)
+    assert find_interleaving(m1, m2, rational(1, 2)) is None
+    assert bottleneck_distance(decompose(m1), decompose(m2), graded=True)[0] == rational(1)
+
+
 def test_interleaving_feasibility_monotone():
     rng = random.Random(31)
     for _ in range(25):
@@ -745,15 +787,16 @@ def parent_e3(g_bit, d1, d2, psi, t, v, c2a, fmat, rhs):
     return out
 
 
-class RecordingSystem:
-    """Stands in for a Gf2System: keeps every equation, stays consistent."""
+class RecordingEchelon:
+    """Stands in for the search's k = 1 Echelon: keeps every equation
+    coeffs << 1 | rhs as (coeffs, rhs), and reduces none to 0 = 1."""
 
     def __init__(self):
         self.equations = []
 
-    def add(self, coeffs, rhs):
-        self.equations.append((coeffs, rhs))
-        return True
+    def insert(self, vec):
+        self.equations.append((vec >> 1, vec & 1))
+        return 0
 
 
 def test_g_equations_match_entry_loops():
@@ -791,7 +834,7 @@ def test_g_equations_match_entry_loops():
                 for i, row in enumerate(gm.rows) for j in range(gm.ncols) if row >> j & 1)
         assert g.decode(x) == gs
         for terms, rhs, want in cases:
-            system = RecordingSystem()
+            system = RecordingEchelon()
             assert _add_identity(system, g, terms, rhs)
             assert system.equations == want
             lhs = Gf2Matrix.zeros(*rhs.shape)

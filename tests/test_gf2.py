@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from contact_barcodes.gf2 import Echelon, Gf2Matrix, Gf2System
+from contact_barcodes.gf2 import Echelon, Gf2Matrix, solve
 from contact_barcodes.oracles import all_matrices, invertible_matrices
 from contact_barcodes.random_instances import random_basis_change
 
@@ -208,17 +208,18 @@ def test_span_solver_express_and_nullspace():
         assert acc == target
 
 
-def test_gf2_system_against_enumeration():
+def test_equations_against_enumeration():
     rng = random.Random(11)
     for _ in range(60):
         n = rng.randint(1, 5)
-        sys_ = Gf2System()
+        equations = Echelon(k=1)
         eqs = []
+        consistent = True
         for _ in range(rng.randint(0, 6)):
             coeffs = rng.randrange(1 << n)
             rhs = rng.randint(0, 1)
             eqs.append((coeffs, rhs))
-            sys_.add(coeffs, rhs)
+            consistent = consistent and equations.insert(coeffs << 1 | rhs) != 1
 
         def satisfies(x):
             for coeffs, rhs in eqs:
@@ -232,10 +233,9 @@ def test_gf2_system_against_enumeration():
             return True
 
         any_solution = any(satisfies(x) for x in range(1 << n))
-        assert sys_.consistent == any_solution
+        assert consistent == any_solution
         if any_solution:
-            sol = sys_.solve()
-            assert sol is not None and satisfies(sol)
+            assert satisfies(solve(equations))
 
 
 def test_all_matrices_enumerates_everything():
@@ -247,7 +247,9 @@ def test_all_matrices_enumerates_everything():
 # The formulations the package used before every elimination went through
 # Echelon, kept here as references: a column-by-column rank, Gauss-Jordan
 # on [A | I], a span solver whose basis is re-sorted after every insert,
-# and a system that sorts its pivots on every equation.
+# a system that sorts its pivots on every equation, and the search's
+# backtracking before it undid pivots: a copy of the whole pivot dict,
+# with tags beside the vectors, per frame.
 
 def reference_rank(rows, n_cols):
     work = rows[:]
@@ -357,6 +359,27 @@ class ReferenceSystem:
         return x
 
 
+class CopyingEchelon:
+    """Top-bit pivots as (vector, tag) pairs; a search frame holds a copy."""
+
+    def __init__(self, pivots=None):
+        self.pivots = {} if pivots is None else pivots
+
+    def copy(self):
+        return CopyingEchelon(self.pivots.copy())
+
+    def insert(self, vec, tag):
+        while vec:
+            pivot = self.pivots.get(vec.bit_length() - 1)
+            if pivot is None:
+                break
+            vec ^= pivot[0]
+            tag ^= pivot[1]
+        if vec:
+            self.pivots[vec.bit_length() - 1] = (vec, tag)
+        return vec, tag
+
+
 def _rows_with_dependencies(rng, nrows, ncols):
     """Random rows where about a third are XORs of earlier rows."""
     rows = []
@@ -406,14 +429,82 @@ def test_kernels_agree_with_reference_formulations_at_width_64():
             for target in (inside, rng.randrange(1 << ncols)):
                 assert echelon.express(target) == ref.express(target)
 
-        system, ref_system = Gf2System(), ReferenceSystem(ncols)
+        equations, ref_system = Echelon(k=1), ReferenceSystem(ncols)
         planted = rng.randrange(1 << ncols)
         noisy = rng.random() < 0.5
+        consistent = True
         for row in rows:
             rhs = (row & planted).bit_count() & 1
             if noisy and rng.random() < 0.1:
                 rhs ^= 1
-            assert system.add(row, rhs) == ref_system.add(row, rhs)
-        assert system.consistent == ref_system.consistent
-        assert system.solve() == ref_system.solve()
+            consistent = consistent and equations.insert(row << 1 | rhs) != 1
+            assert consistent == ref_system.add(row, rhs)
+        assert (solve(equations) if consistent else None) == ref_system.solve()
     assert invertible > 500
+
+
+def test_undo_restores_what_a_copy_per_frame_held():
+    # random insert / mark / undo runs at widths up to 64, with no tag bits
+    # (the decompose sweep), one rhs bit (the search's equations) and one
+    # tag bit per row (span witnesses).  A mark is a frame of the search:
+    # the pivot count, beside a copy of the reference; an undo returns to
+    # some open frame and drops the frames above it, and k = 1 undoes at
+    # once when an equation reduces to 0 = 1, as the search moves on
+    rng = random.Random(66)
+    contradictions = undos = 0
+    for case in range(300):
+        width, mode = rng.randint(1, 64), case % 3
+        k = (0, 1, 64)[mode]
+        echelon, ref = Echelon(k=k), CopyingEchelon()
+        live, nullspace = [], []  # inserted (vector, tag) pairs, zero-row tags
+        frames = [(0, 0, 0, ref.copy())]
+        planted = rng.randrange(1 << width)
+        for _ in range(rng.randint(1, 80)):
+            if rng.random() < 0.15:
+                frames.append((len(echelon.pivots), len(live), len(nullspace), ref.copy()))
+                continue
+            if rng.random() < 0.8 and len(live) < 64:
+                inside = 0
+                for vec, _ in rng.sample(live, rng.randint(0, min(3, len(live)))):
+                    inside ^= vec
+                vec = rng.choice((inside, rng.randrange(1 << width)))
+                tag = (0, ((vec & planted).bit_count() & 1) ^ (rng.random() < 0.05),
+                       1 << len(live))[mode]
+                got = echelon.insert(vec << k | tag)
+                want_vec, want_tag = ref.insert(vec, tag)
+                assert got == want_vec << k | want_tag
+                live.append((vec, tag))
+                if not want_vec:
+                    nullspace.append(want_tag)
+                if got != 1 or k != 1:
+                    continue
+                # the first equation that reduces to 0 = 1 is the first
+                # that leaves the equations without a solution
+                contradictions += 1
+                refsys = ReferenceSystem(width)
+                assert all(refsys.add(*eq) for eq in live[:-1]) and not refsys.add(*live[-1])
+            undos += 1
+            del frames[rng.randrange(len(frames)) + 1:]
+            mark, n_live, n_null, saved = frames[-1]
+            echelon.undo(mark)
+            ref = saved.copy()
+            del live[n_live:], nullspace[n_null:]
+            assert list(echelon.pivots.items()) == [
+                (top + k, vec << k | tag) for top, (vec, tag) in ref.pivots.items()]
+        if mode == 0:
+            assert len(echelon.pivots) == reference_rank([vec for vec, _ in live], width)
+        elif mode == 1:
+            refsys = ReferenceSystem(width)
+            assert all(refsys.add(*eq) for eq in live)
+            assert solve(echelon) == refsys.solve()
+        elif mode == 2:
+            span = ReferenceSpanSolver([vec for vec, _ in live])
+            assert nullspace == span.nullspace
+            for _ in range(4):
+                target = rng.randrange(1 << width)
+                assert echelon.express(target) == span.express(target)
+                inside = 0
+                for vec, _ in rng.sample(live, rng.randint(0, len(live))):
+                    inside ^= vec
+                assert echelon.express(inside) == span.express(inside)
+    assert contradictions > 20 and undos > 500, (contradictions, undos)

@@ -419,7 +419,7 @@ def column_push_decompose(m):
                     low = vec & -vec
                     image ^= cols[low.bit_length() - 1]
                     vec ^= low
-                image = images.insert(image)[0]
+                image = images.insert(image)
                 if image:
                     kept.append((image, birth))
                 else:
@@ -493,7 +493,7 @@ def scalar_route_decompose(m):
                     image ^= coords[low.bit_length() - 1]
                     row ^= low
                 images.append(image)
-                if not echelon.insert(image)[0]:
+                if not echelon.insert(image):
                     fresh.append(c)
             kept = sum(1 << top for top in echelon.pivots)
             dead = alive ^ kept

@@ -58,7 +58,10 @@ def test_interleaving_scaling_prints_a_row_per_size():
     done = run_script("interleaving_scaling.py", "--sizes", "20", "40")
     assert done.returncode == 0, done.stderr
     header, *rows = done.stdout.splitlines()
-    assert header.split() == ["points", "delta", "seconds"]
+    assert header.split() == ["points", "delta", "seconds", "peak_mb"]
     assert [row.split()[:2] for row in rows] == [["20", "1/1"], ["40", "1/1"]]
     for row in rows:
         assert float(row.split()[2]) >= 0
+    # the peak so far never falls from one row to the next
+    peaks = [float(row.split()[3]) for row in rows]
+    assert 0 < peaks[0] <= peaks[1]

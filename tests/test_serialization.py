@@ -33,6 +33,7 @@ from contact_barcodes.serialization import (
     loads,
     module_from_dict,
 )
+from test_distances import candidate_deltas
 
 
 # The documents as dicts, as they were first built: json.dumps(..., indent=2)
@@ -292,7 +293,10 @@ def contract_cases():
     """(name, text) for each pinned output: barcode and module documents,
     the reprs of decompose on scrambled modules, of bottleneck distances
     with their matchings in both modes, and of interleaving certificates
-    at delta 0 and interleaving distances on scrambled module pairs."""
+    at delta 0 and interleaving distances on scrambled module pairs, and
+    the certificate (or None) at every candidate delta of more such pairs:
+    a module against itself, against its barcode with one death moved
+    later, or against another module on its spectrum."""
     cases = []
     for s in range(40):
         rng = random.Random(f"barcode/{s}")
@@ -332,6 +336,16 @@ def contract_cases():
                        repr(find_interleaving(m1, m2, ZERO))))
         cases.append((f"interleaving_distance_bruteforce scrambled pair {s}",
                        str(interleaving_distance_bruteforce(m1, m2))))
+    for s in range(36):
+        rng = random.Random(f"interleaving deltas/{s}")
+        sp = random_spectrum(rng, max_points=4, min_points=2)
+        m = random_module(rng, max_dim=2, spectrum=sp, density=1 + s % 2)
+        other = (m, module_from_barcode(moved_death(rng, decompose(m))),
+                 random_module(rng, max_dim=2, spectrum=sp))[s % 3]
+        m1, m2 = scramble(rng, m), scramble(rng, other)
+        cases.append((f"find_interleaving every candidate delta scrambled pair {s}",
+                      "\n".join(f"{delta}: {find_interleaving(m1, m2, delta)!r}"
+                                for delta in candidate_deltas(m1, m2))))
     return cases
 
 
