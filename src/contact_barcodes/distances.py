@@ -20,8 +20,11 @@ and values become Scalars again only at the output.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from operator import or_
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .barcode import Bar, Barcode
 from .scalar import Coords, Frozen, POS_INF, Scalar
@@ -152,9 +155,18 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, graded: bool = False
     binary search runs over the sorted finite costs (pair costs,
     half-lengths and 0), and a probe at threshold t admits the edges
     of cost <= t: each left vertex's neighbours are one int bitmask over
-    the right vertices, the ghosts of b1 one constant mask.  Each probe
-    hands the last probe's matching, less the pairs its masks do not hold,
-    to `_hopcroft_karp` to grow.  Only the result is a Scalar.
+    the right vertices, the ghosts of b1 one constant mask.
+
+    No cost table exists; a probe reads prefix-OR windows.  Each end is
+    keyed kind * 4 never + coordinate, so ends of bars of different kinds
+    lie farther apart than any threshold.  The right bars are sorted once
+    by birth key and once by death key, with the prefix ORs of their bits
+    in each order; the right bars whose birth key lies within t of a left
+    bar's are one window of the birth order, the XOR of two prefix ORs
+    found by two bisects, and the AND with the death window holds exactly
+    the bars of the left bar's kind at cost <= t.  Each probe hands the
+    last probe's matching, less the pairs its masks do not hold, to
+    `_hopcroft_karp` to grow.  Only the result is a Scalar.
     """
     left, right = b1.bars, b2.bars
     n1, n2 = len(left), len(right)
@@ -165,20 +177,36 @@ def bottleneck_distance(b1: Barcode, b2: Barcode, graded: bool = False
             != Counter(kind for kind, _, _ in ends2 if kind & 3)):
         return POS_INF, None
     never = 1 + 2 * max((max(abs(x), abs(y)) for _, x, y in ends1 + ends2), default=0)
-    costs = [[max(abs(x - u), abs(y - v)) if kind == other else never
-              for other, u, v in ends2] for kind, x, y in ends1]
+    by_kind: Dict[int, List[Tuple[int, int]]] = {}
+    for kind, u, v in ends2:
+        by_kind.setdefault(kind, []).append((u, v))
+    # the pair costs of bars of one kind, listed without a table
+    costs = {0}
+    for kind, x, y in ends1:
+        costs.update([p if (p := abs(x - u)) > (q := abs(y - v)) else q
+                      for u, v in by_kind.get(kind, ())])
     halves1 = [never if kind & 3 else (y - x) // 2 for kind, x, y in ends1]
     halves2 = [never if kind & 3 else (y - x) // 2 for kind, x, y in ends2]
-    values = sorted(({0} | {c for row in costs for c in row}
-                     | set(halves1) | set(halves2)) - {never})
+    values = sorted((costs | set(halves1) | set(halves2)) - {never})
+    span = 4 * never
+
+    def windows(end: int) -> Tuple[List[int], List[int]]:
+        """The right bars' keys of one end, ascending, and the prefix ORs
+        of their bits in that order."""
+        keyed = sorted((bar[0] * span + bar[end], 1 << j) for j, bar in enumerate(ends2))
+        return [key for key, _ in keyed], [0, *accumulate((bit for _, bit in keyed), or_)]
+
+    (bkeys, bpref), (dkeys, dpref) = windows(1), windows(2)
+    keys1 = [(kind * span + x, kind * span + y) for kind, x, y in ends1]
     size = n1 + n2
     ghosts1 = ((1 << n1) - 1) << n2
     match_l, match_r = [-1] * size, [-1] * size
 
     def probe(t: int) -> Optional[List[int]]:
-        adj = [sum(1 << j for j, c in enumerate(row) if c <= t)
+        adj = [(bpref[bisect_right(bkeys, bk + t)] ^ bpref[bisect_left(bkeys, bk - t)])
+               & (dpref[bisect_right(dkeys, dk + t)] ^ dpref[bisect_left(dkeys, dk - t)])
                | (1 << (n2 + i) if halves1[i] <= t else 0)
-               for i, row in enumerate(costs)]
+               for i, (bk, dk) in enumerate(keys1)]
         adj += [(1 << g if halves2[g] <= t else 0) | ghosts1 for g in range(n2)]
         # drop the pairs of the last probe's matching that t does not admit
         for u, v in enumerate(match_l):

@@ -117,7 +117,11 @@ class Gf2Matrix(Frozen):
         return Gf2Matrix._unchecked(tuple(cols), len(self.rows))
 
     def rank(self) -> int:
-        return len(Echelon(self.rows).pivots)
+        """The number of pivots of the rows, inserted untagged."""
+        echelon = Echelon(k=0)
+        for row in self.rows:
+            echelon.insert(row)
+        return len(echelon.pivots)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.ncols

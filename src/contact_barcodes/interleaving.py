@@ -142,15 +142,24 @@ class _GLayout:
     G[t] has heights[t] rows and widths[t] columns; its entry (i, j) is
     unknown offsets[t] + i * widths[t] + j, so row s of G[t] is a run of
     widths[t] unknowns whose first one is the bit row_bits[t][s].
+    spreads[t][x] is the sum of row_bits[t][s] over the set bits s of x,
+    for every x below 1 << heights[t] (at most 16 under the enumeration
+    bound).
     """
 
-    __slots__ = ("heights", "widths", "offsets", "row_bits")
+    __slots__ = ("heights", "widths", "offsets", "row_bits", "spreads")
 
     def __init__(self, heights: Sequence[int], widths: Sequence[int]):
         self.heights, self.widths = heights, widths
         self.offsets = [0, *accumulate(h * w for h, w in zip(heights, widths))]
         self.row_bits = [[1 << (off + s * w) for s in range(h)]
                          for h, w, off in zip(heights, widths, self.offsets)]
+        self.spreads = []
+        for bits in self.row_bits:
+            spread = [0]
+            for bit in bits:
+                spread += [x | bit for x in spread]
+            self.spreads.append(spread)
 
     def decode(self, sol: int) -> List[Gf2Matrix]:
         """The G maps of a solution."""
@@ -168,16 +177,16 @@ def _add_identity(equations: Echelon, g: _GLayout,
     Entry (i, j) of L @ G[t] @ R is the XOR, over the set bits s of row i
     of L, of column j of R shifted onto the unknowns of row s of G[t].  The
     shifted copies lie in disjoint runs of widths[t] bits, so their XOR is
-    the int product of the column with the sum of row_bits[t][s].
+    the int product of the column with spreads[t][row i of L].
     """
     if not (rhs.rows and rhs.ncols):
         return True
     factors = []
     for left, t, right in terms:
-        spread = g.row_bits[t]
-        if left is not None:
-            spread = [sum(bit for s, bit in enumerate(spread) if row >> s & 1)
-                      for row in left.rows]
+        if left is None:
+            spread = g.row_bits[t]
+        else:
+            spread = [g.spreads[t][row] for row in left.rows]
         if right is None:
             cols = [1 << j for j in range(g.widths[t])]
         else:
@@ -212,11 +221,12 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
     phi, psi, phi2, psi2 = tables
     g = _GLayout([d1[psi[t]] for t in range(R2)], d2)
 
-    # backward naturality chain, G[t+1] A2 = C1 G[t], is independent of F
+    # backward naturality chain, G[t+1] A2 = C1 G[t], is independent of F;
+    # a C1 that spans no region is the identity, None
     equations = Echelon(k=1)
     for t in range(R2 - 1):
-        terms = [(None, t + 1, regions2.comp(t, t + 1, parity)),
-                 (regions1.comp(psi[t], psi[t + 1], parity), t, None)]
+        c1 = None if psi[t] == psi[t + 1] else regions1.comp(psi[t], psi[t + 1], parity)
+        terms = [(None, t + 1, regions2.comp(t, t + 1, parity)), (c1, t, None)]
         if not _add_identity(equations, g, terms, Gf2Matrix.zeros(d1[psi[t + 1]], d2[t])):
             return None
 
@@ -224,16 +234,17 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
     # one module (direct) factors through the other module and back; both
     # maps also enter the equations that F maps bring in, below.  A map
     # that spans no region is an identity: its rank is its size, and every
-    # map into its region factors through it, so neither needs an Echelon
+    # map into its region factors through it, so neither needs an Echelon,
+    # and a `through` map that spans none is None
     e2_maps, e3_maps = [], []
     for maps, regions, there, back, twice, d_there in (
             (e2_maps, regions1, phi, psi, phi2, d2), (e3_maps, regions2, psi, phi, psi2, d1)):
         for r in range(regions.n):
             u, via = twice[r], back[there[r]]
             direct = regions.comp(r, u, parity)
-            through = regions.comp(via, u, parity)
+            through = regions.comp(via, u, parity) if via < u else None
             need = direct.nrows if r == u else direct.rank()
-            if need > d_there[there[r]] or (via < u and need > through.rank()):
+            if need > d_there[there[r]] or (through is not None and need > through.rank()):
                 return None
             maps.append((through, direct))
 
@@ -291,7 +302,8 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
         equations.undo(mark)
         through, direct = e2_maps[r]
         if not (_add_identity(equations, g, [(through, phi[r], fmat)], direct)
-                and all(_add_identity(equations, g, [(c2a @ fmat, t, None)], rhs)
+                and all(_add_identity(equations, g,
+                                      [(fmat if c2a is None else c2a @ fmat, t, None)], rhs)
                         for c2a, t, rhs in e3_by_depth[r])):
             continue
         if r + 1 == R1:

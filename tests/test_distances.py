@@ -1,3 +1,4 @@
+import hashlib
 import random
 from bisect import bisect_right
 from collections import Counter
@@ -6,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
 from contact_barcodes.errors import (
     DomainError,
     IndexOutOfRangeError,
@@ -14,8 +16,8 @@ from contact_barcodes.errors import (
     TooLargeError,
 )
 from contact_barcodes.barcode import Bar, Barcode, Spectrum
-from contact_barcodes.gf2 import Gf2Matrix
-from contact_barcodes.distances import _hopcroft_karp, bottleneck_distance
+from contact_barcodes.gf2 import Echelon, Gf2Matrix
+from contact_barcodes.distances import Matching, _hopcroft_karp, _int_bars, bottleneck_distance
 from contact_barcodes import interleaving
 from contact_barcodes.interleaving import (
     InterleavingCertificate,
@@ -561,6 +563,33 @@ def test_interleaving_on_400_regions():
     assert find_interleaving(m1, m2, rational(1, 2)) is None
 
 
+def test_isometry_on_the_paper_pair_at_horizon_100():
+    # E(1, 1393/985) against E(1, 99/70): one bar per spectrum gap, so the
+    # bar-tracking modules have dimension at most 1 at every sample and
+    # about 170 regions each.  Both routes give 1/197; the certificate at
+    # it verifies, and the search refutes the next lower candidate, so no
+    # smaller delta interleaves (the shift tables change only at
+    # candidates)
+    b1, b2 = (ellipsoid_barcode(EllipsoidParams.of(["1", axis], 100))
+              for axis in ("1393/985", "99/70"))
+    m1, m2 = module_from_barcode(b1), module_from_barcode(b2)
+    assert max(d0 + d1 for m in (m1, m2) for d0, d1 in m.dims) == 1
+    graded, _ = bottleneck_distance(b1, b2, graded=True)
+    assert graded == rational(1, 197) == interleaving_distance_bruteforce(m1, m2)
+    cert = find_interleaving(m1, m2, graded)
+    assert cert is not None and verify_interleaving(cert, m1, m2) == []
+    regions1, regions2 = _Regions(m1), _Regions(m2)
+    coords = Coords(regions1.cuts + regions2.cuts)
+    cuts1 = [coords.of(c) for c in regions1.cuts]
+    cuts2 = [coords.of(c) for c in regions2.cuts]
+    gaps = {b - a for a, b in product(cuts1, cuts2)} | {b - a for a, b in product(cuts2, cuts1)}
+    halves = {(b - a) // 2 for cuts in (cuts1, cuts2) for a, b in product(cuts, cuts)}
+    candidates = sorted(n for n in gaps | halves | {0} if n >= 0)
+    at = candidates.index(coords.of(graded))
+    assert coords.scalar(candidates[at]) == graded and at > 0
+    assert find_interleaving(m1, m2, coords.scalar(candidates[at - 1])) is None
+
+
 def dense_region_pair(n_points):
     """Two modules over n_points random points k/q with q < 10**4, one
     short and one long bar each, as in test_interleaving_on_400_regions."""
@@ -850,6 +879,78 @@ def test_g_equations_match_entry_loops():
             assert [((coeffs & x).bit_count() & 1, bit) for coeffs, bit in system.equations] \
                 == [(lhs.entry(i, j), rhs.entry(i, j)) for i, j in entries]
     assert len(seen) == 3 and all(seen.values()), seen
+
+
+def spread_equations(g, terms, rhs):
+    """The equation ints of sum(L @ G[t] @ R for L, t, R in terms) == rhs
+    as the search first built them: an explicit identity matrix for every
+    None, and each row of L spread over the unknowns of G[t] by a sum of
+    row_bits[t][s] over its set bits s."""
+    factors = []
+    for left, t, right in terms:
+        left = Gf2Matrix.identity(g.heights[t]) if left is None else left
+        right = Gf2Matrix.identity(g.widths[t]) if right is None else right
+        spread = [sum(bit for s, bit in enumerate(g.row_bits[t]) if row >> s & 1)
+                  for row in left.rows]
+        factors.append((spread, right.transpose().rows))
+    out = []
+    for i, bits in enumerate(rhs.rows):
+        for j in range(rhs.ncols):
+            coeffs = 0
+            for spread, cols in factors:
+                coeffs ^= spread[i] * cols[j]
+            out.append(coeffs << 1 | bits >> j & 1)
+    return out
+
+
+# SHA-256 of the equation ints the search inserted, in order, over the
+# pairs and deltas of the test below, while it still built every identity
+# span as a matrix and spread the rows of a left factor by a sum
+SEARCH_EQUATIONS_DIGEST = "3a1afaf0f72a6c5d19d18696e4ec5c6d1cd69092b91966f7298d4e48660d623d"
+
+
+def test_search_inserts_the_equations_of_the_spread_formula(monkeypatch):
+    # every int _add_identity inserts is the one the sum spread and an
+    # explicit identity give, in the same order, and the whole sequence of
+    # inserts over every candidate delta is the one pinned above
+    recorded = []
+
+    class RecordingSearchEchelon(Echelon):
+        """Keeps every equation int the search's k = 1 Echelon is handed."""
+
+        def insert(self, vec):
+            if self.k == 1:
+                recorded.append(vec)
+            return super().insert(vec)
+
+    monkeypatch.setattr(interleaving, "Echelon", RecordingSearchEchelon)
+    add_identity = interleaving._add_identity
+    calls = Counter()
+
+    def checked(equations, g, terms, rhs):
+        start = len(recorded)
+        consistent = add_identity(equations, g, terms, rhs)
+        want = spread_equations(g, terms, rhs)
+        got = recorded[start:]
+        assert got == (want if consistent else want[:len(got)])
+        calls["identity terms"] += sum(left is None for left, _, _ in terms)
+        calls["calls"] += 1
+        return consistent
+
+    monkeypatch.setattr(interleaving, "_add_identity", checked)
+    rng = random.Random("search equations")
+    for s in range(48):
+        sp = random_spectrum(rng, max_points=4, min_points=2)
+        m = random_module(rng, max_dim=2, spectrum=sp, density=1 + s % 2)
+        other = (m, module_from_barcode(decompose(m)),
+                 random_module(rng, max_dim=2, spectrum=sp))[s % 3]
+        m1, m2 = scramble(rng, m), scramble(rng, other)
+        for delta in candidate_deltas(m1, m2):
+            find_interleaving(m1, m2, delta)
+    assert calls["calls"] > 4000 and calls["identity terms"] > 1000 \
+        and len(recorded) > 4000, (calls, len(recorded))
+    digest = hashlib.sha256(" ".join(map(str, recorded)).encode()).hexdigest()
+    assert digest == SEARCH_EQUATIONS_DIGEST, (len(recorded), digest)
 
 
 def recursive_max_bipartite(n_left, n_right, adj):
@@ -1155,6 +1256,90 @@ def test_bottleneck_probes_candidates_not_bits_on_prime_denominators(monkeypatch
         bits, candidates, probes = searches[-1]
         assert bits > 5000 and candidates > 15_000
         assert probes <= candidates.bit_length()
+
+
+# bottleneck_distance as it probed before its prefix-OR windows: an
+# n1 x n2 table of pair costs, read in full by every probe.  Kept as the
+# reference the windows must reproduce, witness for witness.
+
+def table_bottleneck(b1, b2, graded=False):
+    left, right = b1.bars, b2.bars
+    n1, n2 = len(left), len(right)
+    coords = Coords(end for bar in left + right for end in (bar.birth, bar.death))
+    ends1 = _int_bars(left, coords, graded)
+    ends2 = _int_bars(right, coords, graded)
+    if (Counter(kind for kind, _, _ in ends1 if kind & 3)
+            != Counter(kind for kind, _, _ in ends2 if kind & 3)):
+        return POS_INF, None
+    never = 1 + 2 * max((max(abs(x), abs(y)) for _, x, y in ends1 + ends2), default=0)
+    costs = [[max(abs(x - u), abs(y - v)) if kind == other else never
+              for other, u, v in ends2] for kind, x, y in ends1]
+    halves1 = [never if kind & 3 else (y - x) // 2 for kind, x, y in ends1]
+    halves2 = [never if kind & 3 else (y - x) // 2 for kind, x, y in ends2]
+    values = sorted(({0} | {c for row in costs for c in row}
+                     | set(halves1) | set(halves2)) - {never})
+    size = n1 + n2
+    ghosts1 = ((1 << n1) - 1) << n2
+    match_l, match_r = [-1] * size, [-1] * size
+
+    def probe(t):
+        adj = [sum(1 << j for j, c in enumerate(row) if c <= t)
+               | (1 << (n2 + i) if halves1[i] <= t else 0)
+               for i, row in enumerate(costs)]
+        adj += [(1 << g if halves2[g] <= t else 0) | ghosts1 for g in range(n2)]
+        for u, v in enumerate(match_l):
+            if v != -1 and not adj[u] >> v & 1:
+                match_l[u] = match_r[v] = -1
+        matched = _hopcroft_karp(adj, match_l, match_r)
+        return list(match_l) if matched == size else None
+
+    delta, perfect = coords.least([((0,), values, 1)], probe)
+    pairs = [(i, v if v < n2 else None) for i, v in enumerate(perfect[:n1])]
+    pairs += [(None, v) for v in perfect[n1:] if v < n2]
+    return delta, Matching(tuple(pairs))
+
+
+def test_windows_give_the_table_reference_witnesses():
+    # seeded pairs on integer spectra straddling 0, on rationals, on prime
+    # denominators and on one dense spectrum, with -inf-born, undying and
+    # doubly infinite bars of both parities beside finite ones that share
+    # their finite ends: every (delta, Matching) repr, graded and ungraded,
+    # is the table's
+    # keyed only never apart, the -inf-born bar ending at 2 would meet the
+    # undying bars born at -1 and 2 at a threshold where they may not meet
+    sp = Spectrum.of(range(-2, 3), -2, 2)
+    b1 = Barcode(sp, (Bar(NEG_INF, rational(-2), 0), Bar(rational(-1), POS_INF, 0),
+                      Bar(rational(2), POS_INF, 1)))
+    b2 = Barcode(sp, (Bar(NEG_INF, rational(2), 0), Bar(rational(2), POS_INF, 0),
+                      Bar(rational(2), POS_INF, 0)))
+    assert repr(bottleneck_distance(b1, b2)) == repr(table_bottleneck(b1, b2))
+    rng = random.Random("windows")
+    kinds = [(True, False), (False, True), (True, True)]
+    primes = first_primes(60)
+    seen = Counter()
+    for trial in range(240):
+        shape = trial % 4
+        if shape == 0:
+            lo = -rng.randint(0, 12)
+            sp = Spectrum.of(range(lo, lo + rng.randint(2, 25)), lo, lo + 25)
+        elif shape == 1:
+            sp = random_spectrum(rng, max_points=10, min_points=2)
+        elif shape == 2:
+            points = {Scalar(Fraction(rng.randrange(-10 * q, 10 * q), q))
+                      for q in rng.sample(primes, rng.randint(2, 20))}
+            sp = Spectrum(tuple(sorted(points)), min(points), max(points))
+        else:
+            sp = Spectrum.of(range(-3, 4), -3, 3)
+        n_bars = 60 if shape == 3 else 25
+        inf1 = [rng.choice(kinds) for _ in range(rng.randint(0, 5))]
+        inf2 = list(inf1) if trial % 5 else [rng.choice(kinds) for _ in range(len(inf1))]
+        b1 = wide_barcode(rng, rng.randint(len(inf1), n_bars), sp, inf1)
+        b2 = wide_barcode(rng, rng.randint(len(inf2), n_bars), sp, inf2)
+        for graded in (False, True):
+            got = bottleneck_distance(b1, b2, graded)
+            assert repr(got) == repr(table_bottleneck(b1, b2, graded)), (trial, graded)
+            seen["finite" if got[1] else "infinite"] += 1
+    assert seen["finite"] > 250 and seen["infinite"] > 50, seen
 
 
 def reference_shift_tables(regions1, regions2, delta):

@@ -443,6 +443,19 @@ def test_kernels_agree_with_reference_formulations_at_width_64():
     assert invertible > 500
 
 
+def test_rank_matches_the_column_by_column_reference_at_every_shape():
+    # rank inserts its rows untagged; shapes with no rows, with no columns,
+    # and up to 400 columns wide, with dependent rows
+    rng = random.Random(400)
+    assert Gf2Matrix((), 0).rank() == Gf2Matrix((), 400).rank() == 0
+    assert Gf2Matrix((0,) * 7, 0).rank() == 0
+    for case in range(300):
+        ncols = rng.choice((0, 1, 2, 63, 64, 65, 128, 399, 400)) if case % 3 else \
+            rng.randint(0, 400)
+        rows = _rows_with_dependencies(rng, rng.randint(0, 40 if case % 10 else 400), ncols)
+        assert Gf2Matrix(tuple(rows), ncols).rank() == reference_rank(rows, ncols), case
+
+
 def test_undo_restores_what_a_copy_per_frame_held():
     # random insert / mark / undo runs at widths up to 64, with no tag bits
     # (the decompose sweep), one rhs bit (the search's equations) and one

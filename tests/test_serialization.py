@@ -1,12 +1,17 @@
 import hashlib
+import io
 import json
 import random
+import tempfile
 from collections import Counter
+from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from contact_barcodes.barcode import Bar, Barcode, Spectrum
+from contact_barcodes.cli import main
 from contact_barcodes.distances import bottleneck_distance
 from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
 from contact_barcodes.errors import ParseError, TooLargeError
@@ -25,7 +30,7 @@ from contact_barcodes.random_instances import (
     random_spectrum,
     scramble,
 )
-from contact_barcodes.scalar import NEG_INF, POS_INF, ZERO, rational
+from contact_barcodes.scalar import NEG_INF, POS_INF, ZERO, Scalar, rational
 from contact_barcodes.serialization import (
     SCHEMA_VERSION,
     barcode_from_dict,
@@ -33,7 +38,7 @@ from contact_barcodes.serialization import (
     loads,
     module_from_dict,
 )
-from test_distances import candidate_deltas
+from test_distances import candidate_deltas, first_primes, wide_barcode
 
 
 # The documents as dicts, as they were first built: json.dumps(..., indent=2)
@@ -296,7 +301,10 @@ def contract_cases():
     at delta 0 and interleaving distances on scrambled module pairs, and
     the certificate (or None) at every candidate delta of more such pairs:
     a module against itself, against its barcode with one death moved
-    later, or against another module on its spectrum."""
+    later, or against another module on its spectrum; then bottleneck
+    distances in both modes on dense pairs (integer spectra and prime
+    denominators) and on E(1, 1393/985) against E(1, 99/70), and the
+    stdout of a `cpv` pipeline on that pair."""
     cases = []
     for s in range(40):
         rng = random.Random(f"barcode/{s}")
@@ -346,7 +354,55 @@ def contract_cases():
         cases.append((f"find_interleaving every candidate delta scrambled pair {s}",
                       "\n".join(f"{delta}: {find_interleaving(m1, m2, delta)!r}"
                                 for delta in candidate_deltas(m1, m2))))
+    kinds = [(True, False), (False, True), (True, True)]
+    for s in range(4):
+        rng = random.Random(f"dense bottleneck/{s}")
+        if s % 2:
+            points = {Scalar(Fraction(rng.randrange(-20 * q, 20 * q), q))
+                      for q in first_primes(120)}
+            sp = Spectrum(tuple(sorted(points)), min(points), max(points))
+        else:
+            sp = Spectrum.of(range(-20, 21), -20, 20)
+        inf = [rng.choice(kinds) for _ in range(rng.randint(0, 4))]
+        b1 = wide_barcode(rng, rng.randint(100, 200), sp, inf)
+        b2 = wide_barcode(rng, rng.randint(100, 200), sp, list(inf))
+        for graded in (False, True):
+            cases.append((f"bottleneck_distance dense pair {s} graded={graded}",
+                          repr(bottleneck_distance(b1, b2, graded))))
+    for T in (100, 400):
+        b1, b2 = (ellipsoid_barcode(EllipsoidParams.of(["1", axis], T))
+                  for axis in ("1393/985", "99/70"))
+        for graded in (False, True):
+            cases.append((f"bottleneck_distance E(1, 1393/985) E(1, 99/70) T={T} graded={graded}",
+                          repr(bottleneck_distance(b1, b2, graded))))
+    cases.append(("cpv ellipsoid reduce distance interleave E(1, 1393/985) E(1, 99/70) T=20",
+                  cpv_pipeline_stdout(("1393/985", "99/70"), "20")))
     return cases
+
+
+def cpv_pipeline_stdout(axes, T):
+    """The joined stdout of `cpv ellipsoid` for E(1, axis) at horizon T,
+    then, on the bar-tracking modules of those barcodes, `cpv reduce`,
+    `cpv distance` (ungraded and graded) of the reduced barcodes and
+    `cpv interleave`."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out):
+        d = Path(tmp)
+
+        def cpv(*args):
+            assert main([str(a) for a in args]) == 0, args
+
+        for k, axis in enumerate(axes):
+            start = out.tell()
+            cpv("ellipsoid", "-a", "1", "-a", axis, "-T", T)
+            code = loads(out.getvalue()[start:])
+            (d / f"module{k}.json").write_text(dumps(module_from_barcode(code)))
+            cpv("reduce", d / f"module{k}.json", "-o", d / f"reduced{k}.json")
+            cpv("reduce", d / f"module{k}.json")
+        cpv("distance", d / "reduced0.json", d / "reduced1.json")
+        cpv("distance", d / "reduced0.json", d / "reduced1.json", "--graded")
+        cpv("interleave", d / "module0.json", d / "module1.json")
+    return out.getvalue()
 
 
 def moved_death(rng, code):
