@@ -28,10 +28,9 @@ _SOURCE = {
     **dict.fromkeys(("EllipsoidParams", "CzIndex", "ellipsoid_spectrum",
                      "cz_index", "ellipsoid_barcode", "gaps_longer_than"),
                     "ellipsoid"),
-    **dict.fromkeys(("VanishingReport", "spectral_invariant", "translate_barcode",
-                     "boundary_depth", "covering_number", "bar_endpoint_set",
-                     "translated_point_lower_bound", "vanishing_predicates"),
-                    "invariants"),
+    **dict.fromkeys(("spectral_invariant", "translate_barcode", "boundary_depth",
+                     "covering_number", "bar_endpoint_set",
+                     "translated_point_lower_bound"), "invariants"),
     "errors": "errors",
 }
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     HorizonMismatchError,
@@ -33,9 +33,8 @@ class InterleavingCertificate(Frozen):
     """Interleaving maps, one per region per parity.
 
     Regions are the connected components cut out of the line by the
-    spectrum points a module actually straddles; forward_maps[r][p] maps
-    module 1's region r to module 2's region shifted by delta, and
-    backward_maps the other way.
+    spectrum points; forward_maps[r][p] maps module 1's region r to module
+    2's region shifted by delta, and backward_maps the other way.
     """
 
     __slots__ = ("delta", "forward_maps", "backward_maps")
@@ -49,24 +48,20 @@ class InterleavingCertificate(Frozen):
 
 
 class _Regions:
-    """Cut-point/region view of a validated SampledModule, with the
-    composite maps between its regions that the search reads."""
+    """Regions of a valid SampledModule, whose spectrum points are its cuts
+    (each alone in its sample gap; region r > 0 is read at the sample just
+    after the gap of cut r - 1), with the composite maps that the search
+    reads between them."""
 
     def __init__(self, m: SampledModule):
         gaps = _valid_placement(m)[0]
         if m.n_samples == 0:
             raise InvalidModuleError("module has no samples")
         self.module = m
-        cuts: List[Scalar] = []
-        reps: List[int] = [0]
-        for i, between in enumerate(gaps):
-            if between:
-                cuts.append(between[0])
-                reps.append(i + 1)
-        self.cuts = tuple(cuts)
-        self.reps = tuple(reps)
-        self.n = len(reps)
-        self.dims = tuple(m.dims[i] for i in reps)
+        self.cuts = m.spectrum.points
+        self.reps = (0, *(i + 1 for i, between in enumerate(gaps) if between))
+        self.n = len(self.reps)
+        self.dims = tuple(m.dims[i] for i in self.reps)
         # per parity, jumps[k][a] is the map from region a to region a + 2**k
         self._jumps: Tuple[List[List[Gf2Matrix]], ...] = ([], [])
         self._identities: Dict[int, Gf2Matrix] = {}
@@ -321,9 +316,8 @@ def find_interleaving(m1: SampledModule, m2: SampledModule, delta: Scalar
     """A delta-interleaving certificate, or None when none exists."""
     if delta < ZERO:
         return None
-    regions1, regions2 = _Regions(m1), _Regions(m2)
     _check_enumeration_bound(m1, m2)
-    return _certificate(regions1, regions2, delta)
+    return _certificate(_Regions(m1), _Regions(m2), delta)
 
 
 def _certificate(regions1: _Regions, regions2: _Regions, delta: Scalar
@@ -336,19 +330,13 @@ def _certificate(regions1: _Regions, regions2: _Regions, delta: Scalar
         if found is None:
             return None
         per_parity.append(found)
-    fwd = tuple((per_parity[0][0][r], per_parity[1][0][r])
-                for r in range(regions1.n))
-    bwd = tuple((per_parity[0][1][t], per_parity[1][1][t])
-                for t in range(regions2.n))
-    return InterleavingCertificate(delta, fwd, bwd)
+    (f0, g0), (f1, g1) = per_parity
+    return InterleavingCertificate(delta, tuple(zip(f0, f1)), tuple(zip(g0, g1)))
 
 
 def _check_enumeration_bound(m1: SampledModule, m2: SampledModule) -> None:
-    for m in (m1, m2):
-        for d0, d1 in m.dims:
-            if d0 + d1 > 4:
-                raise TooLargeError(
-                    "per-sample total dimension exceeds the enumeration bound (4)")
+    if any(d0 + d1 > 4 for m in (m1, m2) for d0, d1 in m.dims):
+        raise TooLargeError("per-sample total dimension exceeds the enumeration bound (4)")
 
 
 def interleaving_distance_bruteforce(m1: SampledModule, m2: SampledModule
@@ -371,67 +359,64 @@ def interleaving_distance_bruteforce(m1: SampledModule, m2: SampledModule
     cuts2 = [coords.of(c) for c in regions2.cuts]
     rows = [(cuts1, cuts2, 1), (cuts2, cuts1, 1), (cuts1, cuts1, 2), (cuts2, cuts2, 2),
             ((0,), (0,), 1)]
-    found = coords.least(
-        rows, lambda n: _certificate(regions1, regions2, coords.scalar(n)))
+    found = coords.least(rows, lambda n: _certificate(regions1, regions2, coords.scalar(n)))
     return POS_INF if found is None else found[0]
+
+
+class _Direction(NamedTuple):
+    """maps[r] takes region r of src to region there[r] of dst, the module
+    numbered `through`; twice shifts src into itself by 2 delta."""
+    name: str
+    through: int
+    maps: Tuple[Tuple[Gf2Matrix, Gf2Matrix], ...]
+    src: _Regions
+    dst: _Regions
+    there: List[int]
+    twice: List[int]
 
 
 def verify_interleaving(cert: InterleavingCertificate, m1: SampledModule,
                         m2: SampledModule) -> List[str]:
     """Check every square and 2-delta composite; empty list means valid.
 
-    Every composite comes from `persistence.composite_map`, not from the
-    tables of `_Regions.comp` that the search reads, so that the check
-    stays independent of the search.
+    Each check runs forward (F by phi, phi2), then backward (G by psi,
+    psi2).  Every composite comes from `persistence.composite_map`, not
+    from the tables of `_Regions.comp` that the search reads, so that the
+    check stays independent of the search.
     """
     regions1, regions2 = _Regions(m1), _Regions(m2)
-    delta = cert.delta
-    R1, R2 = regions1.n, regions2.n
-    if len(cert.forward_maps) != R1 or len(cert.backward_maps) != R2:
+    if len(cert.forward_maps) != regions1.n or len(cert.backward_maps) != regions2.n:
         raise ShapeMismatchError("certificate map count does not match the regions")
-    phi, psi, phi2, psi2 = _shift_tables(regions1, regions2, delta)
+    phi, psi, phi2, psi2 = _shift_tables(regions1, regions2, cert.delta)
+    sides = (_Direction("forward", 2, cert.forward_maps, regions1, regions2, phi, phi2),
+             _Direction("backward", 1, cert.backward_maps, regions2, regions1, psi, psi2))
 
     for parity in (0, 1):
-        for r in range(R1):
-            want = (regions2.dims[phi[r]][parity], regions1.dims[r][parity])
-            if cert.forward_maps[r][parity].shape != want:
-                raise ShapeMismatchError(
-                    f"forward map at region {r} parity {parity} has shape "
-                    f"{cert.forward_maps[r][parity].shape}, expected {want}")
-        for t in range(R2):
-            want = (regions1.dims[psi[t]][parity], regions2.dims[t][parity])
-            if cert.backward_maps[t][parity].shape != want:
-                raise ShapeMismatchError(
-                    f"backward map at region {t} parity {parity} has shape "
-                    f"{cert.backward_maps[t][parity].shape}, expected {want}")
+        for s in sides:
+            for r, pair in enumerate(s.maps):
+                want = (s.dst.dims[s.there[r]][parity], s.src.dims[r][parity])
+                if pair[parity].shape != want:
+                    raise ShapeMismatchError(
+                        f"{s.name} map at region {r} parity {parity} has shape "
+                        f"{pair[parity].shape}, expected {want}")
 
     def comp(regions: _Regions, a: int, b: int, parity: int) -> Gf2Matrix:
         return composite_map(regions.module, regions.reps[a], regions.reps[b], parity)
 
     issues: List[str] = []
     for parity in (0, 1):
-        F = [pair[parity] for pair in cert.forward_maps]
-        G = [pair[parity] for pair in cert.backward_maps]
-        for r in range(R1 - 1):
-            lhs = F[r + 1] @ comp(regions1, r, r + 1, parity)
-            rhs = comp(regions2, phi[r], phi[r + 1], parity) @ F[r]
-            if lhs != rhs:
-                issues.append(f"forward square at regions {r}->{r + 1} parity {parity}")
-        for t in range(R2 - 1):
-            lhs = G[t + 1] @ comp(regions2, t, t + 1, parity)
-            rhs = comp(regions1, psi[t], psi[t + 1], parity) @ G[t]
-            if lhs != rhs:
-                issues.append(f"backward square at regions {t}->{t + 1} parity {parity}")
-        for r in range(R1):
-            u = phi2[r]
-            lhs = comp(regions1, psi[phi[r]], u, parity) @ G[phi[r]] @ F[r]
-            if lhs != comp(regions1, r, u, parity):
-                issues.append(
-                    f"2-delta composite through module 2 at region {r} parity {parity}")
-        for t in range(R2):
-            v = psi2[t]
-            lhs = comp(regions2, phi[psi[t]], v, parity) @ F[psi[t]] @ G[t]
-            if lhs != comp(regions2, t, v, parity):
-                issues.append(
-                    f"2-delta composite through module 1 at region {t} parity {parity}")
+        for s in sides:
+            for r in range(s.src.n - 1):
+                if s.maps[r + 1][parity] @ comp(s.src, r, r + 1, parity) != \
+                        comp(s.dst, s.there[r], s.there[r + 1], parity) @ s.maps[r][parity]:
+                    issues.append(f"{s.name} square at regions {r}->{r + 1} parity {parity}")
+        # s's map at r, then the other direction's map back
+        for s, back in zip(sides, sides[::-1]):
+            for r, u in enumerate(s.twice):
+                v = s.there[r]
+                lhs = comp(s.src, back.there[v], u, parity) @ back.maps[v][parity] \
+                    @ s.maps[r][parity]
+                if lhs != comp(s.src, r, u, parity):
+                    issues.append(f"2-delta composite through module {s.through} "
+                                  f"at region {r} parity {parity}")
     return issues

@@ -1,20 +1,19 @@
 """Barcode-level contact invariants.
 
 Spectral invariants read births of undying bars, boundary depth
-measures the longest certified finite bar, covering numbers of endpoint
-sets bound the count of distinct translated-point lengths from below, and
-`vanishing_predicates` reads whether the barcode forces SH to vanish.
-Each is a deterministic read of one barcode; the seeded stability check
-of the spectral invariants is criterion 6 of `suite`.
+measures the longest certified finite bar, and covering numbers of
+endpoint sets bound the count of distinct translated-point lengths from
+below.  Each is a deterministic read of one barcode; the seeded
+stability check of the spectral invariants is criterion 6 of `suite`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from .barcode import Bar, Barcode
 from .errors import InPiSpanError, NonPositiveDeltaError
-from .scalar import Frozen, POS_INF, Scalar, ZERO
+from .scalar import POS_INF, Scalar, ZERO
 
 
 def spectral_invariant(b: Barcode, e_index: int) -> Scalar:
@@ -112,28 +111,3 @@ def translated_point_lower_bound(b_id: Barcode, delta: Scalar) -> int:
     endpoints = bar_endpoint_set(b_id, delta)
     k, _ = covering_number(endpoints, delta)
     return k
-
-
-class VanishingReport(Frozen):
-    """Reporting predicate on an identity-model barcode.
-
-    forces_sh_zero is False when a certified half-infinite bar exists,
-    and None when truncation makes the verdict undecidable from the window
-    alone.
-    """
-
-    __slots__ = ("has_bar_at_zero", "forces_sh_zero")
-
-    def __init__(self, has_bar_at_zero: bool, forces_sh_zero: Optional[bool]):
-        object.__setattr__(self, "has_bar_at_zero", has_bar_at_zero)
-        object.__setattr__(self, "forces_sh_zero", forces_sh_zero)
-
-
-def vanishing_predicates(b: Barcode) -> VanishingReport:
-    has_zero = any(bar.birth == ZERO for bar in b.bars)
-    if any(bar.death.is_pos_inf and bar.birth.is_finite and not bar.truncated
-           for bar in b.bars):
-        return VanishingReport(has_zero, False)
-    if any(bar.truncated for bar in b.bars):
-        return VanishingReport(has_zero, None)
-    return VanishingReport(has_zero, True)

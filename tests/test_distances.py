@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -12,6 +13,7 @@ from contact_barcodes.errors import (
     DomainError,
     IndexOutOfRangeError,
     InfiniteDeltaError,
+    InvalidModuleError,
     ShapeMismatchError,
     TooLargeError,
 )
@@ -32,6 +34,7 @@ from contact_barcodes.interleaving import (
 from contact_barcodes.oracles import bar_cost, endpoint_gap, exhaustive_bottleneck
 from contact_barcodes.persistence import (
     SampledModule,
+    _placement,
     composite_map,
     decompose,
     module_from_barcode,
@@ -396,6 +399,47 @@ def test_interleaving_dimension_bound():
         interleaving_distance_bruteforce(big, small)
 
 
+BOUND_MESSAGE = "per-sample total dimension exceeds the enumeration bound (4)"
+
+
+def test_both_entry_points_refuse_past_the_bound_before_validating():
+    # the bound is checked first, so a module past it is refused with the
+    # bound's message whether or not it is valid; the invalid one leaves
+    # the spectrum point 1 unstraddled
+    sp = Spectrum.of([], 0, 1)
+    big = SampledModule(sp, (rational(1, 2),), ((5, 0),), ())
+    small = SampledModule(sp, (rational(1, 2),), ((0, 0),), ())
+    unstraddled = Spectrum.of([1], 0, 2)
+    big_invalid = SampledModule(unstraddled, (rational(1, 2),), ((3, 2),), ())
+    small_invalid = SampledModule(unstraddled, (rational(1, 2),), ((0, 0),), ())
+    for pair in ((big, small), (small, big), (big_invalid, small_invalid)):
+        with pytest.raises(TooLargeError, match=re.escape(BOUND_MESSAGE)):
+            find_interleaving(*pair, ZERO)
+        with pytest.raises(TooLargeError, match=re.escape(BOUND_MESSAGE)):
+            interleaving_distance_bruteforce(*pair)
+
+
+def test_entry_points_refuse_invalid_modules_and_modules_without_samples():
+    sp = Spectrum.of([1], 0, 2)
+    invalid = SampledModule(sp, (rational(1, 2),), ((1, 0),), ())
+    valid = interval_module(sp, (Bar(NEG_INF, POS_INF, 0),))
+    flat = Spectrum.of([], 0, 2)
+    empty = SampledModule(flat, (), (), ())
+    one = interval_module(flat, ())
+    cert = InterleavingCertificate(ZERO, (), ())
+    for bad, good, error, message in (
+            (invalid, valid, InvalidModuleError,
+             "invalid module: spectrum point 1/1 is not straddled by the samples"),
+            (empty, one, InvalidModuleError, "module has no samples")):
+        for m1, m2 in ((bad, good), (good, bad)):
+            for call in (lambda: find_interleaving(m1, m2, ZERO),
+                         lambda: interleaving_distance_bruteforce(m1, m2),
+                         lambda: verify_interleaving(cert, m1, m2)):
+                with pytest.raises(error) as caught:
+                    call()
+                assert str(caught.value) == message
+
+
 def test_search_budget_refusal_names_delta_budget_and_regions(monkeypatch):
     sp = Spectrum.of([1, 2], 0, 3)
     code = Barcode(sp, (Bar.of(NEG_INF, 1), Bar.of(NEG_INF, 2), Bar.of(1, POS_INF, 1)))
@@ -509,6 +553,35 @@ def test_certificate_shape_mismatch():
         tuple((Gf2Matrix.identity(1), Gf2Matrix.identity(0)) for _ in range(2)))
     with pytest.raises(ShapeMismatchError):
         verify_interleaving(cert, m, m)
+    # a bar of each parity over the cut at 1: two regions of dimensions
+    # (1, 1); the first wrong shape in the check's order is the one named,
+    # parity outer, forward maps before backward ones
+    m = interval_module(sp, (Bar(NEG_INF, POS_INF, 0), Bar(NEG_INF, POS_INF, 1)))
+    cert = find_interleaving(m, m, ZERO)
+    assert cert is not None and verify_interleaving(cert, m, m) == []
+    wide = Gf2Matrix.identity(2)
+
+    def replaced(maps, r, parity):
+        pair = list(maps[r])
+        pair[parity] = wide
+        return maps[:r] + (tuple(pair),) + maps[r + 1:]
+
+    cases = [
+        (replaced(cert.forward_maps, 1, 1), cert.backward_maps,
+         "forward map at region 1 parity 1 has shape (2, 2), expected (1, 1)"),
+        (cert.forward_maps, replaced(cert.backward_maps, 1, 1),
+         "backward map at region 1 parity 1 has shape (2, 2), expected (1, 1)"),
+        (replaced(cert.forward_maps, 1, 1), replaced(cert.backward_maps, 1, 0),
+         "backward map at region 1 parity 0 has shape (2, 2), expected (1, 1)"),
+        (cert.forward_maps, cert.backward_maps + cert.backward_maps[:1],
+         "certificate map count does not match the regions"),
+        (cert.forward_maps[:1], cert.backward_maps,
+         "certificate map count does not match the regions"),
+    ]
+    for fwd, bwd, message in cases:
+        with pytest.raises(ShapeMismatchError) as caught:
+            verify_interleaving(InterleavingCertificate(ZERO, fwd, bwd), m, m)
+        assert str(caught.value) == message
 
 
 def test_interleaving_backward_squares_on_unequal_dimensions():
@@ -709,6 +782,43 @@ def test_verify_interleaving_reports_each_family(monkeypatch):
             f"{square} square at regions 1->2 parity 0",
             "2-delta composite through module 2 at region 1 parity 0",
             "2-delta composite through module 1 at region 1 parity 0"]
+
+
+def gap_walk_regions(m):
+    """The region cuts and representative samples as the search first
+    read them: the first spectrum point of each sample gap that holds one,
+    and the sample just after that gap, with sample 0 for region 0."""
+    cuts, reps = [], [0]
+    for i, between in enumerate(_placement(m)[0]):
+        if between:
+            cuts.append(between[0])
+            reps.append(i + 1)
+    return tuple(cuts), tuple(reps)
+
+
+def test_regions_are_the_spectrum_gaps():
+    # a valid module straddles every spectrum point, each alone in its gap:
+    # the cuts are the spectrum's points, and each gap walk finds the same
+    # representatives.  random_module runs at densities 1-3 over 0-8
+    # points; every random_barcode has a point on a horizon end, where
+    # _sample_positions pads the outer sample past it
+    rng = random.Random(89)
+    seen = Counter()
+    for k in range(90):
+        if k % 2:
+            sp = random_spectrum(rng, max_points=8)
+            m = random_module(rng, max_dim=3, spectrum=sp, density=1 + k % 3)
+        else:
+            m = module_from_barcode(random_barcode(rng, max_bars=5, max_points=8),
+                                    1 + k % 3)
+        for module in (m, scramble(rng, m)):
+            regions = _Regions(module)
+            assert regions.cuts == module.spectrum.points
+            assert (regions.cuts, regions.reps) == gap_walk_regions(module)
+            assert regions.n == len(regions.reps) == len(regions.cuts) + 1
+            assert regions.dims == tuple(module.dims[i] for i in regions.reps)
+            seen[len(regions.cuts)] += 1
+    assert set(seen) == set(range(9)), seen
 
 
 def test_region_tables_equal_the_reference_composites():

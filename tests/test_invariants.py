@@ -16,7 +16,6 @@ from contact_barcodes.invariants import (
     spectral_invariant,
     translate_barcode,
     translated_point_lower_bound,
-    vanishing_predicates,
 )
 from contact_barcodes.oracles import covering_min_partition, covering_min_subsets
 from contact_barcodes.random_instances import (
@@ -183,21 +182,6 @@ def test_bound_monotone_in_delta():
         b = random_barcode(rng, max_bars=6, max_points=5)
         counts = [translated_point_lower_bound(b, d) for d in deltas]
         assert counts == sorted(counts, reverse=True)
-
-
-def test_vanishing_predicates():
-    unknown = vanishing_predicates(ellipsoid_barcode(EllipsoidParams.of([1], 2)))
-    assert unknown.has_bar_at_zero
-    assert unknown.forces_sh_zero is None
-
-    alive = vanishing_predicates(
-        Barcode(Spectrum.of([0], 0, 1), (Bar(rational(0), POS_INF, 0),)))
-    assert alive.has_bar_at_zero
-    assert alive.forces_sh_zero is False
-
-    dead = vanishing_predicates(Barcode(Spectrum.of([0, 3], 0, 3), (Bar.of(0, 3),)))
-    assert dead.has_bar_at_zero
-    assert dead.forces_sh_zero is True
 
 
 def test_perturb_stays_in_ball():

@@ -65,3 +65,15 @@ def test_interleaving_scaling_prints_a_row_per_size():
     # the peak so far never falls from one row to the next
     peaks = [float(row.split()[3]) for row in rows]
     assert 0 < peaks[0] <= peaks[1]
+
+
+def test_paper_isometry_agrees_on_the_paper_pair():
+    done = run_script("paper_isometry.py", "--horizons", "25", "50")
+    assert done.returncode == 0, done.stdout + done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split() == ["T", "r1", "r2", "bottleneck", "interleaving", "verified",
+                              "below", "refuted", "seconds"]
+    assert [row.split()[:8] for row in rows] == [
+        ["25", "44", "44", "17/13790", "17/13790", "yes", "8/6895", "yes"],
+        ["50", "87", "87", "1/394", "1/394", "yes", "17/6895", "yes"]]
+    assert all(float(row.split()[8]) >= 0 for row in rows)
