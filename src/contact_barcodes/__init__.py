@@ -21,7 +21,7 @@ _SOURCE = {
     "Gf2Matrix": "gf2",
     **dict.fromkeys(("Spectrum", "Bar", "Barcode"), "barcode"),
     **dict.fromkeys(("SampledModule", "validate_module", "decompose",
-                     "module_from_barcode", "rank_invariant"), "persistence"),
+                     "module_from_barcode"), "persistence"),
     **dict.fromkeys(("Matching", "bottleneck_distance"), "distances"),
     **dict.fromkeys(("InterleavingCertificate", "interleaving_distance_bruteforce",
                      "find_interleaving", "verify_interleaving"), "interleaving"),

@@ -72,6 +72,17 @@ class Bar(Frozen):
         object.__setattr__(self, "truncated", truncated)
 
     @classmethod
+    def _unchecked(cls, birth: Scalar, death: Scalar, parity: Parity) -> "Bar":
+        """A bar whose ends are known to be in order and whose parity is
+        0 or 1, built without the checks of __init__; not truncated."""
+        bar = object.__new__(cls)
+        object.__setattr__(bar, "birth", birth)
+        object.__setattr__(bar, "death", death)
+        object.__setattr__(bar, "parity", parity)
+        object.__setattr__(bar, "truncated", False)
+        return bar
+
+    @classmethod
     def of(cls, birth: ScalarLike, death: ScalarLike, parity: Parity = 0,
            truncated: bool = False) -> "Bar":
         return cls(as_scalar(birth), as_scalar(death), parity, truncated)

@@ -72,8 +72,9 @@ class _Regions:
 
         The table grows a level at a time, up to the longest span asked
         for: level 0 holds the region steps, level k the products of pairs
-        of level k - 1.  A zero span gives one shared identity per
-        dimension, as delta 0 asks at every region.
+        of level k - 1.  A one-step span is a level-0 entry, and a zero
+        span gives one shared identity per dimension, as delta 0 asks at
+        every region.
         """
         if not 0 <= a <= b < self.n:
             raise IndexOutOfRangeError(f"region range ({a}, {b}) outside 0..{self.n - 1}")
@@ -89,6 +90,8 @@ class _Regions:
             m, reps = self.module, self.reps
             jumps.append([composite_map(m, reps[i], reps[i + 1], parity)
                           for i in range(self.n - 1)])
+        if span == 1:
+            return jumps[0][a]
         while len(jumps) < span.bit_length():
             below, half = jumps[-1], 1 << (len(jumps) - 1)
             jumps.append([below[i + half] @ below[i]
@@ -139,10 +142,10 @@ class _GLayout:
     widths[t] unknowns whose first one is the bit row_bits[t][s].
     spreads[t][x] is the sum of row_bits[t][s] over the set bits s of x,
     for every x below 1 << heights[t] (at most 16 under the enumeration
-    bound).
+    bound), and units[t] lists the widths[t] unit columns 1 << j.
     """
 
-    __slots__ = ("heights", "widths", "offsets", "row_bits", "spreads")
+    __slots__ = ("heights", "widths", "offsets", "row_bits", "spreads", "units")
 
     def __init__(self, heights: Sequence[int], widths: Sequence[int]):
         self.heights, self.widths = heights, widths
@@ -155,6 +158,7 @@ class _GLayout:
             for bit in bits:
                 spread += [x | bit for x in spread]
             self.spreads.append(spread)
+        self.units = [[1 << j for j in range(w)] for w in widths]
 
     def decode(self, sol: int) -> List[Gf2Matrix]:
         """The G maps of a solution."""
@@ -183,7 +187,7 @@ def _add_identity(equations: Echelon, g: _GLayout,
         else:
             spread = [g.spreads[t][row] for row in left.rows]
         if right is None:
-            cols = [1 << j for j in range(g.widths[t])]
+            cols = g.units[t]
         else:
             cols = right.transpose().rows
         factors.append((spread, cols))
@@ -293,7 +297,9 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
             raise TooLargeError(f"interleaving search budget exhausted at delta {delta}: "
                                 f"{_SEARCH_BUDGET} F candidates tried between modules "
                                 f"of {R1} and {R2} regions")
-        fmat = Gf2Matrix(rows, d1[r])
+        # rows come from range(1 << d1[r]) or from express and the
+        # nullspace masks of an Echelon of d1[r] rows, so all are in range
+        fmat = Gf2Matrix._unchecked(rows, d1[r])
         equations.undo(mark)
         through, direct = e2_maps[r]
         if not (_add_identity(equations, g, [(through, phi[r], fmat)], direct)
@@ -313,11 +319,17 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
 
 def find_interleaving(m1: SampledModule, m2: SampledModule, delta: Scalar
                       ) -> Optional[InterleavingCertificate]:
-    """A delta-interleaving certificate, or None when none exists."""
+    """A delta-interleaving certificate, or None when none exists.
+
+    The modules are checked first, at every delta: a module past the
+    enumeration bound, invalid or without samples is refused even where a
+    negative delta admits no interleaving.
+    """
+    _check_enumeration_bound(m1, m2)
+    regions1, regions2 = _Regions(m1), _Regions(m2)
     if delta < ZERO:
         return None
-    _check_enumeration_bound(m1, m2)
-    return _certificate(_Regions(m1), _Regions(m2), delta)
+    return _certificate(regions1, regions2, delta)
 
 
 def _certificate(regions1: _Regions, regions2: _Regions, delta: Scalar

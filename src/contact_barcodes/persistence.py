@@ -22,12 +22,15 @@ Every placement is of the samples among the spectrum points: one merge,
 at or below it, comparing numerator and denominator ints (only an invalid
 module's samples are sorted first).  Those counts give each sample gap its
 points and `validate_module` its collisions and unstraddled points
-(`_placement`).  Every finite bar end is a spectrum point, so a bar end is
-its int position among the points: `decompose` reads each end's position
-off the counts and sorts and recounts its bars on those ints, and
-`module_from_barcode` bisects the positions of a barcode's ends
-(`barcode._end_positions`) into the counts for the bars alive at each
-sample (`_alive`).
+(`_placement`), which runs once per module: the module keeps the result
+in a private slot, which `validate_module`, `decompose`, the regions of
+`interleaving` and the `oracles` all read.  Every finite bar end is a
+spectrum point, so a bar end is its int position among the points:
+`decompose` reads each end's position off the counts and sorts and
+recounts its bars on those ints, building each `Bar` unchecked, since the
+sorted ints already put its ends in order; `module_from_barcode` bisects
+the positions of a barcode's ends (`barcode._end_positions`) into the
+counts for the bars alive at each sample (`_alive`).
 """
 
 from __future__ import annotations
@@ -55,10 +58,12 @@ class SampledModule(Frozen):
     `samples` are strictly increasing finite parameters avoiding the
     spectrum; `dims[i]` is the graded dimension at samples[i]; `maps[i]`
     holds the two structure matrices (one per parity) from samples[i] to
-    samples[i+1], with shape dims[i+1][p] x dims[i][p].
+    samples[i+1], with shape dims[i+1][p] x dims[i][p].  The private slot
+    `_placed` keeps `_placement` of the module once it has run; it is no
+    field, so `==`, `hash`, `repr`, copies and pickles leave it out.
     """
 
-    __slots__ = ("spectrum", "samples", "dims", "maps")
+    __slots__ = ("spectrum", "samples", "dims", "maps", "_placed")
 
     def __init__(self, spectrum: Spectrum, samples: Tuple[Scalar, ...],
                  dims: Tuple[Tuple[int, int], ...],
@@ -71,6 +76,7 @@ class SampledModule(Frozen):
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "_placed", None)
 
     @property
     def n_samples(self) -> int:
@@ -78,8 +84,9 @@ class SampledModule(Frozen):
 
 
 def validate_module(m: SampledModule) -> List[str]:
-    """Collect invariant violations; an empty list means the module is valid."""
-    return _placement(m)[1]
+    """Collect invariant violations, in a new list on every call; an empty
+    list means the module is valid."""
+    return list(_placement(m)[1])
 
 
 Counts = Tuple[List[int], List[int]]
@@ -97,7 +104,14 @@ def _placement(m: SampledModule
     counts differ, and the points before below[0] or from upto[-1] on are
     not straddled; without samples, no point is.  A valid module's checks
     compare ints only.
+
+    A module is immutable, so this runs once per module: the result is
+    kept in its `_placed` slot, and every later call returns that same
+    tuple, whose lists the callers only read.
     """
+    placed = m._placed
+    if placed is not None:
+        return placed
     samples, dims = m.samples, m.dims
     pts = m.spectrum.points
     rising = _rising(samples)
@@ -136,7 +150,9 @@ def _placement(m: SampledModule
                     issues.append(
                         f"map {i} parity {parity} crosses no spectrum point "
                         "but is not invertible")
-    return gaps, issues, (below, upto)
+    placed = (gaps, issues, (below, upto))
+    object.__setattr__(m, "_placed", placed)
+    return placed
 
 
 def composite_map(m: SampledModule, i: int, j: int, parity: Parity) -> Gf2Matrix:
@@ -149,11 +165,6 @@ def composite_map(m: SampledModule, i: int, j: int, parity: Parity) -> Gf2Matrix
     for step in range(i + 1, j):
         acc = m.maps[step][parity] @ acc
     return acc
-
-
-def rank_invariant(m: SampledModule, i: int, j: int) -> Tuple[int, int]:
-    """Graded rank of the composite map from sample i to sample j."""
-    return (composite_map(m, i, j, 0).rank(), composite_map(m, i, j, 1).rank())
 
 
 def _valid_placement(m: SampledModule) -> Tuple[List[Tuple[Scalar, ...]], Counts]:
@@ -250,8 +261,9 @@ def decompose(m: SampledModule) -> Barcode:
         ends.extend((births[made - 1 - b], top, parity) for b in range(made) if alive >> b & 1)
     ends.sort()
     line = (NEG_INF, *m.spectrum.points, POS_INF)  # position p is line[p + 1]
-    code = Barcode._sorted(m.spectrum, tuple([Bar(line[b + 1], line[d + 1], parity)
-                                              for b, d, parity in ends]))
+    # the sorted int ends are in order, so no bar check is left to make
+    code = Barcode._sorted(m.spectrum, tuple([
+        Bar._unchecked(line[b + 1], line[d + 1], parity) for b, d, parity in ends]))
     # A bar from position b to d contains sample s when b < below[s] and
     # upto[s] <= d, and below[s] == upto[s] in a valid module: the bars at
     # s are those born before below[s] less those dead before upto[s].

@@ -36,13 +36,17 @@ class Frozen:
     they are of one class and their `_KEY` fields (all fields unless the
     class names fewer) are equal, and hash as the tuple of those fields;
     `repr` writes every field as `QualName(field=value, ...)`.  Every
-    `__init__` takes the fields in `__slots__` order.
+    `__init__` takes the fields in `__slots__` order.  A slot whose name
+    starts with an underscore is not a field but a private store of
+    something the fields determine (`SampledModule._placed`): it is in no
+    key, no `repr` and no `__init__`, so copies and pickles leave it out.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        key = cls.__dict__.get("_KEY", cls.__slots__)
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        key = cls.__dict__.get("_KEY", cls._fields)
         # the tuple of the key fields; attrgetter of one name gives it bare
         get = attrgetter(*key)
         cls._key = staticmethod(get if len(key) > 1 else lambda obj: (get(obj),))
@@ -56,12 +60,12 @@ class Frozen:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, which takes every field
-        return self.__class__, tuple([getattr(self, f) for f in self.__slots__])
+        return self.__class__, tuple([getattr(self, f) for f in self._fields])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

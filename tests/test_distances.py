@@ -20,7 +20,7 @@ from contact_barcodes.errors import (
 from contact_barcodes.barcode import Bar, Barcode, Spectrum
 from contact_barcodes.gf2 import Echelon, Gf2Matrix
 from contact_barcodes.distances import Matching, _hopcroft_karp, _int_bars, bottleneck_distance
-from contact_barcodes import interleaving
+from contact_barcodes import interleaving, persistence
 from contact_barcodes.interleaving import (
     InterleavingCertificate,
     _GLayout,
@@ -417,6 +417,22 @@ def test_both_entry_points_refuse_past_the_bound_before_validating():
             find_interleaving(*pair, ZERO)
         with pytest.raises(TooLargeError, match=re.escape(BOUND_MESSAGE)):
             interleaving_distance_bruteforce(*pair)
+
+
+def test_negative_delta_checks_the_modules_first():
+    # no delta below 0 interleaves, but the modules are checked at every
+    # delta: this one is past the bound (dimension 9) and leaves the
+    # spectrum point 1 unstraddled, the next is only invalid
+    unstraddled = Spectrum.of([1], 0, 2)
+    bad = SampledModule(unstraddled, (rational(1, 2),), ((9, 0),), ())
+    invalid = SampledModule(unstraddled, (rational(1, 2),), ((1, 0),), ())
+    valid = interval_module(unstraddled, (Bar(NEG_INF, POS_INF, 0),))
+    for delta in (rational(-1), NEG_INF):
+        with pytest.raises(TooLargeError, match=re.escape(BOUND_MESSAGE)):
+            find_interleaving(bad, bad, delta)
+        with pytest.raises(InvalidModuleError):
+            find_interleaving(invalid, valid, delta)
+        assert find_interleaving(valid, valid, delta) is None
 
 
 def test_entry_points_refuse_invalid_modules_and_modules_without_samples():
@@ -825,22 +841,48 @@ def test_region_tables_equal_the_reference_composites():
     # density 2 and 3 put several samples in a region, so a region step is
     # itself a product of structure maps; nine regions or more build level 3
     # of the table.  Spans are asked in random order, so levels grow from
-    # whichever span comes first.
+    # whichever span comes first.  Spans outside the regions, the one-step
+    # ones among them, are refused before and after the table is built.
     rng = random.Random(83)
     for k in range(12):
         sp = random_spectrum(rng, max_points=12, min_points=8)
         m = random_module(rng, max_dim=4, spectrum=sp, density=1 + k % 3)
         regions = _Regions(m)
         assert regions.n >= 9
+        outside = [(a, b, parity) for a, b in ((1, 0), (-1, 0), (0, regions.n),
+                                               (regions.n - 1, regions.n))
+                   for parity in (0, 1)]
         spans = [(a, b, parity) for a in range(regions.n)
                  for b in range(a, regions.n) for parity in (0, 1)]
         rng.shuffle(spans)
-        for a, b, parity in spans:
-            want = composite_map(m, regions.reps[a], regions.reps[b], parity)
-            assert regions.comp(a, b, parity) == want, (a, b, parity)
-        for a, b in ((1, 0), (-1, 0), (0, regions.n)):
-            with pytest.raises(IndexOutOfRangeError):
-                regions.comp(a, b, 0)
+        for a, b, parity in outside + spans + outside:
+            if (a, b, parity) in outside:
+                with pytest.raises(IndexOutOfRangeError):
+                    regions.comp(a, b, parity)
+            else:
+                want = composite_map(m, regions.reps[a], regions.reps[b], parity)
+                assert regions.comp(a, b, parity) == want, (a, b, parity)
+
+
+def test_each_op_places_each_module_once(monkeypatch):
+    # decompose, the search and its check read one stored placement per
+    # module: the merge that places the samples runs once per module
+    rng = random.Random(85)
+    code = random_barcode(rng, max_bars=6, max_points=5)
+    m1, m2 = scramble(rng, module_from_barcode(code)), scramble(rng, module_from_barcode(code))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return count_below(*args, **kwargs)
+
+    count_below = persistence._count_below
+    monkeypatch.setattr(persistence, "_count_below", counted)
+    b1, b2 = decompose(m1), decompose(m2)
+    cert = find_interleaving(m1, m2, ZERO)
+    assert b1.bars == b2.bars and cert is not None
+    assert verify_interleaving(cert, m1, m2) == []
+    assert calls == [m1.samples, m2.samples]
 
 
 def test_distance_builds_each_region_step_once(monkeypatch):

@@ -18,7 +18,11 @@ from contact_barcodes.errors import (
     TooLargeError,
 )
 from contact_barcodes.gf2 import Echelon, Gf2Matrix
-from contact_barcodes.interleaving import find_interleaving
+from contact_barcodes.interleaving import (
+    InterleavingCertificate,
+    find_interleaving,
+    verify_interleaving,
+)
 from contact_barcodes.oracles import (
     _make_bar,
     _only_point,
@@ -36,7 +40,6 @@ from contact_barcodes.persistence import (
     composite_map,
     decompose,
     module_from_barcode,
-    rank_invariant,
     validate_module,
 )
 from contact_barcodes.random_instances import random_barcode, random_module, scramble
@@ -228,6 +231,11 @@ def test_module_from_barcode_empty_horizon():
         module_from_barcode(degenerate)
     with pytest.raises(ValueError):
         module_from_barcode(Barcode(Spectrum.of([0, 1], 0, 1), ()), 0)
+
+
+def rank_invariant(m, i, j):
+    """Graded rank of the composite map from sample i to sample j."""
+    return (composite_map(m, i, j, 0).rank(), composite_map(m, i, j, 1).rank())
 
 
 def test_rank_invariant_identity_and_monotone():
@@ -795,9 +803,9 @@ def test_barcode_names_the_first_bad_endpoint_in_bar_order():
 def test_module_stages_make_linearly_many_scalar_compares(monkeypatch):
     # Bar ends are placed by their int positions among the spectrum points
     # and samples by numerator and denominator ints.  Validating a valid
-    # module compares no Scalars, decompose compares one per bar (in Bar's
-    # own check), and building a module at most a pass over its samples
-    # and points
+    # module compares no Scalars, nor does decompose, whose sorted int ends
+    # settle each Bar's own check, and building a module at most a pass
+    # over its samples and points
     rng = random.Random(153)
     sp = mixed_spectrum(rng, 400)
     ends = (NEG_INF,) + sp.points + (POS_INF,)
@@ -826,7 +834,7 @@ def test_module_stages_make_linearly_many_scalar_compares(monkeypatch):
     issues, n_check = stage(lambda: validate_module(m))
     out, n_split = stage(lambda: decompose(m))
     assert issues == [] and out.same_bars(code)
-    assert n_build <= bound and n_check == 0 and n_split <= len(out.bars), \
+    assert n_build <= bound and n_check == 0 and n_split == 0, \
         (n_build, n_check, n_split)
 
 
@@ -848,3 +856,85 @@ def test_decompose_of_a_wide_sparse_module_takes_seconds_not_minutes():
     out = decompose(m)
     assert time.perf_counter() - start < 3
     assert out.same_bars(code)
+
+
+def placement_modules(rng, count):
+    """count seeded modules, every other one mangled (mostly invalid), the
+    rest valid: random, scrambled, or built from a random barcode."""
+    modules = []
+    for k in range(count):
+        if k % 2:
+            modules.append(mangled_module(rng))
+        elif k % 4:
+            modules.append(scramble(rng, random_module(rng, max_points=5, max_dim=3,
+                                                       density=1 + k % 3)))
+        else:
+            modules.append(module_from_barcode(random_barcode(rng, max_bars=6, max_points=5),
+                                               1 + k % 3))
+    return modules
+
+
+def snapshots(m):
+    return (repr(m), hash(m), pickle.dumps(m), copy.copy(m), copy.deepcopy(m),
+            pickle.loads(pickle.dumps(m)))
+
+
+def test_stored_placement_changes_no_output():
+    # validate_module and decompose keep the module's placement in a
+    # private slot: its repr, equality, hash, copies and pickle stay as
+    # they were before either ran
+    rng = random.Random(160)
+    for m in placement_modules(rng, 40):
+        text, digest, pickled, *clones = snapshots(m)
+        issues = validate_module(m)
+        if not issues:
+            decompose(m)
+        after_text, after_digest, after_pickled, *after_clones = snapshots(m)
+        assert (after_text, after_digest, after_pickled) == (text, digest, pickled)
+        for clone in clones + after_clones:
+            assert clone == m and hash(clone) == digest and repr(clone) == text
+            assert pickle.dumps(clone) == pickled
+            assert validate_module(clone) == issues
+
+
+def test_validate_module_returns_a_fresh_list():
+    rng = random.Random(161)
+    for m in placement_modules(rng, 20):
+        want = validate_module(m)
+        got = validate_module(m)
+        got.append("not an issue")
+        validate_module(m).clear()
+        assert validate_module(m) == want == reference_issues(m)
+
+
+def test_an_invalid_module_is_refused_on_every_call():
+    sp = Spectrum.of([1], 0, 2)
+    invalid = SampledModule(sp, (rational(1, 2),), ((1, 0),), ())
+    message = "invalid module: spectrum point 1/1 is not straddled by the samples"
+    cert = InterleavingCertificate(ZERO, (), ())
+    for call in (lambda: decompose(invalid),
+                 lambda: find_interleaving(invalid, invalid, ZERO),
+                 lambda: find_interleaving(invalid, invalid, rational(-1)),
+                 lambda: verify_interleaving(cert, invalid, invalid)):
+        for _ in range(2):
+            with pytest.raises(InvalidModuleError) as caught:
+                call()
+            assert str(caught.value) == message
+
+
+def test_stored_placement_equals_a_fresh_one():
+    # the placement is computed once, kept, and equal to that of a module
+    # built afresh from the same fields
+    rng = random.Random(162)
+    invalid = 0
+    for m in placement_modules(rng, 200):
+        first = _placement(m)
+        assert _placement(m) is first
+        if first[1]:
+            invalid += 1
+        else:
+            decompose(m)
+        fresh = SampledModule(m.spectrum, m.samples, m.dims, m.maps)
+        assert _placement(m) is first
+        assert first == _placement(fresh) == _placement(copy.deepcopy(m))
+    assert 50 < invalid < 150
