@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 domain error, 2 I/O or parse error.  All numeric
 arguments and outputs are exact rational text; floats are rejected.
 
 Argument parsing needs only `scalar`.  Each command imports the layers it
-runs in its own branch of `run`, and the readers import `serialization`
-when they are called, so one `cpv` process compiles no module that its
-command does not use.
+runs in its own branch of `run`, and the one reader, `_read`, imports
+`serialization` when it is called, so one `cpv` process compiles no module
+that its command does not use.
 """
 
 from __future__ import annotations
@@ -15,14 +15,10 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from .errors import DomainError, ParseError
 from .scalar import Scalar, ZERO
-
-if TYPE_CHECKING:
-    from .barcode import Barcode
-    from .persistence import SampledModule
 
 
 def _scalar_arg(text: str) -> Scalar:
@@ -91,28 +87,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str):
+def _read(path: str, kind: str):
+    """The document at path, refused unless it holds a `kind`: "barcode" or
+    "module" (`loads` returns a Barcode or a SampledModule)."""
+    from .barcode import Barcode
     from .serialization import loads
 
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
-
-
-def _read_barcode(path: str) -> Barcode:
-    from .barcode import Barcode
-
-    obj = _read(path)
-    if not isinstance(obj, Barcode):
-        raise ParseError(f"{path} does not hold a barcode")
-    return obj
-
-
-def _read_module(path: str) -> SampledModule:
-    from .persistence import SampledModule
-
-    obj = _read(path)
-    if not isinstance(obj, SampledModule):
-        raise ParseError(f"{path} does not hold a module")
+        obj = loads(fh.read())
+    if isinstance(obj, Barcode) != (kind == "barcode"):
+        raise ParseError(f"{path} does not hold a {kind}")
     return obj
 
 
@@ -150,7 +134,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         from .persistence import decompose
         from .serialization import dumps
 
-        code = decompose(_read_module(args.module))
+        code = decompose(_read(args.module, "module"))
         _emit(dumps(code), args.output)
         return 0
 
@@ -158,7 +142,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         from .distances import bottleneck_distance
 
         delta, matching = bottleneck_distance(
-            _read_barcode(args.left), _read_barcode(args.right),
+            _read(args.left, "barcode"), _read(args.right, "barcode"),
             graded=args.graded)
         out = {"delta": str(delta), "matching": _matching_json(matching)}
         sys.stdout.write(json.dumps(out, indent=2) + "\n")
@@ -168,27 +152,28 @@ def run(argv: Optional[List[str]] = None) -> int:
         from .interleaving import interleaving_distance_bruteforce
 
         delta = interleaving_distance_bruteforce(
-            _read_module(args.left), _read_module(args.right))
+            _read(args.left, "module"), _read(args.right, "module"))
         sys.stdout.write(json.dumps({"delta": str(delta)}, indent=2) + "\n")
         return 0
 
     if args.command == "spectral":
         from .invariants import spectral_invariant
 
-        value = spectral_invariant(_read_barcode(args.barcode), args.class_index)
+        value = spectral_invariant(_read(args.barcode, "barcode"), args.class_index)
         sys.stdout.write(f"{value}\n")
         return 0
 
     if args.command == "depth":
         from .invariants import boundary_depth
 
-        sys.stdout.write(f"{boundary_depth(_read_barcode(args.barcode))}\n")
+        depth = boundary_depth(_read(args.barcode, "barcode"))
+        sys.stdout.write(f"{depth}\n")
         return 0
 
     if args.command == "cover":
         from .invariants import bar_endpoint_set, covering_number
 
-        code = _read_barcode(args.barcode)
+        code = _read(args.barcode, "barcode")
         points = bar_endpoint_set(code, ZERO)
         k, centers = covering_number(points, args.delta)
         out = {"k": k, "centers": [str(c) for c in centers]}
@@ -198,14 +183,14 @@ def run(argv: Optional[List[str]] = None) -> int:
     if args.command == "bound":
         from .invariants import translated_point_lower_bound
 
-        k = translated_point_lower_bound(_read_barcode(args.barcode), args.delta)
+        k = translated_point_lower_bound(_read(args.barcode, "barcode"), args.delta)
         sys.stdout.write(f"{k}\n")
         return 0
 
     if args.command == "verify":
         from .persistence import validate_module
 
-        issues = validate_module(_read_module(args.module))
+        issues = validate_module(_read(args.module, "module"))
         if issues:
             for issue in issues:
                 sys.stdout.write(issue + "\n")
@@ -216,7 +201,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     if args.command == "diagram":
         from .svg import barcode_svg
 
-        _emit(barcode_svg(_read_barcode(args.barcode)), args.output)
+        _emit(barcode_svg(_read(args.barcode, "barcode")), args.output)
         return 0
 
     if args.command == "suite":

@@ -390,6 +390,7 @@ class _Direction(NamedTuple):
 def verify_interleaving(cert: InterleavingCertificate, m1: SampledModule,
                         m2: SampledModule) -> List[str]:
     """Check every square and 2-delta composite; empty list means valid.
+    A negative delta is one issue, found before any table is built.
 
     Each check runs forward (F by phi, phi2), then backward (G by psi,
     psi2).  Every composite comes from `persistence.composite_map`, not
@@ -399,6 +400,8 @@ def verify_interleaving(cert: InterleavingCertificate, m1: SampledModule,
     regions1, regions2 = _Regions(m1), _Regions(m2)
     if len(cert.forward_maps) != regions1.n or len(cert.backward_maps) != regions2.n:
         raise ShapeMismatchError("certificate map count does not match the regions")
+    if cert.delta < ZERO:
+        return [f"delta {cert.delta} is negative"]
     phi, psi, phi2, psi2 = _shift_tables(regions1, regions2, cert.delta)
     sides = (_Direction("forward", 2, cert.forward_maps, regions1, regions2, phi, phi2),
              _Direction("backward", 1, cert.backward_maps, regions2, regions1, psi, psi2))

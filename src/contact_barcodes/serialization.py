@@ -2,9 +2,9 @@
 
 Scalars serialize as exact strings ("3/2", "-inf", "inf"); GF(2) matrices
 as arrays of 0/1 row arrays.  Every document carries the schema version
-field "cpv": 1.
+field "cpv": 1.  `loads` is the one reader and `dumps` the one writer.
 
-Only the module paths (`module_from_dict`, and `dumps` of a module) import
+Only the module paths (`_module_from_dict`, and `dumps` of a module) import
 the GF(2) and module layers, so that reading and writing barcodes loads
 neither.
 
@@ -86,7 +86,7 @@ def _pair(value: Any, path: str) -> list:
     return value
 
 
-def spectrum_from_dict(d: Dict[str, Any], path: str = "spectrum") -> Spectrum:
+def _spectrum_from_dict(d: Dict[str, Any], path: str = "spectrum") -> Spectrum:
     points = _array(d, "points", path)
     where = _join(path, "horizon")
     lo, hi = _pair(_field(d, "horizon", path), where)
@@ -98,7 +98,7 @@ def spectrum_from_dict(d: Dict[str, Any], path: str = "spectrum") -> Spectrum:
     )
 
 
-def bar_from_dict(d: Dict[str, Any], path: str = "") -> Bar:
+def _bar_from_dict(d: Dict[str, Any], path: str) -> Bar:
     birth = _scalar(_field(d, "birth", path), _join(path, "birth"))
     death = _scalar(_field(d, "death", path), _join(path, "death"))
     parity = _int(_field(d, "parity", path), _join(path, "parity"))
@@ -110,22 +110,22 @@ def bar_from_dict(d: Dict[str, Any], path: str = "") -> Bar:
     return _build(path, Bar, birth, death, parity, truncated)
 
 
-def barcode_from_dict(d: Dict[str, Any]) -> Barcode:
+def _barcode_from_dict(d: Dict[str, Any]) -> Barcode:
     _check_version(d)
-    spectrum = spectrum_from_dict(_field(d, "spectrum", ""))
+    spectrum = _spectrum_from_dict(_field(d, "spectrum", ""))
     bars = _array(d, "bars", "")
     return _build(
         "", Barcode, spectrum,
-        tuple(bar_from_dict(bd, f"bars[{i}]") for i, bd in enumerate(bars)),
+        tuple(_bar_from_dict(bd, f"bars[{i}]") for i, bd in enumerate(bars)),
     )
 
 
-def module_from_dict(d: Dict[str, Any]) -> SampledModule:
+def _module_from_dict(d: Dict[str, Any]) -> SampledModule:
     from .gf2 import Gf2Matrix
     from .persistence import SampledModule
 
     _check_version(d)
-    spectrum = spectrum_from_dict(_field(d, "spectrum", ""))
+    spectrum = _spectrum_from_dict(_field(d, "spectrum", ""))
     samples = _array(d, "samples", "")
     dims = []
     for i, pair in enumerate(_array(d, "dims", "")):
@@ -178,9 +178,9 @@ def loads(text: str):
     if not isinstance(d, dict):
         raise ParseError("expected a JSON object")
     if "bars" in d:
-        return barcode_from_dict(d)
+        return _barcode_from_dict(d)
     if any(key in d for key in ("samples", "dims", "maps")):
-        m = module_from_dict(d)
+        m = _module_from_dict(d)
         # Gf2Matrix.from_rows reads JSON true/false as 1/0.  A check of every
         # entry would add about a sixth to the parse of a large module, so
         # it runs only when the text holds such a literal.

@@ -1567,3 +1567,17 @@ def test_infinite_delta_is_a_domain_error():
     flat = interval_module(Spectrum.of([], 0, 3), ())
     with pytest.raises(InfiniteDeltaError):
         find_interleaving(flat, flat, POS_INF)
+
+
+def test_verify_interleaving_refuses_a_negative_delta_with_one_issue():
+    # relabelled to a delta below 0, these maps would give shift tables that
+    # run backwards, so the check stops before it builds any
+    sp = Spectrum.of([1, 2, 3], 0, 4)
+    for bar in (Bar(NEG_INF, POS_INF, 0), Bar.of(1, 3)):
+        m = interval_module(sp, (bar,))
+        cert = find_interleaving(m, m, ZERO)
+        assert verify_interleaving(cert, m, m) == []
+        for delta, text in ((rational(-1), "-1/1"), (NEG_INF, "-inf")):
+            assert find_interleaving(m, m, delta) is None
+            relabelled = InterleavingCertificate(delta, cert.forward_maps, cert.backward_maps)
+            assert verify_interleaving(relabelled, m, m) == [f"delta {text} is negative"]

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from contact_barcodes import serialization
 from contact_barcodes.barcode import Bar, Barcode, Spectrum
 from contact_barcodes.cli import main
 from contact_barcodes.distances import bottleneck_distance
@@ -33,10 +34,8 @@ from contact_barcodes.random_instances import (
 from contact_barcodes.scalar import NEG_INF, POS_INF, ZERO, Scalar, rational
 from contact_barcodes.serialization import (
     SCHEMA_VERSION,
-    barcode_from_dict,
     dumps,
     loads,
-    module_from_dict,
 )
 from test_distances import candidate_deltas, first_primes, wide_barcode
 
@@ -118,17 +117,17 @@ def test_truncated_flag_round_trips():
     b = Barcode(sp, (Bar.of(0, 1, truncated=True),))
     d = barcode_to_dict(b)
     assert d["bars"][0]["truncated"] is True
-    again = barcode_from_dict(d)
+    again = loads(json.dumps(d))
     assert again.bars[0].truncated
     plain = barcode_to_dict(Barcode(sp, (Bar.of(0, 1),)))
     assert "truncated" not in plain["bars"][0]
     d["bars"][0]["truncated"] = False
-    assert not barcode_from_dict(d).bars[0].truncated
+    assert not loads(json.dumps(d)).bars[0].truncated
     # only JSON true/false: bool("false") is True
     for value in ("false", 0, 1, None):
         d["bars"][0]["truncated"] = value
         with pytest.raises(ValueError, match=r"^bars\[0\]\.truncated: expected true or false"):
-            barcode_from_dict(d)
+            loads(json.dumps(d))
 
 
 def test_loads_dispatches_on_keys():
@@ -150,11 +149,27 @@ def test_version_is_checked():
     d = barcode_to_dict(Barcode(sp, ()))
     d["cpv"] = 2
     with pytest.raises(ValueError):
-        barcode_from_dict(d)
+        loads(json.dumps(d))
     d2 = module_to_dict(module_from_barcode(Barcode(sp, ())))
     del d2["cpv"]
     with pytest.raises(ValueError):
-        module_from_dict(d2)
+        loads(json.dumps(d2))
+
+
+def test_loads_is_the_one_reader():
+    assert not [name for name in vars(serialization) if name.endswith("_from_dict")
+                and not name.startswith("_")]
+
+
+def test_loads_refuses_a_json_true_in_a_module_map():
+    m = module_from_barcode(Barcode(Spectrum.of([1, 2], 0, 3), (Bar.of(1, 2),)))
+    d = module_to_dict(m)
+    d["maps"][1][0] = [[True]]
+    with pytest.raises(ParseError) as caught:
+        loads(json.dumps(d))
+    assert str(caught.value) == "maps[1][0][0]: entries must be 0 or 1, got True"
+    # the public dict reader that read this entry as 1 is gone
+    assert not hasattr(serialization, "module_from_dict")
 
 
 def test_dumps_is_deterministic():
