@@ -1,6 +1,8 @@
 """Bit-packed linear algebra over GF(2).
 
 Matrices store one int per row; bit j of a row is the entry in column j.
+The product and the transpose also run on bare row ints, `rows_matmul`
+and `rows_transpose`, for callers that hold no matrix object.
 There is one Gaussian elimination, `Echelon.reduce`, on one vector format:
 an int whose k low bits are a tag.  The rank, the inverse, the span
 witnesses of the interleaving search, the equations on its backward maps
@@ -94,27 +96,12 @@ class Gf2Matrix(Frozen):
         # self: m x k, other: k x n
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = []
-        for row in self.rows:
-            acc = 0
-            r = row
-            while r:
-                j = (r & -r).bit_length() - 1
-                acc ^= other.rows[j]
-                r &= r - 1
-            out.append(acc)
-        return Gf2Matrix._unchecked(tuple(out), other.ncols)
+        return Gf2Matrix._unchecked(tuple(rows_matmul(self.rows, other.rows)), other.ncols)
 
     def transpose(self) -> "Gf2Matrix":
-        """The matrix whose row j is column j of self: one OR per set bit."""
-        cols = [0] * self.ncols
-        for i, r in enumerate(self.rows):
-            bit = 1 << i
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= bit
-                r ^= low
-        return Gf2Matrix._unchecked(tuple(cols), len(self.rows))
+        """The matrix whose row j is column j of self."""
+        return Gf2Matrix._unchecked(tuple(rows_transpose(self.rows, self.ncols)),
+                                    len(self.rows))
 
     def rank(self) -> int:
         """The number of pivots of the rows, inserted untagged."""
@@ -146,6 +133,32 @@ class Gf2Matrix(Frozen):
                 return False
             col_seen |= r
         return True
+
+
+def rows_matmul(left: Sequence[int], right: Sequence[int]) -> List[int]:
+    """The rows of left @ right, both given by their row ints: row i is the
+    XOR of the rows of right at the set bits of row i of left."""
+    out = []
+    for r in left:
+        acc = 0
+        while r:
+            acc ^= right[(r & -r).bit_length() - 1]
+            r &= r - 1
+        out.append(acc)
+    return out
+
+
+def rows_transpose(rows: Sequence[int], ncols: int) -> List[int]:
+    """The ncols columns of the matrix with these row ints, each an int
+    whose bit i is the entry in row i: one OR per set bit."""
+    cols = [0] * ncols
+    for i, r in enumerate(rows):
+        bit = 1 << i
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= bit
+            r ^= low
+    return cols
 
 
 class Echelon:

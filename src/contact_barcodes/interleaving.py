@@ -3,11 +3,17 @@
 The search works directly on SampledModules, enumerating the forward GF(2)
 interleaving maps F region by region; every constraint on the backward
 maps G, a matrix identity sum(L @ G[t] @ R) == C, becomes linear equations
-through one routine, `_add_identity`.  It is kept independent of the
-bottleneck distance of `distances`, so that the two routes can be played
-against each other: the two share only `scalar.Coords`, the exact int
-coordinates of region shifts and candidate deltas and the search over
-them.  Values become Scalars again only at the output.
+through one routine, `_add_identity`.  Inside the search every map is a
+tuple of row ints, and each term reaches `_add_identity` as a ready-made
+factor: the rows of L spread over the unknowns of G[t] and the columns of
+R as ints.  The factors of the maps that no F candidate changes are built
+once per search, and a `Gf2Matrix` only for the certificate returned.
+
+The search is kept independent of the bottleneck distance of
+`distances`, so that the two routes can be played against each other:
+the two share only `scalar.Coords`, the exact int coordinates of region
+shifts and candidate deltas and the search over them.  Values become
+Scalars again only at the output.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .errors import (
     ShapeMismatchError,
     TooLargeError,
 )
-from .gf2 import Echelon, Gf2Matrix, solve
+from .gf2 import Echelon, Gf2Matrix, rows_matmul, rows_transpose, solve
 from .persistence import SampledModule, _valid_placement, composite_map
 from .scalar import Coords, Frozen, POS_INF, Scalar, ZERO
 
@@ -166,33 +172,23 @@ class _GLayout:
                 for h, w, off in zip(self.heights, self.widths, self.offsets)]
 
 
-def _add_identity(equations: Echelon, g: _GLayout,
-                  terms: Sequence[Tuple[Optional[Gf2Matrix], int, Optional[Gf2Matrix]]],
-                  rhs: Gf2Matrix) -> bool:
-    """Insert the equations of sum(L @ G[t] @ R for L, t, R in terms) ==
-    rhs, one per entry of rhs, row by row; False at the first that reduces
-    to 0 = 1.  None for L or R stands for an identity.
+def _add_identity(equations: Echelon, factors: Sequence[Tuple[Sequence[int], Sequence[int]]],
+                  rhs_rows: Sequence[int], ncols: int) -> bool:
+    """Insert the equations of sum(L @ G[t] @ R) == C, one per entry of C,
+    row by row; False at the first that reduces to 0 = 1.  C is given by
+    its rows and column count, and each term by its factor (spread, cols):
+    spread[i] is row i of L spread over the unknowns of G[t], the
+    `_GLayout` spreads[t] entry of that row (row_bits[t] for an identity
+    L), and cols[j] is column j of R as an int (units[t] for an identity
+    R).
 
     Entry (i, j) of L @ G[t] @ R is the XOR, over the set bits s of row i
     of L, of column j of R shifted onto the unknowns of row s of G[t].  The
     shifted copies lie in disjoint runs of widths[t] bits, so their XOR is
-    the int product of the column with spreads[t][row i of L].
+    the int product spread[i] * cols[j].
     """
-    if not (rhs.rows and rhs.ncols):
-        return True
-    factors = []
-    for left, t, right in terms:
-        if left is None:
-            spread = g.row_bits[t]
-        else:
-            spread = [g.spreads[t][row] for row in left.rows]
-        if right is None:
-            cols = g.units[t]
-        else:
-            cols = right.transpose().rows
-        factors.append((spread, cols))
-    for i, bits in enumerate(rhs.rows):
-        for j in range(rhs.ncols):
+    for i, bits in enumerate(rhs_rows):
+        for j in range(ncols):
             coeffs = 0
             for spread, cols in factors:
                 coeffs ^= spread[i] * cols[j]
@@ -213,20 +209,30 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
     early as possible.  A frame marks the pivot count it started from, and
     each of its candidates first undoes the pivots inserted since.  Each F
     candidate tried costs one unit of the search budget.
+
+    Every map is a tuple of row ints here.  The factors of the fixed maps,
+    and the region steps that the candidates are multiplied by, are built
+    once per search; an F candidate is the row tuple that `product` yields,
+    and only the certificate returned is built as matrices.
     """
     R1, R2 = regions1.n, regions2.n
     d1 = [d[parity] for d in regions1.dims]
     d2 = [d[parity] for d in regions2.dims]
     phi, psi, phi2, psi2 = tables
     g = _GLayout([d1[psi[t]] for t in range(R2)], d2)
+    row_bits, spreads, units = g.row_bits, g.spreads, g.units
 
     # backward naturality chain, G[t+1] A2 = C1 G[t], is independent of F;
-    # a C1 that spans no region is the identity, None
+    # a C1 that spans no region is the identity
     equations = Echelon(k=1)
     for t in range(R2 - 1):
-        c1 = None if psi[t] == psi[t + 1] else regions1.comp(psi[t], psi[t + 1], parity)
-        terms = [(None, t + 1, regions2.comp(t, t + 1, parity)), (c1, t, None)]
-        if not _add_identity(equations, g, terms, Gf2Matrix.zeros(d1[psi[t + 1]], d2[t])):
+        a2 = rows_transpose(regions2.comp(t, t + 1, parity).rows, d2[t])
+        if psi[t] == psi[t + 1]:
+            c1 = row_bits[t]
+        else:
+            c1 = [spreads[t][row] for row in regions1.comp(psi[t], psi[t + 1], parity).rows]
+        if not _add_identity(equations, [(row_bits[t + 1], a2), (c1, units[t])],
+                             (0,) * d1[psi[t + 1]], d2[t]):
             return None
 
     # rank obstructions that need no enumeration at all: each 2-delta map of
@@ -248,46 +254,71 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
             maps.append((through, direct))
 
     # equations carrying F[r] enter the echelon at DFS depth r: E2 at r,
-    # through G[phi[r]] F[r] = direct, and E3 at each t with psi[t] = r,
-    # through F[r] G[t] = direct
+    # through G[phi[r]] F[r] = direct, with the spread of `through` fixed,
+    # and E3 at each t with psi[t] = r, through F[r] G[t] = direct, whose
+    # left factor is `through` times F[r] (F[r] itself for a None through)
+    e2 = []
+    for r, (through, direct) in enumerate(e2_maps):
+        t = phi[r]
+        spread = row_bits[t] if through is None else [spreads[t][row] for row in through.rows]
+        e2.append((spread, direct.rows, direct.ncols))
     e3_by_depth: List[list] = [[] for _ in range(R1)]
     for t, (through, direct) in enumerate(e3_maps):
-        e3_by_depth[psi[t]].append((through, t, direct))
+        e3_by_depth[psi[t]].append((None if through is None else through.rows,
+                                    spreads[t], units[t], direct.rows, direct.ncols))
 
-    fwd_echelons = [None] * max(R1 - 1, 0)
+    def consistent(r: int, fmat: Tuple[int, ...]) -> bool:
+        """Insert the equations that F[r] = fmat brings in, E2 then each
+        E3; False at the first contradiction."""
+        spread, rhs, width = e2[r]
+        if not _add_identity(equations, [(spread, rows_transpose(fmat, d1[r]))], rhs, width):
+            return False
+        for c2a, spread_t, units_t, rhs, width in e3_by_depth[r]:
+            left = fmat if c2a is None else rows_matmul(c2a, fmat)
+            if not _add_identity(equations, [([spread_t[row] for row in left], units_t)],
+                                 rhs, width):
+                return False
+        return True
 
-    def f_candidates(r: int, prev: Optional[Gf2Matrix]):
+    # fwd[r] holds, once depth r is first reached, the rows of the step
+    # from region phi[r - 1] to phi[r] of module 2 (None where it spans no
+    # region) and an Echelon of the rows of module 1's step into region r
+    fwd: List[Optional[tuple]] = [None] * R1
+
+    def f_candidates(r: int, prev: Sequence[int]):
         nrows, ncols = d2[phi[r]], d1[r]
         if r == 0:
-            rows_options = [list(range(1 << ncols)) for _ in range(nrows)]
-        else:
-            target = (regions2.comp(phi[r - 1], phi[r], parity) @ prev)
-            echelon = fwd_echelons[r - 1]
-            if echelon is None:
-                echelon = Echelon(regions1.comp(r - 1, r, parity).rows)
-                fwd_echelons[r - 1] = echelon
-            rows_options = []
-            for i in range(nrows):
-                part = echelon.express(target.rows[i])
-                if part is None:
-                    return None
-                opts = [part]
-                for null_mask in echelon.nullspace:
-                    opts = opts + [o ^ null_mask for o in opts]
-                rows_options.append(opts)
+            return [range(1 << ncols)] * nrows
+        if fwd[r] is None:
+            step = (None if phi[r - 1] == phi[r]
+                    else regions2.comp(phi[r - 1], phi[r], parity).rows)
+            fwd[r] = (step, Echelon(regions1.comp(r - 1, r, parity).rows))
+        step, echelon = fwd[r]
+        target = prev if step is None else rows_matmul(step, prev)
+        rows_options = []
+        for i in range(nrows):
+            part = echelon.express(target[i])
+            if part is None:
+                return None
+            opts = [part]
+            for null_mask in echelon.nullspace:
+                opts = opts + [o ^ null_mask for o in opts]
+            rows_options.append(opts)
         return rows_options
 
     # frames[r] walks the F candidates of region r from the pivot count
     # that the equations of fs[:r] left; fs holds the F map chosen in each
-    # region below the top
-    frames = [(product(*f_candidates(0, None)), len(equations.pivots))]
-    fs: List[Gf2Matrix] = []
+    # region below the top.  Rows come from range(1 << d1[r]) or from
+    # express and the nullspace masks of an Echelon of d1[r] rows, so all
+    # are in range
+    frames = [(product(*f_candidates(0, ())), len(equations.pivots))]
+    fs: List[Tuple[int, ...]] = []
     budget = _SEARCH_BUDGET
     while frames:
         r = len(frames) - 1
         candidates, mark = frames[-1]
-        rows = next(candidates, None)
-        if rows is None:
+        fmat = next(candidates, None)
+        if fmat is None:
             frames.pop()
             if fs:
                 fs.pop()
@@ -297,18 +328,13 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
             raise TooLargeError(f"interleaving search budget exhausted at delta {delta}: "
                                 f"{_SEARCH_BUDGET} F candidates tried between modules "
                                 f"of {R1} and {R2} regions")
-        # rows come from range(1 << d1[r]) or from express and the
-        # nullspace masks of an Echelon of d1[r] rows, so all are in range
-        fmat = Gf2Matrix._unchecked(rows, d1[r])
         equations.undo(mark)
-        through, direct = e2_maps[r]
-        if not (_add_identity(equations, g, [(through, phi[r], fmat)], direct)
-                and all(_add_identity(equations, g,
-                                      [(fmat if c2a is None else c2a @ fmat, t, None)], rhs)
-                        for c2a, t, rhs in e3_by_depth[r])):
+        if not consistent(r, fmat):
             continue
         if r + 1 == R1:
-            return fs + [fmat], g.decode(solve(equations))
+            fs.append(fmat)
+            return ([Gf2Matrix._unchecked(rows, d1[i]) for i, rows in enumerate(fs)],
+                    g.decode(solve(equations)))
         rows_options = f_candidates(r + 1, fmat)
         if rows_options is None:
             continue

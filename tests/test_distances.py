@@ -512,6 +512,53 @@ def test_search_budget_counts_each_f_candidate(monkeypatch, P, s, tried):
     assert bottleneck_distance(decompose(m1), decompose(m2), graded=True)[0] == rational(1)
 
 
+def test_search_builds_no_matrix_per_f_candidate(monkeypatch):
+    # the search holds its maps as row ints: no transpose anywhere in it,
+    # and the matrices a refutation builds do not grow with the F
+    # candidates it tries, whether cut after 100 of them, after all it
+    # tries, or run to its None
+    def refuse(self):
+        raise AssertionError("the search transposed a matrix")
+
+    monkeypatch.setattr(Gf2Matrix, "transpose", refuse)
+    rng = random.Random("row ints")
+    found = Counter()
+    for s in range(12):
+        sp = random_spectrum(rng, max_points=4, min_points=2)
+        m = random_module(rng, max_dim=2, spectrum=sp)
+        other = (m, random_module(rng, max_dim=2, spectrum=sp))[s % 2]
+        m1, m2 = scramble(rng, m), scramble(rng, other)
+        for delta in candidate_deltas(m1, m2):
+            cert = find_interleaving(m1, m2, delta)
+            assert cert is None or verify_interleaving(cert, m1, m2) == []
+            found[cert is None] += 1
+        interleaving_distance_bruteforce(m1, m2)
+    assert found[True] and found[False], found
+
+    built = []
+    unchecked = Gf2Matrix._unchecked
+
+    def counted(cls, rows, ncols):
+        built.append(ncols)
+        return unchecked(rows, ncols)
+
+    monkeypatch.setattr(Gf2Matrix, "_unchecked", classmethod(counted))
+    full = interleaving._SEARCH_BUDGET
+    for P, s, tried in [(12, 3, 4121), (18, 9, 2601), (20, 11, 2184)]:
+        m1, m2 = refutation_pair(P, s)
+        counts = []
+        for budget in (100, tried, full):
+            monkeypatch.setattr(interleaving, "_SEARCH_BUDGET", budget)
+            built.clear()
+            if budget < full:
+                with pytest.raises(TooLargeError):
+                    find_interleaving(m1, m2, rational(1, 2))
+            else:
+                assert find_interleaving(m1, m2, rational(1, 2)) is None
+            counts.append(len(built))
+        assert counts == [counts[0]] * 3 and counts[0] < 2 * (P + 1), (P, s, counts)
+
+
 def test_interleaving_feasibility_monotone():
     rng = random.Random(31)
     for _ in range(25):
@@ -980,6 +1027,43 @@ class RecordingEchelon:
         return 0
 
 
+def factors_of(g, terms):
+    """The (spread, cols) factors of _add_identity for the terms (L, t, R)
+    of sum(L @ G[t] @ R), with None for an identity L or R: the rows of L
+    looked up in spreads[t] and the columns of R as rows of its transpose,
+    or G[t]'s own row_bits and units for an identity."""
+    return [(g.row_bits[t] if left is None else [g.spreads[t][row] for row in left.rows],
+             g.units[t] if right is None else right.transpose().rows)
+            for left, t, right in terms]
+
+
+def terms_of(g, factors):
+    """The terms (L, t, R) that the factors (spread, cols) of _add_identity
+    stand for, with None where a factor is G[t]'s own row_bits or units
+    list, as the search passes an identity.  Otherwise t is the block that
+    holds the spread's bits, and the factor is decoded back into matrices;
+    a factor whose product is zero adds nothing to any equation and is
+    left out."""
+    terms = []
+    for spread, cols in factors:
+        left = right = None
+        t = next((t for t, bits in enumerate(g.row_bits) if spread is bits), None)
+        if t is None:
+            t = next((t for t, unit in enumerate(g.units) if cols is unit), None)
+        if t is None:
+            if not (any(spread) and any(cols)):
+                continue
+            first = next(x for x in spread if x)
+            t = bisect_right(g.offsets, (first & -first).bit_length() - 1) - 1
+        if spread is not g.row_bits[t]:
+            left = Gf2Matrix(tuple(sum(1 << s for s, bit in enumerate(g.row_bits[t]) if x & bit)
+                                   for x in spread), g.heights[t])
+        if cols is not g.units[t]:
+            right = Gf2Matrix(tuple(cols), g.widths[t]).transpose()
+        terms.append((left, t, right))
+    return terms
+
+
 def test_g_equations_match_entry_loops():
     rng = random.Random(71)
 
@@ -1016,7 +1100,7 @@ def test_g_equations_match_entry_loops():
         assert g.decode(x) == gs
         for terms, rhs, want in cases:
             system = RecordingEchelon()
-            assert _add_identity(system, g, terms, rhs)
+            assert _add_identity(system, factors_of(g, terms), rhs.rows, rhs.ncols)
             assert system.equations == want
             lhs = Gf2Matrix.zeros(*rhs.shape)
             for left, t, right in terms:
@@ -1075,13 +1159,25 @@ def test_search_inserts_the_equations_of_the_spread_formula(monkeypatch):
                 recorded.append(vec)
             return super().insert(vec)
 
+    layouts = []
+
+    class RecordedLayout(_GLayout):
+        """Keeps each search's layout, to read the factors it is handed."""
+
+        def __init__(self, heights, widths):
+            super().__init__(heights, widths)
+            layouts.append(self)
+
     monkeypatch.setattr(interleaving, "Echelon", RecordingSearchEchelon)
+    monkeypatch.setattr(interleaving, "_GLayout", RecordedLayout)
     add_identity = interleaving._add_identity
     calls = Counter()
 
-    def checked(equations, g, terms, rhs):
+    def checked(equations, factors, rhs_rows, ncols):
+        g = layouts[-1]
+        terms, rhs = terms_of(g, factors), Gf2Matrix(tuple(rhs_rows), ncols)
         start = len(recorded)
-        consistent = add_identity(equations, g, terms, rhs)
+        consistent = add_identity(equations, factors, rhs_rows, ncols)
         want = spread_equations(g, terms, rhs)
         got = recorded[start:]
         assert got == (want if consistent else want[:len(got)])
