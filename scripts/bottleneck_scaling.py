@@ -4,8 +4,8 @@
 For each size n, draws two barcodes of n bars each on the integer spectrum
 0..100 (random endpoints and parities, one generator seeded by --seed and
 the size) and prints, ungraded and graded, the distance, the number of
-feasibility probes of its search and the wall time of one
-`bottleneck_distance` call.  Example:
+feasibility probes of its search, and the wall time (seconds) and process
+CPU time (cpu_s) of one `bottleneck_distance` call.  Example:
 
     PYTHONPATH=src python scripts/bottleneck_scaling.py --sizes 50 100 200 400 --seed 0
 """
@@ -52,17 +52,17 @@ def main() -> int:
 
     probes = [0]
     Coords.least = counting_probes(probes)
-    print(f"{'bars':>5}  {'graded':>6}  {'delta':>6}  {'probes':>6}  {'seconds':>8}")
+    print(f"{'bars':>5}  {'graded':>6}  {'delta':>6}  {'probes':>6}  {'seconds':>8}  {'cpu_s':>8}")
     for n in args.sizes:
         rng = random.Random(f"{args.seed}/{n}")
         b1, b2 = random_code(rng, n), random_code(rng, n)
         for graded in (False, True):
             probes[0] = 0
-            start = time.perf_counter()
+            start, cpu = time.perf_counter(), time.process_time()
             delta, _ = distances.bottleneck_distance(b1, b2, graded=graded)
-            seconds = time.perf_counter() - start
+            seconds, cpu_s = time.perf_counter() - start, time.process_time() - cpu
             print(f"{n:>5}  {'yes' if graded else 'no':>6}  {str(delta):>6}  "
-                  f"{probes[0]:>6}  {seconds:>8.3f}")
+                  f"{probes[0]:>6}  {seconds:>8.3f}  {cpu_s:>8.3f}")
     return 0
 
 

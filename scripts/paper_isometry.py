@@ -17,7 +17,8 @@ other.  Prints one row per T:
   with one bisect per cut and row, never listed
 - refuted: whether `find_interleaving` at `below` returns None ("-" when
   the distance is 0 and no candidate lies below it)
-- seconds: wall time of the whole row
+- seconds, cpu_s: wall time and process CPU time of the whole row (on a
+  shared machine the CPU time varies less from run to run)
 
 Exits 1 when the two distances disagree, a check fails, or a search is
 refused as too large (one `refused` line on stdout names the error).
@@ -91,19 +92,19 @@ def main() -> int:
 
     failed = False
     print(f"{'T':>5}  {'r1':>5}  {'r2':>5}  {'bottleneck':>12}  {'interleaving':>12}  "
-          f"{'verified':>8}  {'below':>14}  {'refuted':>7}  {'seconds':>8}")
+          f"{'verified':>8}  {'below':>14}  {'refuted':>7}  {'seconds':>8}  {'cpu_s':>8}")
     for horizon in args.horizons:
-        start = time.perf_counter()
+        start, cpu = time.perf_counter(), time.process_time()
         try:
             fields, ok = row(horizon)
         except TooLargeError as error:
             print(f"{horizon:>5}  refused: {error}")
             failed = True
             continue
-        seconds = time.perf_counter() - start
+        seconds, cpu_s = time.perf_counter() - start, time.process_time() - cpu
         r1, r2, graded, delta, verified, below, refuted = fields
         print(f"{horizon:>5}  {r1:>5}  {r2:>5}  {str(graded):>12}  {str(delta):>12}  "
-              f"{verified:>8}  {str(below):>14}  {refuted:>7}  {seconds:>8.2f}")
+              f"{verified:>8}  {str(below):>14}  {refuted:>7}  {seconds:>8.2f}  {cpu_s:>8.2f}")
         failed = failed or not ok
     return 1 if failed else 0
 

@@ -45,10 +45,11 @@ class Gf2Matrix(Frozen):
     @classmethod
     def _unchecked(cls, rows: Tuple[int, ...], ncols: int) -> "Gf2Matrix":
         """A matrix whose rows are known to lie in range(1 << ncols), built
-        without the row checks of __init__."""
+        without the row checks of __init__ and with its fields set through
+        the slots' own setters, as `Bar._unchecked` does."""
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "ncols", ncols)
+        _set_rows(m, rows)
+        _set_ncols(m, ncols)
         return m
 
     @classmethod
@@ -133,6 +134,9 @@ class Gf2Matrix(Frozen):
                 return False
             col_seen |= r
         return True
+
+
+_set_rows, _set_ncols = Gf2Matrix.rows.__set__, Gf2Matrix.ncols.__set__
 
 
 def rows_matmul(left: Sequence[int], right: Sequence[int]) -> List[int]:

@@ -193,12 +193,14 @@ def decompose(m: SampledModule) -> Barcode:
     sit on higher bits (the bits of dead vectors are squeezed out once they
     outnumber the live ones).  Crossing to sample i+1, the images at a
     coordinate are the XOR of the ints at the set bits of the structure
-    map's row, inserted into an `Echelon`.  Its top-bit pivots are the
-    greedy independent columns from the top: the vectors on them survive,
-    and every other vector is the youngest of a dependent set, whose bar
-    ends at sample i (the elder rule).  The coordinates whose images reduce
-    to zero are those whose unit vectors complete the survivors to a basis,
-    as bars born at sample i+1.
+    map's row, inserted into an `Echelon` (one per call, its pivots emptied
+    at each step).  Its top-bit pivots are the greedy independent columns
+    from the top: the vectors on them survive, gathered into a mask as each
+    pivot enters, and every other vector is the youngest of a dependent
+    set, whose bar ends at sample i (the elder rule).  The coordinates
+    whose images reduce to zero are those whose unit vectors complete the
+    survivors to a basis, as bars born at sample i+1; a step with none
+    keeps its images, masked to the survivors, as the next coordinates.
 
     Bar ends are int positions among the spectrum points, as in
     `barcode._end_positions`: a bar dying at sample i or born at sample
@@ -217,25 +219,29 @@ def decompose(m: SampledModule) -> Barcode:
     k = m.n_samples
     top = len(m.spectrum.points)
     ends: List[Tuple[int, int, Parity]] = []  # (birth, death, parity) positions
+    echelon = Echelon()  # emptied at each step
+    pivots, insert = echelon.pivots, echelon.insert
     for parity in (0, 1):
         births = [-1] * m.dims[0][parity] if k else []  # positions, by creation order
         made = len(births)
         coords = [1 << (made - 1 - c) for c in range(made)]
         alive = (1 << made) - 1
-        for i in range(k - 1):
+        for i, step in enumerate([pair[parity] for pair in m.maps]):
             images = []
-            echelon = Echelon()
+            pivots.clear()
+            kept = 0  # the top bits of the pivots: the surviving vectors
             fresh = []  # the coordinates whose unit vectors are new vectors
-            for c, row in enumerate(m.maps[i][parity].rows):
+            for c, row in enumerate(step.rows):
                 image = 0
                 while row:  # XOR in the coordinate at each set bit
                     low = row & -row
                     image ^= coords[low.bit_length() - 1]
                     row ^= low
                 images.append(image)
-                if not echelon.insert(image):
+                if pivot := insert(image):  # with k = 0, a new pivot
+                    kept |= 1 << pivot.bit_length() - 1
+                else:
                     fresh.append(c)
-            kept = sum(1 << pivot for pivot in echelon.pivots)
             dead = alive ^ kept
             # a valid module has one point in a gap that a bar ends in: a gap
             # without points carries invertible maps, which end no bar
@@ -244,6 +250,10 @@ def decompose(m: SampledModule) -> Barcode:
                 low = dead & -dead
                 ends.append((births[made - low.bit_length()], at, parity))
                 dead ^= low
+            if not fresh:  # no bar is born: the surviving images are the coordinates
+                coords = images if kept == alive else [image & kept for image in images]
+                alive = kept
+                continue
             new = len(fresh)
             births += [at] * new
             made += new

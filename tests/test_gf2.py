@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations
 
@@ -64,8 +66,10 @@ def test_row_check_takes_column_counts_too_wide_for_a_mask():
 
 
 def test_unchecked_results_match_checked_construction():
-    # products, identities, zeros and inverses skip the row checks; each
-    # must equal, hash and print as the matrix the checked constructor builds
+    # products, identities, zeros and inverses skip the row checks and set
+    # their fields through the slots' setters; each must equal, hash and
+    # print as the matrix the checked constructor builds, copy and pickle
+    # as it does, and refuse assignment
     rng = random.Random(17)
     results = []
     for _ in range(300):
@@ -78,6 +82,11 @@ def test_unchecked_results_match_checked_construction():
         want = Gf2Matrix(tuple(got.rows), got.ncols)
         assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
         assert type(got.rows) is tuple and all(0 <= r < 1 << got.ncols for r in got.rows)
+        for clone in (copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+            assert clone == want and hash(clone) == hash(want) and repr(clone) == repr(want)
+        for name in ("rows", "ncols"):
+            with pytest.raises(AttributeError):
+                setattr(got, name, getattr(got, name))
 
 
 def test_inverse_round_trip():

@@ -471,6 +471,69 @@ def test_sweep_matches_the_column_push_sweep():
         assert got == want and repr(got) == repr(want)
 
 
+def test_decompose_bars_match_checked_construction():
+    # decompose builds its bars without the checks of __init__; each must
+    # equal, hash and print as the checked bar, copy and pickle as it
+    # does, and refuse assignment
+    rng = random.Random(30)
+    bars = [bar for t in range(30) for bar in decompose(scramble(
+        rng, random_module(rng, max_points=5, max_dim=3, density=1 + t % 3))).bars]
+    assert len({(b.birth.is_finite, b.death.is_finite, b.parity) for b in bars}) >= 6
+    for got in bars:
+        want = Bar(got.birth, got.death, got.parity)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        for clone in (copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+            assert clone == want and hash(clone) == hash(want) and repr(clone) == repr(want)
+        for name in Bar.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(got, name, getattr(got, name))
+
+
+def test_decompose_builds_one_echelon_per_call(monkeypatch):
+    # the sweep empties one Echelon at each step instead of building one
+    made = []
+
+    class CountingEchelon(Echelon):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("contact_barcodes.persistence.Echelon", CountingEchelon)
+    rng = random.Random(29)
+    modules = [scramble(rng, random_module(rng, max_points=6, max_dim=4, density=1 + t % 3))
+               for t in range(20)]
+    assert sum(m.n_samples for m in modules) > 4 * len(modules)
+    for m in modules:
+        made.clear()
+        decompose(m)
+        assert len(made) == 1
+
+
+def test_birthless_runs_across_a_squeeze_match_both_references(monkeypatch):
+    # Unit bars on points 0..80 make many more vectors than stay alive, so
+    # the sweep renumbers its bits (the squeeze is the one caller of
+    # `compress`); past point 80 bars only die, and between deaths the
+    # scrambled steps are invertible, so long runs of steps give birth to
+    # nothing, some ending bars and most ending none.
+    n = 100
+    sp = Spectrum.of(range(n), 0, n - 1)
+    p = sp.points
+    bars = [Bar(p[i], p[i + 1], 0) for i in range(80)]
+    bars += [Bar(NEG_INF, p[84 + 4 * j], 0) for j in range(4)]
+    bars += [Bar(NEG_INF, POS_INF, 0), Bar(p[3], p[97], 0), Bar(p[10], p[90], 1),
+             Bar(NEG_INF, p[94], 1)]
+    code = Barcode(sp, tuple(bars))
+    m = scramble(random.Random(29), module_from_barcode(code, 2))
+    squeezed = []
+    monkeypatch.setattr("contact_barcodes.persistence.compress",
+                        lambda *args: squeezed.append(1) or compress(*args))
+    got = decompose(m)
+    assert squeezed
+    want = column_push_decompose(m)
+    assert got == want and repr(got) == repr(want)
+    assert got.same_bars(rank_formula_decompose(m)) and got.same_bars(code)
+
+
 def graded_counts(code, below, upto):
     """Graded number of bars containing each sample, from the counts of
     the sorted samples among the spectrum points (see `_alive`)."""
