@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .scalar import Frozen, POS_INF, Scalar, ScalarLike, as_scalar
+from .scalar import Frozen, POS_INF, Scalar, ScalarLike, _rising, as_scalar
 
 Parity = int  # 0 or 1; the Z/2 supergrading
 
@@ -25,15 +25,19 @@ class Spectrum(Frozen):
             raise ValueError("horizon endpoints must be finite")
         if hi < lo:
             raise ValueError("horizon is empty")
-        prev = None
-        for p in points:
-            if not p.is_finite:
-                raise ValueError("spectrum points must be finite")
-            if p < lo or hi < p:
-                raise ValueError(f"spectrum point {p} outside horizon")
-            if prev is not None and not (prev < p):
-                raise ValueError("spectrum points must be strictly increasing")
-            prev = p
+        # finite, strictly rising and inside [lo, hi]: one pass of int
+        # compares, then only its two ends against the horizon; a refused
+        # spectrum is walked point by point to name its first fault
+        if not (_rising(points) and (not points or lo <= points[0] and points[-1] <= hi)):
+            prev = None
+            for p in points:
+                if not p.is_finite:
+                    raise ValueError("spectrum points must be finite")
+                if p < lo or hi < p:
+                    raise ValueError(f"spectrum point {p} outside horizon")
+                if prev is not None and not (prev < p):
+                    raise ValueError("spectrum points must be strictly increasing")
+                prev = p
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)

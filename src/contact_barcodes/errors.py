@@ -38,6 +38,10 @@ class NonPositiveDeltaError(DomainError, ValueError):
     """A scale parameter that must be positive is not."""
 
 
+class NonPositiveDensityError(DomainError, ValueError):
+    """A sample density that must be a positive integer is not."""
+
+
 class InfiniteDeltaError(DomainError, ValueError):
     """An interleaving parameter that must be finite is infinite."""
 

@@ -3,11 +3,11 @@
 Matrices store one int per row; bit j of a row is the entry in column j.
 The product and the transpose also run on bare row ints, `rows_matmul`
 and `rows_transpose`, for callers that hold no matrix object.
-There is one Gaussian elimination, `Echelon.reduce`, on one vector format:
-an int whose k low bits are a tag.  The rank, the inverse, the span
-witnesses of the interleaving search, the equations on its backward maps
-(one Echelon, backtracked in place) and the sweep of
-`persistence.decompose` all run on it.
+There is one Gaussian elimination, `Echelon.reduce` (its loop also runs
+inline in `Echelon.insert`), on one vector format: an int whose k low bits
+are a tag.  The rank, the inverse, the span witnesses of the interleaving
+search, the equations on its backward maps (one Echelon, backtracked in
+place) and the sweep of `persistence.decompose` all run on it.
 """
 
 from __future__ import annotations
@@ -203,11 +203,15 @@ class Echelon:
         return vec
 
     def insert(self, vec: int) -> int:
-        """Reduce vec and keep the result as a pivot unless it lies below k."""
-        vec = self.reduce(vec)
-        top = vec.bit_length() - 1
+        """Reduce vec and keep the result as a pivot unless it lies below k.
+
+        The loop of `reduce` runs inline, since every row of a rank and
+        every image of `decompose` passes here."""
+        pivots = self.pivots
+        while pivot := pivots.get(top := vec.bit_length() - 1):
+            vec ^= pivot
         if top >= self.k:
-            self.pivots[top] = vec
+            pivots[top] = vec
         return vec
 
     def undo(self, mark: int) -> None:

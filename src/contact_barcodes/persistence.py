@@ -37,8 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, compress
-from operator import mul
+from itertools import accumulate, compress, repeat
 from typing import List, Sequence, Tuple
 
 from .barcode import Bar, Barcode, Parity, Spectrum, _end_positions
@@ -46,10 +45,11 @@ from .errors import (
     EmptyHorizonError,
     IndexOutOfRangeError,
     InvalidModuleError,
+    NonPositiveDensityError,
     TooLargeError,
 )
 from .gf2 import Echelon, Gf2Matrix
-from .scalar import Frozen, NEG_INF, POS_INF, Scalar, rational
+from .scalar import Frozen, NEG_INF, POS_INF, Scalar, _rising, rational
 
 
 class SampledModule(Frozen):
@@ -342,17 +342,6 @@ def _count_below(values: Sequence[Scalar], ref: Sequence[Scalar], rising: bool =
     return below, upto
 
 
-def _rising(values: Sequence[Scalar]) -> bool:
-    """Whether the values are finite and strictly increasing, by
-    cross-multiplied numerator and denominator ints."""
-    try:
-        nums = [v.value.numerator for v in values]
-        dens = [v.value.denominator for v in values]
-    except AttributeError:  # an infinity, whose value is a float
-        return False
-    return all(map(int.__lt__, map(mul, nums, dens[1:]), map(mul, nums[1:], dens)))
-
-
 def _sample_positions(spectrum: Spectrum, density: int) -> List[Scalar]:
     """Sample grid bracketing every spectrum point.
 
@@ -393,21 +382,16 @@ def module_from_barcode(b: Barcode, grid_density_hint: int = 1) -> SampledModule
     the next and kill it in between otherwise.
     """
     if grid_density_hint < 1:
-        raise ValueError("grid_density_hint must be a positive integer")
+        raise NonPositiveDensityError("grid_density_hint must be a positive integer")
     samples = _sample_positions(b.spectrum, grid_density_hint)
     alive = _alive(b, *_count_below(samples, b.spectrum.points, rising=True))
     dims = tuple((len(a0), len(a1)) for a0, a1 in alive)
-    maps: List[Tuple[Gf2Matrix, Gf2Matrix]] = []
-    for i in range(len(samples) - 1):
-        pair = []
-        for parity in (0, 1):
-            src = alive[i][parity]
-            dst = alive[i + 1][parity]
-            col_of = {bar_idx: c for c, bar_idx in enumerate(src)}
-            rows = tuple(
-                (1 << col_of[bar_idx]) if bar_idx in col_of else 0
-                for bar_idx in dst
-            )
-            pair.append(Gf2Matrix._unchecked(rows, len(src)))
-        maps.append((pair[0], pair[1]))
+    # a bar at column c of the source sample has row units[c] at the next
+    # one; a bar born in between has the zero row
+    units = [1 << c for c in range(max(map(max, dims), default=0))]
+    maps = []
+    for here, there in zip(alive, alive[1:]):
+        maps.append(tuple([
+            Gf2Matrix._unchecked(tuple(map(dict(zip(src, units)).get, dst, repeat(0))), len(src))
+            for src, dst in zip(here, there)]))
     return SampledModule(b.spectrum, tuple(samples), dims, tuple(maps))

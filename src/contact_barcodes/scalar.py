@@ -17,12 +17,14 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Callable, Iterable, Optional, Sequence, Tuple, TypeVar, Union
 
 ScalarLike = Union["Scalar", Fraction, int, str]
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+# ASCII digits only: int() reads every Unicode digit, and the text form
+# round-trips exactly only as ASCII "p/q"
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?", re.ASCII)
 
 _POS = float("inf")
 _NEG = float("-inf")
@@ -174,11 +176,10 @@ class Scalar(Frozen):
     # -- text form --------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_pos_inf:
-            return "inf"
-        if self.is_neg_inf:
-            return "-inf"
-        return f"{self.value.numerator}/{self.value.denominator}"
+        value = self.value
+        if value.__class__ is float:
+            return "inf" if value > 0 else "-inf"
+        return f"{value.numerator}/{value.denominator}"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
@@ -200,9 +201,28 @@ class Scalar(Frozen):
             raise ValueError(f"not a scalar: {text!r}")
         p, q = match.groups()
         try:
-            return cls(Fraction(int(p), int(q or 1)))
+            value = Fraction(int(p), int(q or 1))
         except ZeroDivisionError as exc:
             raise ValueError(f"not a scalar: {text!r}") from exc
+        # the value is a Fraction already: set the slot through its own
+        # setter, without the type checks of __init__, as Bar._unchecked does
+        scalar = object.__new__(cls)
+        _set_value(scalar, value)
+        return scalar
+
+
+_set_value = Scalar.value.__set__
+
+
+def _rising(values: Sequence[Scalar]) -> bool:
+    """Whether the values are finite and strictly increasing, by
+    cross-multiplied numerator and denominator ints."""
+    try:
+        nums = [v.value.numerator for v in values]
+        dens = [v.value.denominator for v in values]
+    except AttributeError:  # an infinity, whose value is a float
+        return False
+    return all(map(int.__lt__, map(mul, nums, dens[1:]), map(mul, nums[1:], dens)))
 
 
 T = TypeVar("T")

@@ -11,13 +11,19 @@ neither.
 Documents are written as `json.dumps(..., indent=2)` would write them.
 With an indent, `json` runs its pure-Python encoder, one generator frame
 per value, so every document is rendered here instead, the `maps` of a
-module straight from the row bits; the text is the same byte for byte.
-Reading packs each matrix with one `Gf2Matrix.from_rows` call.
+module straight from the row bits, their pieces joined once; the text is
+the same byte for byte.  Reading checks the types and lengths of a whole
+array at once (the scalar strings of a spectrum and of `samples`, the
+`dims` pairs, the `maps` pairs and rows), parses scalars with one `map`
+and packs each matrix with one `Gf2Matrix.from_rows` call, naming no
+JSON path; only a refused array is read again item by item, to name the
+path of its first fault.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 from .barcode import Bar, Barcode, Spectrum
@@ -86,16 +92,24 @@ def _pair(value: Any, path: str) -> list:
     return value
 
 
+def _scalars(texts: list, path: str) -> Tuple[Scalar, ...]:
+    """The scalars of a JSON array of scalar strings at path.  All items are
+    checked and parsed in bulk; a refused array is read again item by item
+    to name its first fault."""
+    if {str}.issuperset(map(type, texts)):
+        try:
+            return tuple(map(Scalar.parse, texts))
+        except ValueError:
+            pass
+    return tuple([_scalar(t, f"{path}[{i}]") for i, t in enumerate(texts)])
+
+
 def _spectrum_from_dict(d: Dict[str, Any], path: str = "spectrum") -> Spectrum:
     points = _array(d, "points", path)
     where = _join(path, "horizon")
-    lo, hi = _pair(_field(d, "horizon", path), where)
-    return _build(
-        path, Spectrum,
-        tuple(_scalar(p, f"{path}.points[{i}]") for i, p in enumerate(points)),
-        _scalar(lo, f"{where}[0]"),
-        _scalar(hi, f"{where}[1]"),
-    )
+    horizon = _pair(_field(d, "horizon", path), where)
+    return _build(path, Spectrum, _scalars(points, _join(path, "points")),
+                  *_scalars(horizon, where))
 
 
 def _bar_from_dict(d: Dict[str, Any], path: str) -> Bar:
@@ -121,18 +135,47 @@ def _barcode_from_dict(d: Dict[str, Any]) -> Barcode:
 
 
 def _module_from_dict(d: Dict[str, Any]) -> SampledModule:
-    from .gf2 import Gf2Matrix
     from .persistence import SampledModule
 
     _check_version(d)
     spectrum = _spectrum_from_dict(_field(d, "spectrum", ""))
     samples = _array(d, "samples", "")
-    dims = []
-    for i, pair in enumerate(_array(d, "dims", "")):
+    dims = _dims(_array(d, "dims", ""))
+    maps = _maps(_array(d, "maps", ""), dims)
+    return _build("", SampledModule, spectrum, _scalars(samples, "samples"), dims, maps)
+
+
+# `_dims` and `_maps` check their whole array in bulk, as `_scalars` does,
+# and read a refused one again item by item to name its first fault.
+
+
+def _dims(dims: list) -> Tuple[Tuple[int, int], ...]:
+    if {list}.issuperset(map(type, dims)) and {2}.issuperset(map(len, dims)) \
+            and {int}.issuperset(map(type, chain.from_iterable(dims))):
+        return tuple(map(tuple, dims))
+    read = []
+    for i, pair in enumerate(dims):
         a, b = _pair(pair, f"dims[{i}]")
-        dims.append((_int(a, f"dims[{i}][0]"), _int(b, f"dims[{i}][1]")))
-    maps = []
-    for i, pair in enumerate(_array(d, "maps", "")):
+        read.append((_int(a, f"dims[{i}][0]"), _int(b, f"dims[{i}][1]")))
+    return tuple(read)
+
+
+def _maps(maps: list, dims: Tuple[Tuple[int, int], ...]
+          ) -> Tuple[Tuple[Gf2Matrix, Gf2Matrix], ...]:
+    from .gf2 import Gf2Matrix
+
+    if len(maps) <= len(dims) and {list}.issuperset(map(type, maps)) \
+            and {2}.issuperset(map(len, maps)):
+        flat = list(chain.from_iterable(maps))
+        if {list}.issuperset(map(type, flat)) \
+                and {list}.issuperset(map(type, chain.from_iterable(flat))):
+            try:  # matrix 2i + parity has dims[i][parity] columns
+                packed = list(map(Gf2Matrix.from_rows, flat, chain.from_iterable(dims)))
+                return tuple(zip(packed[::2], packed[1::2]))
+            except ValueError:
+                pass
+    read = []
+    for i, pair in enumerate(maps):
         if i >= len(dims):
             raise ParseError(f"maps[{i}]: more map pairs than dims allow")
         pair = _pair(pair, f"maps[{i}]")
@@ -146,13 +189,8 @@ def _module_from_dict(d: Dict[str, Any]) -> SampledModule:
             except ValueError as exc:
                 raise ParseError(_row_fault(rows, dims[i][parity], f"maps[{i}][{parity}]")
                                  or f"maps[{i}][{parity}]: {exc}") from None
-        maps.append((mats[0], mats[1]))
-    return _build(
-        "", SampledModule, spectrum,
-        tuple(_scalar(s, f"samples[{i}]") for i, s in enumerate(samples)),
-        tuple(dims),
-        tuple(maps),
-    )
+        read.append((mats[0], mats[1]))
+    return tuple(read)
 
 
 def _row_fault(rows: list, ncols: int, path: str) -> Optional[str]:
@@ -251,18 +289,29 @@ class _RowTexts(dict):
 
 def _maps_text(maps: Sequence[Tuple[Gf2Matrix, Gf2Matrix]]) -> str:
     """The value of the "maps" key: map pairs 4 spaces deep, matrices 6,
-    rows 8.  Row texts are memoized per (row, ncols) for this call."""
+    rows 8.  Row texts are memoized per (row, ncols) for this call, and the
+    pieces of every map go into one list, joined once."""
+    if not maps:
+        return "[]"
     row_texts: Dict[int, _RowTexts] = {}
-    pairs = []
+    parts = []
+    add = parts.append
     for pair in maps:
-        mats = []
-        for mat in pair:
+        add("\n    [")
+        for lead, mat in zip(("\n      ", ",\n      "), pair):
+            add(lead)
             texts = row_texts.get(mat.ncols)
             if texts is None:
                 texts = row_texts[mat.ncols] = _RowTexts(mat.ncols)
-            mats.append(_json_array(list(map(texts.__getitem__, mat.rows)), 8))
-        pairs.append(f"[\n      {mats[0]},\n      {mats[1]}\n    ]")
-    return _json_array(pairs, 4)
+            if mat.rows:
+                add("[\n        ")
+                add(",\n        ".join(map(texts.__getitem__, mat.rows)))
+                add("\n      ]")
+            else:
+                add("[]")
+        add("\n    ],")
+    parts[-1] = "\n    ]\n  ]"
+    return "[" + "".join(parts)
 
 
 def _check_version(d: Dict[str, Any]) -> None:

@@ -11,9 +11,11 @@ import pytest
 from contact_barcodes.barcode import Bar, Barcode, Spectrum
 from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
 from contact_barcodes.errors import (
+    DomainError,
     EmptyHorizonError,
     IndexOutOfRangeError,
     InvalidModuleError,
+    NonPositiveDensityError,
     NonUniqueSnapError,
     TooLargeError,
 )
@@ -231,6 +233,18 @@ def test_module_from_barcode_empty_horizon():
         module_from_barcode(degenerate)
     with pytest.raises(ValueError):
         module_from_barcode(Barcode(Spectrum.of([0, 1], 0, 1), ()), 0)
+
+
+def test_module_from_barcode_refuses_a_density_below_one():
+    # a domain precondition: a DomainError for the CLI, still a ValueError
+    # for library callers that caught one before
+    code = Barcode(Spectrum.of([0, 1], 0, 1), (Bar.of(0, 1),))
+    for density in (0, -1):
+        with pytest.raises(NonPositiveDensityError) as caught:
+            module_from_barcode(code, density)
+        assert isinstance(caught.value, DomainError) and isinstance(caught.value, ValueError)
+        assert str(caught.value) == "grid_density_hint must be a positive integer"
+    assert module_from_barcode(code, 1).n_samples < module_from_barcode(code, 2).n_samples
 
 
 def rank_invariant(m, i, j):

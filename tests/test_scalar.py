@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from contact_barcodes.barcode import Spectrum
+from contact_barcodes.cli import main
 from contact_barcodes.scalar import (
     NEG_INF,
     POS_INF,
@@ -81,6 +85,63 @@ def test_parse_reads_signs_zeros_and_padding():
         with pytest.raises(ValueError) as caught:
             Scalar.parse(bad)
         assert str(caught.value) == f"not a scalar: {bad!r}"
+
+
+def test_parse_reads_ascii_digits_only():
+    # int() reads every Unicode digit, so the pattern is ASCII only: the
+    # text form round-trips exactly only as ASCII "p/q"
+    for bad in ("\u0663/\u0662", "3/\u0662", "\uff13", "-\u0967"):
+        with pytest.raises(ValueError) as caught:
+            Scalar.parse(bad)
+        assert str(caught.value) == f"not a scalar: {bad!r}"
+    with pytest.raises(SystemExit) as caught:
+        main(["ellipsoid", "-a", "1", "-a", "3/2", "-T", "\u0663"])
+    assert caught.value.code == 2
+
+
+def test_parse_matches_checked_construction():
+    # parse sets the value slot without the checks of __init__; each result
+    # must equal, hash and print as the checked scalar, copy and pickle as
+    # it does, and refuse assignment
+    rng = random.Random(30)
+    texts = ["0", "-0/7", "+5", "12/8", "-3/9", "007/010"] + [
+        f"{rng.randint(-10 ** 6, 10 ** 6)}/{rng.randint(1, 10 ** 6)}" for _ in range(40)]
+    for text in texts:
+        got = Scalar.parse(text)
+        p, _, q = text.partition("/")
+        want = Scalar(Fraction(int(p), int(q or 1)))
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert type(got.value) is Fraction and got.value == want.value
+        for clone in (copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+            assert clone == want and hash(clone) == hash(want) and repr(clone) == repr(want)
+        with pytest.raises(AttributeError):
+            got.value = want.value
+        with pytest.raises(AttributeError):
+            del got.value
+        assert Scalar.parse(str(got)) == got
+
+
+def test_spectrum_refuses_each_fault_by_name():
+    lo, hi = rational(0), rational(10)
+    cases = [
+        ((rational(1), POS_INF), "spectrum points must be finite"),
+        ((NEG_INF, rational(1)), "spectrum points must be finite"),
+        ((rational(1), rational(11)), "spectrum point 11/1 outside horizon"),
+        ((rational(-1), rational(1)), "spectrum point -1/1 outside horizon"),
+        ((rational(1), rational(2), rational(2)), "spectrum points must be strictly increasing"),
+        ((rational(1), rational(3), rational(2)), "spectrum points must be strictly increasing"),
+        # the first fault in point order is the one named
+        ((rational(2), rational(1), rational(11)),
+         "spectrum points must be strictly increasing"),
+        ((rational(11), rational(1)), "spectrum point 11/1 outside horizon"),
+    ]
+    for points, message in cases:
+        with pytest.raises(ValueError) as caught:
+            Spectrum(points, lo, hi)
+        assert str(caught.value) == message
+    # both ends of the horizon are points it may hold
+    assert Spectrum((lo, rational(1, 3), hi), lo, hi).points == (lo, rational(1, 3), hi)
+    assert Spectrum((), lo, lo).points == ()
 
 
 def test_as_scalar_coercions():

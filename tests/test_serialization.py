@@ -442,3 +442,90 @@ def test_documents_and_decompositions_match_their_pinned_digests():
     assert [name for name, _, _ in got] == list(want)
     for name, text, digest in got:
         assert digest == want[name], f"{name} differs; it now reads:\n{text[:2000]}"
+
+
+def _four_sample_document():
+    """A valid module document of four samples over three spectrum points,
+    so that a fault can sit past index 0 of every array: dims, samples,
+    spectrum points and horizon."""
+    return {"cpv": 1, "spectrum": {"points": ["1/1", "3/1", "5/1"], "horizon": ["0/1", "6/1"]},
+            "samples": ["1/2", "2/1", "4/1", "11/2"],
+            "dims": [[0, 0], [0, 0], [0, 0], [0, 0]],
+            "maps": [[[], []], [[], []], [[], []]]}
+
+
+LATER_INDEX_FAULTS = [
+    # a wrong type, a wrong length and a bad item of dims
+    (["dims", 2], "ab", "dims[2]: expected a two-element array"),
+    (["dims", 2], 5, "dims[2]: expected a two-element array"),
+    (["dims", 3], None, "dims[3]: expected a two-element array"),
+    (["dims", 2], {"a": 0, "b": 0}, "dims[2]: expected a two-element array"),
+    (["dims", 2], [0], "dims[2]: expected a two-element array"),
+    (["dims", 2], [0, 0, 0], "dims[2]: expected a two-element array"),
+    (["dims", 2, 1], "0", "dims[2][1]: expected an integer, got '0'"),
+    (["dims", 3, 0], 1.0, "dims[3][0]: expected an integer, got 1.0"),
+    (["dims", 1, 1], True, "dims[1][1]: expected an integer, got True"),
+    (["dims", 1, 0], [0], "dims[1][0]: expected an integer, got [0]"),
+    # samples
+    (["samples", 2], 4, "samples[2]: expected a scalar string, got 4"),
+    (["samples", 3], ["11/2"], "samples[3]: expected a scalar string, got ['11/2']"),
+    (["samples", 2], "4.0", "samples[2]: not a scalar: '4.0'"),
+    (["samples", 1], "2/0", "samples[1]: not a scalar: '2/0'"),
+    (["samples"], ["1/2", "2/1", "4/1"], "document: dims and samples disagree in length"),
+    # spectrum points and horizon
+    (["spectrum", "points", 2], 5, "spectrum.points[2]: expected a scalar string, got 5"),
+    (["spectrum", "points", 1], "3/-1", "spectrum.points[1]: not a scalar: '3/-1'"),
+    (["spectrum", "points", 1], "5/1",
+     "spectrum: spectrum points must be strictly increasing"),
+    (["spectrum", "points", 2], "inf", "spectrum: spectrum points must be finite"),
+    (["spectrum", "points", 2], "7/1", "spectrum: spectrum point 7/1 outside horizon"),
+    (["spectrum", "horizon", 1], 6, "spectrum.horizon[1]: expected a scalar string, got 6"),
+    (["spectrum", "horizon", 1], "6.0", "spectrum.horizon[1]: not a scalar: '6.0'"),
+    (["spectrum", "horizon"], ["0/1"], "spectrum.horizon: expected a two-element array"),
+    (["spectrum", "horizon"], ["0/1", "6/1", "7/1"],
+     "spectrum.horizon: expected a two-element array"),
+    (["spectrum", "horizon"], "06", "spectrum.horizon: expected a two-element array"),
+]
+
+
+def test_loads_names_a_fault_at_a_later_index_in_one_line():
+    assert validate_module(loads(json.dumps(_four_sample_document()))) == []
+    for path, value, message in LATER_INDEX_FAULTS:
+        d = _four_sample_document()
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ParseError) as caught:
+            loads(json.dumps(d))
+        assert str(caught.value) == message
+
+
+def test_loads_names_the_first_fault_in_reading_order():
+    # the spectrum is read first, then the dims, the maps and the samples:
+    # with all four broken, each mend uncovers the next fault
+    d = _four_sample_document()
+    faults = [
+        (d["spectrum"]["horizon"], 1, "y", "spectrum.horizon[1]: not a scalar: 'y'"),
+        (d["dims"], 3, [0], "dims[3]: expected a two-element array"),
+        (d["maps"], 2, [[], [], []], "maps[2]: expected a two-element array"),
+        (d["samples"], 1, "x", "samples[1]: not a scalar: 'x'"),
+    ]
+    good = [(items, i, items[i]) for items, i, _, _ in faults]
+    for items, i, bad, _ in faults:
+        items[i] = bad
+    for (items, i, value), (*_, message) in zip(good, faults):
+        with pytest.raises(ParseError) as caught:
+            loads(json.dumps(d))
+        assert str(caught.value) == message
+        items[i] = value
+    assert validate_module(loads(json.dumps(d))) == []
+
+
+def test_loads_refuses_non_ascii_digits():
+    # int() reads every Unicode digit; a scalar's text is ASCII only
+    d = _four_sample_document()
+    d["samples"][2] = "٤/1"
+    with pytest.raises(ParseError) as caught:
+        loads(json.dumps(d))
+    assert str(caught.value) == "samples[2]: not a scalar: '٤/1'"
