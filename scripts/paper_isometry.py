@@ -13,8 +13,9 @@ other.  Prints one row per T:
   passes `verify_interleaving`
 - below: the largest candidate delta under it, among the gaps from a cut
   of one module to a cut of the other, half the gaps between two cuts of
-  one module, and 0 (the candidates the search selects among), found
-  with one bisect per cut and row, never listed
+  one module, and 0 (the candidates the search selects among, as the
+  rows of `interleaving._candidate_rows`), found with one bisect per cut
+  and row, never listed
 - refuted: whether `find_interleaving` at `below` returns None ("-" when
   the distance is 0 and no candidate lies below it)
 - seconds, cpu_s: wall time and process CPU time of the whole row (on a
@@ -35,6 +36,7 @@ from contact_barcodes.distances import bottleneck_distance
 from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
 from contact_barcodes.errors import TooLargeError
 from contact_barcodes.interleaving import (
+    _candidate_rows,
     find_interleaving,
     interleaving_distance_bruteforce,
     verify_interleaving,
@@ -47,13 +49,11 @@ AXES = ("1393/985", "99/70")
 
 def largest_candidate_below(cuts1, cuts2, bound: int):
     """The largest candidate under the int delta `bound`, or None: each
-    row (cs, xs, k) stands for the candidates (x - c) // k, which lie under
-    bound exactly when x < c + k * bound, so one bisect per c finds the
-    row's largest."""
-    rows = [(cuts1, cuts2, 1), (cuts2, cuts1, 1), (cuts1, cuts1, 2), (cuts2, cuts2, 2),
-            ((0,), (0,), 1)]
+    row (cs, xs, k) of the search's candidates stands for the candidates
+    (x - c) // k, which lie under bound exactly when x < c + k * bound, so
+    one bisect per c finds the row's largest."""
     best = None
-    for cs, xs, k in rows:
+    for cs, xs, k in _candidate_rows(cuts1, cuts2):
         for c in cs:
             i = bisect_left(xs, c + k * bound)
             if i and xs[i - 1] >= c and (best is None or (xs[i - 1] - c) // k > best):

@@ -38,9 +38,7 @@ class Spectrum(Frozen):
                 if prev is not None and not (prev < p):
                     raise ValueError("spectrum points must be strictly increasing")
                 prev = p
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self._set(points, lo, hi)
 
     @classmethod
     def of(cls, points: Iterable[ScalarLike], lo: ScalarLike, hi: ScalarLike) -> "Spectrum":
@@ -70,23 +68,20 @@ class Bar(Frozen):
             raise ValueError(f"bar has death {death} before birth {birth}")
         if parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
-        object.__setattr__(self, "birth", birth)
-        object.__setattr__(self, "death", death)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "truncated", truncated)
+        self._set(birth, death, parity, truncated)
 
     @classmethod
     def _unchecked(cls, birth: Scalar, death: Scalar, parity: Parity) -> "Bar":
         """A bar whose ends are known to be in order and whose parity is
         0 or 1, built without the checks of __init__; not truncated.  Its
-        fields are set through the slots' own setters, bound once below the
-        class, not through `object.__setattr__`: the same bar, at about
-        half the cost."""
+        fields are set by the class's slot setters, called directly rather
+        than through the loop of `_set`."""
+        set_birth, set_death, set_parity, set_truncated = cls._setters
         bar = object.__new__(cls)
-        _set_birth(bar, birth)
-        _set_death(bar, death)
-        _set_parity(bar, parity)
-        _set_truncated(bar, False)
+        set_birth(bar, birth)
+        set_death(bar, death)
+        set_parity(bar, parity)
+        set_truncated(bar, False)
         return bar
 
     @classmethod
@@ -114,10 +109,6 @@ class Bar(Frozen):
 
     def sort_key(self):
         return (self.birth, self.death, self.parity)
-
-
-_set_birth, _set_death, _set_parity, _set_truncated = (
-    Bar.birth.__set__, Bar.death.__set__, Bar.parity.__set__, Bar.truncated.__set__)
 
 
 def _end_positions(points: Sequence[Scalar], bars: Iterable[Bar]
@@ -167,8 +158,7 @@ class Barcode(Frozen):
         # positions order the ends as Bar.sort_key does, with int compares
         keys = [(b, d, bar.parity) for (b, d), bar in zip(ends, bars)]
         bars = tuple([bars[i] for i in sorted(range(len(bars)), key=keys.__getitem__)])
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "bars", bars)
+        self._set(spectrum, bars)
 
     @classmethod
     def of(cls, spectrum: Spectrum, bars: Iterable[Bar]) -> "Barcode":
@@ -177,9 +167,10 @@ class Barcode(Frozen):
     @classmethod
     def _sorted(cls, spectrum: Spectrum, bars: Tuple[Bar, ...]) -> "Barcode":
         """Bars already sorted, with spectral ends; nothing is checked."""
+        set_spectrum, set_bars = cls._setters
         code = object.__new__(cls)
-        object.__setattr__(code, "spectrum", spectrum)
-        object.__setattr__(code, "bars", bars)
+        set_spectrum(code, spectrum)
+        set_bars(code, bars)
         return code
 
     def graded_dim_at(self, s: Scalar) -> Tuple[int, int]:

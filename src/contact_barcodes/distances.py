@@ -41,7 +41,7 @@ class Matching(Frozen):
     __slots__ = ("pairs",)
 
     def __init__(self, pairs: Tuple[Tuple[Optional[int], Optional[int]], ...]):
-        object.__setattr__(self, "pairs", pairs)
+        self._set(pairs)
 
 
 def _set_bits(x: int) -> Iterator[int]:

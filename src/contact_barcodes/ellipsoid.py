@@ -38,8 +38,7 @@ class EllipsoidParams(Frozen):
             prev = a
         if not (horizon.is_finite and ZERO < horizon):
             raise InvalidEllipsoidError("horizon must be a positive rational")
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "horizon", horizon)
+        self._set(axes, horizon)
 
     @classmethod
     def of(cls, axes, horizon: ScalarLike) -> "EllipsoidParams":

@@ -31,8 +31,7 @@ class Gf2Matrix(Frozen):
         for r in rows:
             if r < 0 or r >> ncols:
                 raise ValueError("row has bits outside the column range")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "ncols", ncols)
+        self._set(rows, ncols)
 
     @property
     def nrows(self) -> int:
@@ -45,11 +44,12 @@ class Gf2Matrix(Frozen):
     @classmethod
     def _unchecked(cls, rows: Tuple[int, ...], ncols: int) -> "Gf2Matrix":
         """A matrix whose rows are known to lie in range(1 << ncols), built
-        without the row checks of __init__ and with its fields set through
-        the slots' own setters, as `Bar._unchecked` does."""
+        without the row checks of __init__ and with its fields set by the
+        class's slot setters, as `Bar._unchecked` does."""
+        set_rows, set_ncols = cls._setters
         m = object.__new__(cls)
-        _set_rows(m, rows)
-        _set_ncols(m, ncols)
+        set_rows(m, rows)
+        set_ncols(m, ncols)
         return m
 
     @classmethod
@@ -134,9 +134,6 @@ class Gf2Matrix(Frozen):
                 return False
             col_seen |= r
         return True
-
-
-_set_rows, _set_ncols = Gf2Matrix.rows.__set__, Gf2Matrix.ncols.__set__
 
 
 def rows_matmul(left: Sequence[int], right: Sequence[int]) -> List[int]:

@@ -48,9 +48,7 @@ class InterleavingCertificate(Frozen):
     def __init__(self, delta: Scalar,
                  forward_maps: Tuple[Tuple[Gf2Matrix, Gf2Matrix], ...],
                  backward_maps: Tuple[Tuple[Gf2Matrix, Gf2Matrix], ...]):
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "forward_maps", forward_maps)
-        object.__setattr__(self, "backward_maps", backward_maps)
+        self._set(delta, forward_maps, backward_maps)
 
 
 class _Regions:
@@ -231,9 +229,9 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
             c1 = row_bits[t]
         else:
             c1 = [spreads[t][row] for row in regions1.comp(psi[t], psi[t + 1], parity).rows]
-        if not _add_identity(equations, [(row_bits[t + 1], a2), (c1, units[t])],
-                             (0,) * d1[psi[t + 1]], d2[t]):
-            return None
+        # right-hand sides of 0 in a fresh Echelon: every pivot is even, none contradicts
+        _add_identity(equations, [(row_bits[t + 1], a2), (c1, units[t])],
+                      (0,) * d1[psi[t + 1]], d2[t])
 
     # rank obstructions that need no enumeration at all: each 2-delta map of
     # one module (direct) factors through the other module and back; both
@@ -377,6 +375,14 @@ def _check_enumeration_bound(m1: SampledModule, m2: SampledModule) -> None:
         raise TooLargeError("per-sample total dimension exceeds the enumeration bound (4)")
 
 
+def _candidate_rows(cuts1: List[int], cuts2: List[int]
+                    ) -> List[Tuple[Sequence[int], Sequence[int], int]]:
+    """The `Coords.least` rows of the candidate deltas, from the int
+    coordinates of each module's cuts."""
+    return [(cuts1, cuts2, 1), (cuts2, cuts1, 1), (cuts1, cuts1, 2), (cuts2, cuts2, 2),
+            ((0,), (0,), 1)]
+
+
 def interleaving_distance_bruteforce(m1: SampledModule, m2: SampledModule
                                      ) -> Scalar:
     """Smallest delta >= 0 admitting an interleaving; +inf if none.
@@ -395,9 +401,8 @@ def interleaving_distance_bruteforce(m1: SampledModule, m2: SampledModule
     coords = Coords(regions1.cuts + regions2.cuts)
     cuts1 = [coords.of(c) for c in regions1.cuts]
     cuts2 = [coords.of(c) for c in regions2.cuts]
-    rows = [(cuts1, cuts2, 1), (cuts2, cuts1, 1), (cuts1, cuts1, 2), (cuts2, cuts2, 2),
-            ((0,), (0,), 1)]
-    found = coords.least(rows, lambda n: _certificate(regions1, regions2, coords.scalar(n)))
+    found = coords.least(_candidate_rows(cuts1, cuts2),
+                         lambda n: _certificate(regions1, regions2, coords.scalar(n)))
     return POS_INF if found is None else found[0]
 
 

@@ -72,11 +72,7 @@ class SampledModule(Frozen):
             raise ValueError("dims and samples disagree in length")
         if len(maps) != max(len(samples) - 1, 0):
             raise ValueError("need exactly one map pair per consecutive sample pair")
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "_placed", None)
+        self._set(spectrum, samples, dims, maps, None)
 
     @property
     def n_samples(self) -> int:

@@ -22,9 +22,11 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, TypeVar, Union
 
 ScalarLike = Union["Scalar", Fraction, int, str]
 
-# ASCII digits only: int() reads every Unicode digit, and the text form
-# round-trips exactly only as ASCII "p/q"
+# ASCII digits and spaces only: int() reads every Unicode digit and
+# str.strip() trims every Unicode space, and the text form round-trips
+# exactly only as ASCII "p/q"
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?", re.ASCII)
+_ASCII_SPACE = " \t\n\r\x0b\x0c"
 
 _POS = float("inf")
 _NEG = float("-inf")
@@ -33,21 +35,24 @@ _NEG = float("-inf")
 class Frozen:
     """Base of the immutable value classes.
 
-    A subclass names its fields in `__slots__` and sets each once in its
-    `__init__`, through `object.__setattr__`.  Instances compare equal when
+    A subclass names its fields in `__slots__`; its `__init__` takes them
+    in that order and sets them once, with one `_set` call, through the
+    slot setters bound once per class (`_setters`), which a constructor
+    that skips `__init__` calls directly.  Instances compare equal when
     they are of one class and their `_KEY` fields (all fields unless the
     class names fewer) are equal, and hash as the tuple of those fields;
-    `repr` writes every field as `QualName(field=value, ...)`.  Every
-    `__init__` takes the fields in `__slots__` order.  A slot whose name
-    starts with an underscore is not a field but a private store of
-    something the fields determine (`SampledModule._placed`): it is in no
-    key, no `repr` and no `__init__`, so copies and pickles leave it out.
+    `repr` writes every field as `QualName(field=value, ...)`.  A slot
+    whose name starts with an underscore is not a field but a private
+    store of something the fields determine (`SampledModule._placed`): it
+    is in no key, no `repr` and no `__init__` parameter, so copies and
+    pickles leave it out.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
         key = cls.__dict__.get("_KEY", cls._fields)
         # the tuple of the key fields; attrgetter of one name gives it bare
         get = attrgetter(*key)
@@ -64,6 +69,11 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+    def _set(self, *values) -> None:
+        """Write every slot, private ones too, in `__slots__` order."""
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, which takes every field
@@ -87,7 +97,7 @@ class Scalar(Frozen):
             value = Fraction(value)
         elif not isinstance(value, Fraction):
             raise TypeError(f"scalar value must be Fraction or +/-inf, got {type(value)!r}")
-        object.__setattr__(self, "value", value)
+        self._set(value)
 
     # Equality and hashing are hot (sort keys, endpoint sets), so they read
     # the one field directly; the hash stays that of the field tuple, as for
@@ -191,7 +201,7 @@ class Scalar(Frozen):
         Decimal notation is rejected deliberately: a rounded parameter can
         silently miss a spectrum point.
         """
-        t = text.strip()
+        t = text.strip(_ASCII_SPACE)
         if t in ("inf", "+inf"):
             return POS_INF
         if t == "-inf":
@@ -204,14 +214,12 @@ class Scalar(Frozen):
             value = Fraction(int(p), int(q or 1))
         except ZeroDivisionError as exc:
             raise ValueError(f"not a scalar: {text!r}") from exc
-        # the value is a Fraction already: set the slot through its own
-        # setter, without the type checks of __init__, as Bar._unchecked does
+        # the value is a Fraction already: set the slot through its setter,
+        # without the type checks of __init__, as Bar._unchecked does
+        (set_value,) = cls._setters
         scalar = object.__new__(cls)
-        _set_value(scalar, value)
+        set_value(scalar, value)
         return scalar
-
-
-_set_value = Scalar.value.__set__
 
 
 def _rising(values: Sequence[Scalar]) -> bool:

@@ -43,11 +43,7 @@ class CriterionResult(Frozen):
 
     def __init__(self, number: int, name: str, passed: bool, detail: str,
                  seconds: float):
-        object.__setattr__(self, "number", number)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "seconds", seconds)
+        self._set(number, name, passed, detail, seconds)
 
 
 def _scale(n: int, quick: bool) -> int:

@@ -103,6 +103,18 @@ def test_singular_inverse_raises():
         Gf2Matrix.zeros(2, 2).inverse()
 
 
+def test_matrix_refusals_name_their_fault():
+    refusals = [
+        (lambda: Gf2Matrix((), -1), "ncols must be nonnegative"),
+        (lambda: Gf2Matrix.identity(2) @ Gf2Matrix.identity(3), "shape mismatch (2, 2) @ (3, 3)"),
+        (lambda: Gf2Matrix((1,), 2).inverse(), "only square matrices can be inverted"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message
+
+
 def test_invertible_count_is_gl_order():
     # |GL_n(F2)| = prod (2^n - 2^i)
     assert len(invertible_matrices(1)) == 1

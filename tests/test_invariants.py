@@ -101,6 +101,16 @@ def test_translate_group_action():
         assert translate_barcode(translate_barcode(b, t), -t).same_bars(b)
 
 
+def test_translation_and_cover_refuse_infinite_input():
+    code = Barcode(Spectrum.of([1], 0, 2), (Bar.of(1, "inf"),))
+    with pytest.raises(ValueError) as caught:
+        translate_barcode(code, POS_INF)
+    assert str(caught.value) == "translation amount must be finite"
+    with pytest.raises(ValueError) as caught:
+        covering_number([POS_INF], rational(1))
+    assert str(caught.value) == "covering points must be finite"
+
+
 @given(st.fractions(min_value=-50, max_value=50))
 def test_translate_moves_finite_endpoints(q):
     t = Scalar(q)

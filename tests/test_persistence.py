@@ -9,6 +9,7 @@ from itertools import compress
 import pytest
 
 from contact_barcodes.barcode import Bar, Barcode, Spectrum
+from contact_barcodes.distances import Matching
 from contact_barcodes.ellipsoid import EllipsoidParams, ellipsoid_barcode
 from contact_barcodes.errors import (
     DomainError,
@@ -47,6 +48,7 @@ from contact_barcodes.persistence import (
 from contact_barcodes.random_instances import random_barcode, random_module, scramble
 from contact_barcodes.serialization import dumps
 from contact_barcodes.scalar import NEG_INF, POS_INF, ZERO, Scalar, rational
+from contact_barcodes.suite import CriterionResult
 
 
 def ident(n):
@@ -112,6 +114,55 @@ def test_value_classes_keep_the_dataclass_contract():
             obj.unknown_field = 0
         for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert clone == obj and repr(clone) == repr(obj)
+
+
+def test_every_value_class_sets_each_field_once():
+    # each class's constructor writes its slots in one call; a field left
+    # unset would fail to read back, compare or copy here
+    sp = Spectrum.of([1, 2], 0, 3)
+    module = module_from_barcode(Barcode(sp, (Bar.of(1, 2), Bar.of(2, "inf", 1))))
+    code = decompose(module)
+    assert type(code) is Barcode
+    pair = (ident(1), Gf2Matrix.zeros(0, 0))
+    cases = [
+        (Spectrum, (sp.points, sp.lo, sp.hi)),
+        (Barcode, (sp, code.bars)),
+        (SampledModule, (module.spectrum, module.samples, module.dims, module.maps)),
+        (Matching, (((0, None), (None, 0), (1, 1)),)),
+        (InterleavingCertificate, (rational(1, 2), (pair, pair), (pair,))),
+        (EllipsoidParams, ((rational(1), rational(3, 2)), rational(5))),
+        (CriterionResult, (3, "name", True, "detail", 0.25)),
+    ]
+    for cls, values in cases:
+        obj, twin = cls(*values), cls(*values)
+        assert cls._fields == cls.__slots__[:len(values)]
+        assert all(getattr(obj, f) == v for f, v in zip(cls._fields, values))
+        text = ", ".join(f"{f}={v!r}" for f, v in zip(cls._fields, values))
+        assert repr(obj) == repr(twin) == f"{cls.__qualname__}({text})"
+        assert obj == twin and hash(obj) == hash(twin)
+        for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(clone) is cls and clone == obj and hash(clone) == hash(obj)
+            assert repr(clone) == repr(obj)
+            assert all(getattr(clone, f) == v for f, v in zip(cls._fields, values))
+        for f in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(obj, f, getattr(obj, f))
+            with pytest.raises(AttributeError):
+                delattr(obj, f)
+    # decompose's barcode skips __init__ and still is the checked one
+    checked = Barcode(code.spectrum, code.bars)
+    assert code.spectrum is module.spectrum and code.bars == checked.bars
+    assert code == checked and hash(code) == hash(checked) and repr(code) == repr(checked)
+    for clone in (copy.copy(code), copy.deepcopy(code), pickle.loads(pickle.dumps(code))):
+        assert clone == checked and repr(clone) == repr(checked)
+    # the private slot starts empty, and no key, repr or copy holds it
+    fresh = SampledModule(module.spectrum, module.samples, module.dims, module.maps)
+    assert fresh._placed is None and "_placed" not in SampledModule._fields
+    validate_module(fresh)
+    assert fresh._placed is not None and "_placed" not in repr(fresh)
+    assert fresh == module and hash(fresh) == hash(module) and repr(fresh) == repr(module)
+    for clone in (copy.copy(fresh), copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))):
+        assert clone._placed is None and clone == fresh
 
 
 def test_validate_trivial_cases():

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from contact_barcodes.barcode import Spectrum
+from contact_barcodes.barcode import Barcode, Spectrum
 from contact_barcodes.cli import main
+from contact_barcodes.errors import ParseError
 from contact_barcodes.scalar import (
     NEG_INF,
     POS_INF,
@@ -19,6 +21,7 @@ from contact_barcodes.scalar import (
     midpoint,
     rational,
 )
+from contact_barcodes.serialization import dumps, loads
 
 
 @given(st.fractions())
@@ -97,6 +100,32 @@ def test_parse_reads_ascii_digits_only():
     with pytest.raises(SystemExit) as caught:
         main(["ellipsoid", "-a", "1", "-a", "3/2", "-T", "\u0663"])
     assert caught.value.code == 2
+
+
+def test_parse_trims_ascii_whitespace_only(tmp_path, capsys):
+    # str.strip() would also take Unicode spaces and the \x1c-\x1f
+    # separators; a scalar's text, like its digits, is ASCII only
+    assert Scalar.parse(" 3/4 ") == Scalar.parse("3/4\n") == rational(3, 4)
+    assert Scalar.parse("\t\x0b\x0c3/4\r") == rational(3, 4)
+    path = tmp_path / "bc.json"
+    for bad in ("\u30003/4", "\xa03/4", "3/4\u2003", "\x1c3/4"):
+        message = f"not a scalar: {bad!r}"
+        with pytest.raises(ValueError) as caught:
+            Scalar.parse(bad)
+        assert str(caught.value) == message
+        doc = json.loads(dumps(Barcode.of(Spectrum.of(["3/4"], 0, 1), [])))
+        doc["spectrum"]["points"][0] = bad
+        text = json.dumps(doc)
+        with pytest.raises(ParseError) as caught:
+            loads(text)
+        assert str(caught.value) == f"spectrum.points[0]: {message}"
+        path.write_text(text, encoding="utf-8")
+        assert main(["depth", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: spectrum.points[0]: {message}\n"
+        with pytest.raises(SystemExit) as caught:
+            main(["ellipsoid", "-a", "1", "-a", "3/2", "-T", bad])
+        assert caught.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_parse_matches_checked_construction():

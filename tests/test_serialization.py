@@ -522,6 +522,17 @@ def test_loads_names_the_first_fault_in_reading_order():
     assert validate_module(loads(json.dumps(d))) == []
 
 
+def test_loads_refuses_a_map_pair_count_off_by_one():
+    # four samples need three map pairs: two and four are both refused
+    for count in (2, 4):
+        d = _four_sample_document()
+        d["maps"] = [[[], []] for _ in range(count)]
+        with pytest.raises(ParseError) as caught:
+            loads(json.dumps(d))
+        assert str(caught.value) == \
+            "document: need exactly one map pair per consecutive sample pair"
+
+
 def test_loads_refuses_non_ascii_digits():
     # int() reads every Unicode digit; a scalar's text is ASCII only
     d = _four_sample_document()
