@@ -1,13 +1,13 @@
 """Bit-packed linear algebra over GF(2).
 
 Matrices store one int per row; bit j of a row is the entry in column j.
-The product and the transpose also run on bare row ints, `rows_matmul`
-and `rows_transpose`, for callers that hold no matrix object.
-There is one Gaussian elimination, `Echelon.reduce` (its loop also runs
-inline in `Echelon.insert`), on one vector format: an int whose k low bits
-are a tag.  The rank, the inverse, the span witnesses of the interleaving
-search, the equations on its backward maps (one Echelon, backtracked in
-place) and the sweep of `persistence.decompose` all run on it.
+The product, the transpose and the rank also run on bare row ints
+(`rows_matmul`, `rows_transpose`, `rows_rank`), for callers that hold no
+matrix object.  There is one Gaussian elimination, the loop of
+`Echelon.insert` (inline in `express` too), on one vector format: an int
+whose k low bits are a tag.  The rank, the inverse, the span witnesses of
+the interleaving search, the equations on its backward maps (one Echelon,
+backtracked in place) and the sweep of `persistence.decompose` all run on it.
 """
 
 from __future__ import annotations
@@ -105,11 +105,7 @@ class Gf2Matrix(Frozen):
                                     len(self.rows))
 
     def rank(self) -> int:
-        """The number of pivots of the rows, inserted untagged."""
-        echelon = Echelon(k=0)
-        for row in self.rows:
-            echelon.insert(row)
-        return len(echelon.pivots)
+        return rows_rank(self.rows)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.ncols
@@ -147,6 +143,14 @@ def rows_matmul(left: Sequence[int], right: Sequence[int]) -> List[int]:
             r &= r - 1
         out.append(acc)
     return out
+
+
+def rows_rank(rows: Sequence[int]) -> int:
+    """The rank of these row ints: their pivots, inserted untagged."""
+    echelon = Echelon(k=0)
+    for row in rows:
+        echelon.insert(row)
+    return len(echelon.pivots)
 
 
 def rows_transpose(rows: Sequence[int], ncols: int) -> List[int]:
@@ -188,22 +192,9 @@ class Echelon:
             if vec.bit_length() <= k:
                 self.nullspace.append(vec)
 
-    def reduce(self, vec: int) -> int:
-        """XOR pivots into vec while its top bit has one.
-
-        Every pivot's top bit is at or above k, so the result lies below k
-        exactly when vec, above its k tag bits, is in the span of the pivots.
-        """
-        pivots = self.pivots
-        while pivot := pivots.get(vec.bit_length() - 1):
-            vec ^= pivot
-        return vec
-
     def insert(self, vec: int) -> int:
-        """Reduce vec and keep the result as a pivot unless it lies below k.
-
-        The loop of `reduce` runs inline, since every row of a rank and
-        every image of `decompose` passes here."""
+        """XOR pivots into vec while its top bit has one, and keep the
+        result as a pivot unless it lies below k."""
         pivots = self.pivots
         while pivot := pivots.get(top := vec.bit_length() - 1):
             vec ^= pivot
@@ -218,8 +209,13 @@ class Echelon:
             pivots.popitem()
 
     def express(self, target: int) -> Optional[int]:
-        """The tag of a combination of pivots equal to target, or None."""
-        vec = self.reduce(target << self.k)
+        """The tag of a combination of pivots equal to target, or None.
+
+        Every pivot's top bit is at or above k, so target << k reduces to
+        below k exactly when target is in the span of the pivots."""
+        pivots, vec = self.pivots, target << self.k
+        while pivot := pivots.get(vec.bit_length() - 1):
+            vec ^= pivot
         return vec if vec.bit_length() <= self.k else None
 
 

@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatchError,
     TooLargeError,
 )
-from .gf2 import Echelon, Gf2Matrix, rows_matmul, rows_transpose, solve
+from .gf2 import Echelon, Gf2Matrix, rows_matmul, rows_rank, rows_transpose, solve
 from .persistence import SampledModule, _valid_placement, composite_map
 from .scalar import Coords, Frozen, POS_INF, Scalar, ZERO
 
@@ -67,12 +67,12 @@ class _Regions:
         self.n = len(self.reps)
         self.dims = tuple(m.dims[i] for i in self.reps)
         # per parity, jumps[k][a] is the map from region a to region a + 2**k
-        self._jumps: Tuple[List[List[Gf2Matrix]], ...] = ([], [])
-        self._identities: Dict[int, Gf2Matrix] = {}
+        self._jumps: Tuple[List[List[Tuple[int, ...]]], ...] = ([], [])
+        self._identities: Dict[int, Tuple[int, ...]] = {}
 
-    def comp(self, a: int, b: int, parity: int) -> Gf2Matrix:
-        """The structure map from region a to region b (a <= b): a product
-        of the table entries of the set bits of b - a, lowest first.
+    def comp(self, a: int, b: int, parity: int) -> Tuple[int, ...]:
+        """The rows of the structure map from region a to region b (a <= b):
+        a product of the table entries of the set bits of b - a, lowest first.
 
         The table grows a level at a time, up to the longest span asked
         for: level 0 holds the region steps, level k the products of pairs
@@ -87,24 +87,24 @@ class _Regions:
             d = self.dims[a][parity]
             eye = self._identities.get(d)
             if eye is None:
-                eye = self._identities[d] = Gf2Matrix.identity(d)
+                eye = self._identities[d] = tuple(1 << i for i in range(d))
             return eye
         jumps = self._jumps[parity]
         if not jumps:
             m, reps = self.module, self.reps
-            jumps.append([composite_map(m, reps[i], reps[i + 1], parity)
+            jumps.append([composite_map(m, reps[i], reps[i + 1], parity).rows
                           for i in range(self.n - 1)])
         if span == 1:
             return jumps[0][a]
         while len(jumps) < span.bit_length():
             below, half = jumps[-1], 1 << (len(jumps) - 1)
-            jumps.append([below[i + half] @ below[i]
+            jumps.append([tuple(rows_matmul(below[i + half], below[i]))
                           for i in range(len(below) - half)])
         acc, k = None, 0
         while span:
             if span & 1:
                 step = jumps[k][a]
-                acc = step if acc is None else step @ acc
+                acc = step if acc is None else tuple(rows_matmul(step, acc))
                 a += 1 << k
             span >>= 1
             k += 1
@@ -165,8 +165,9 @@ class _GLayout:
         self.units = [[1 << j for j in range(w)] for w in widths]
 
     def decode(self, sol: int) -> List[Gf2Matrix]:
-        """The G maps of a solution."""
-        return [Gf2Matrix(tuple(sol >> (off + i * w) & ((1 << w) - 1) for i in range(h)), w)
+        """The G maps of a solution, each row masked to its width."""
+        return [Gf2Matrix._unchecked(
+                    tuple(sol >> (off + i * w) & ((1 << w) - 1) for i in range(h)), w)
                 for h, w, off in zip(self.heights, self.widths, self.offsets)]
 
 
@@ -197,9 +198,9 @@ def _add_identity(equations: Echelon, factors: Sequence[Tuple[Sequence[int], Seq
 
 def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
                   tables: Tuple[List[int], List[int], List[int], List[int]], delta: Scalar
-                  ) -> Optional[Tuple[List[Gf2Matrix], List[Gf2Matrix]]]:
-    """The first (F maps, G maps) pair satisfying every constraint at
-    delta, whose shift `tables` are given, or None.
+                  ) -> Optional[Tuple[List[Tuple[int, ...]], _GLayout, int]]:
+    """The rows of the first F maps satisfying every constraint at delta,
+    given its shift `tables`, with the G layout and a solution; or None.
 
     F maps are searched depth-first along the forward naturality chain, on
     an explicit stack with one frame per region; G equations are inserted
@@ -208,10 +209,10 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
     each of its candidates first undoes the pivots inserted since.  Each F
     candidate tried costs one unit of the search budget.
 
-    Every map is a tuple of row ints here.  The factors of the fixed maps,
-    and the region steps that the candidates are multiplied by, are built
-    once per search; an F candidate is the row tuple that `product` yields,
-    and only the certificate returned is built as matrices.
+    Every map is a tuple of row ints here, ranked by `rows_rank`.  The
+    factors of the fixed maps, and the region steps that the candidates
+    are multiplied by, are built once per search; an F candidate is the
+    row tuple that `product` yields.
     """
     R1, R2 = regions1.n, regions2.n
     d1 = [d[parity] for d in regions1.dims]
@@ -224,11 +225,11 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
     # a C1 that spans no region is the identity
     equations = Echelon(k=1)
     for t in range(R2 - 1):
-        a2 = rows_transpose(regions2.comp(t, t + 1, parity).rows, d2[t])
+        a2 = rows_transpose(regions2.comp(t, t + 1, parity), d2[t])
         if psi[t] == psi[t + 1]:
             c1 = row_bits[t]
         else:
-            c1 = [spreads[t][row] for row in regions1.comp(psi[t], psi[t + 1], parity).rows]
+            c1 = [spreads[t][row] for row in regions1.comp(psi[t], psi[t + 1], parity)]
         # right-hand sides of 0 in a fresh Echelon: every pivot is even, none contradicts
         _add_identity(equations, [(row_bits[t + 1], a2), (c1, units[t])],
                       (0,) * d1[psi[t + 1]], d2[t])
@@ -246,8 +247,8 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
             u, via = twice[r], back[there[r]]
             direct = regions.comp(r, u, parity)
             through = regions.comp(via, u, parity) if via < u else None
-            need = direct.nrows if r == u else direct.rank()
-            if need > d_there[there[r]] or (through is not None and need > through.rank()):
+            need = len(direct) if r == u else rows_rank(direct)
+            if need > d_there[there[r]] or (through is not None and need > rows_rank(through)):
                 return None
             maps.append((through, direct))
 
@@ -258,12 +259,11 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
     e2 = []
     for r, (through, direct) in enumerate(e2_maps):
         t = phi[r]
-        spread = row_bits[t] if through is None else [spreads[t][row] for row in through.rows]
-        e2.append((spread, direct.rows, direct.ncols))
+        spread = row_bits[t] if through is None else [spreads[t][row] for row in through]
+        e2.append((spread, direct, d1[r]))
     e3_by_depth: List[list] = [[] for _ in range(R1)]
     for t, (through, direct) in enumerate(e3_maps):
-        e3_by_depth[psi[t]].append((None if through is None else through.rows,
-                                    spreads[t], units[t], direct.rows, direct.ncols))
+        e3_by_depth[psi[t]].append((through, spreads[t], units[t], direct, d2[t]))
 
     def consistent(r: int, fmat: Tuple[int, ...]) -> bool:
         """Insert the equations that F[r] = fmat brings in, E2 then each
@@ -288,9 +288,8 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
         if r == 0:
             return [range(1 << ncols)] * nrows
         if fwd[r] is None:
-            step = (None if phi[r - 1] == phi[r]
-                    else regions2.comp(phi[r - 1], phi[r], parity).rows)
-            fwd[r] = (step, Echelon(regions1.comp(r - 1, r, parity).rows))
+            step = None if phi[r - 1] == phi[r] else regions2.comp(phi[r - 1], phi[r], parity)
+            fwd[r] = (step, Echelon(regions1.comp(r - 1, r, parity)))
         step, echelon = fwd[r]
         target = prev if step is None else rows_matmul(step, prev)
         rows_options = []
@@ -305,12 +304,11 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
         return rows_options
 
     # frames[r] walks the F candidates of region r from the pivot count
-    # that the equations of fs[:r] left; fs holds the F map chosen in each
-    # region below the top.  Rows come from range(1 << d1[r]) or from
-    # express and the nullspace masks of an Echelon of d1[r] rows, so all
-    # are in range
+    # that the equations of fs[:r] left; fs[r] is the F map last chosen at
+    # depth r.  Rows come from range(1 << d1[r]) or from express and the
+    # nullspace masks of an Echelon of d1[r] rows, so all are in range
     frames = [(product(*f_candidates(0, ())), len(equations.pivots))]
-    fs: List[Tuple[int, ...]] = []
+    fs: List[Tuple[int, ...]] = [()] * R1
     budget = _SEARCH_BUDGET
     while frames:
         r = len(frames) - 1
@@ -318,8 +316,6 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
         fmat = next(candidates, None)
         if fmat is None:
             frames.pop()
-            if fs:
-                fs.pop()
             continue
         budget -= 1
         if budget <= 0:
@@ -329,14 +325,12 @@ def _search_chain(regions1: _Regions, regions2: _Regions, parity: int,
         equations.undo(mark)
         if not consistent(r, fmat):
             continue
+        fs[r] = fmat
         if r + 1 == R1:
-            fs.append(fmat)
-            return ([Gf2Matrix._unchecked(rows, d1[i]) for i, rows in enumerate(fs)],
-                    g.decode(solve(equations)))
+            return fs, g, solve(equations)
         rows_options = f_candidates(r + 1, fmat)
         if rows_options is None:
             continue
-        fs.append(fmat)
         frames.append((product(*rows_options), len(equations.pivots)))
     return None
 
@@ -358,7 +352,8 @@ def find_interleaving(m1: SampledModule, m2: SampledModule, delta: Scalar
 
 def _certificate(regions1: _Regions, regions2: _Regions, delta: Scalar
                  ) -> Optional[InterleavingCertificate]:
-    """find_interleaving on modules already validated and bounded."""
+    """find_interleaving on modules already validated and bounded; the
+    matrices are built only once both parities have maps."""
     tables = _shift_tables(regions1, regions2, delta)
     per_parity = []
     for parity in (0, 1):
@@ -366,8 +361,10 @@ def _certificate(regions1: _Regions, regions2: _Regions, delta: Scalar
         if found is None:
             return None
         per_parity.append(found)
-    (f0, g0), (f1, g1) = per_parity
-    return InterleavingCertificate(delta, tuple(zip(f0, f1)), tuple(zip(g0, g1)))
+    (f0, g0, x0), (f1, g1, x1) = per_parity
+    forward = tuple((Gf2Matrix._unchecked(a, d0), Gf2Matrix._unchecked(b, d1))
+                    for a, b, (d0, d1) in zip(f0, f1, regions1.dims))
+    return InterleavingCertificate(delta, forward, tuple(zip(g0.decode(x0), g1.decode(x1))))
 
 
 def _check_enumeration_bound(m1: SampledModule, m2: SampledModule) -> None:

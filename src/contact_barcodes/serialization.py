@@ -315,5 +315,6 @@ def _maps_text(maps: Sequence[Tuple[Gf2Matrix, Gf2Matrix]]) -> str:
 
 
 def _check_version(d: Dict[str, Any]) -> None:
-    if d.get("cpv") != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema version: {d.get('cpv')!r}")
+    # the JSON integer 1 only, as `_int` reads integers: true and 1.0 equal 1
+    if type(version := d.get("cpv")) is not int or version != SCHEMA_VERSION:
+        raise ParseError(f"unsupported schema version: {version!r}")

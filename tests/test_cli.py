@@ -136,6 +136,25 @@ def test_diagram(tmp_path, ellipsoid_file):
     ET.fromstring(out.read_text())
 
 
+def test_diagram_of_a_zero_width_horizon(tmp_path):
+    # lo == hi: every finite x sits at the left margin instead of dividing
+    # by the zero span, and the bytes repeat from run to run
+    path = tmp_path / "flat.json"
+    path.write_text(dumps(Barcode(Spectrum.of([1], 1, 1), (Bar(rational(1), POS_INF, 0),))))
+    svgs = []
+    for name in ("a.svg", "b.svg"):
+        assert run(["diagram", str(path), "-o", str(tmp_path / name)]) == 0
+        svgs.append((tmp_path / name).read_bytes())
+    assert svgs[0] == svgs[1]
+    root = ET.fromstring(svgs[0])
+    _axis, tick, bar = (e for e in root.iter() if e.tag.endswith("line"))
+    circle = next(e for e in root.iter() if e.tag.endswith("circle"))
+    label = next(e for e in root.iter() if e.tag.endswith("text") and e.text == "1/1")
+    assert tick.get("x1") == tick.get("x2") == bar.get("x1") == "56.00"
+    assert circle.get("cx") == label.get("x") == "56.00"
+    assert float(bar.get("x2")) > 56
+
+
 def test_determinism(tmp_path, capsys):
     args = ["ellipsoid", "-a", "2/3", "-a", "1", "-T", "4"]
     assert run(args) == 0

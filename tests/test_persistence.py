@@ -26,6 +26,7 @@ from contact_barcodes.interleaving import (
     find_interleaving,
     verify_interleaving,
 )
+from contact_barcodes import oracles
 from contact_barcodes.oracles import (
     _make_bar,
     _only_point,
@@ -250,6 +251,21 @@ def test_decompose_bounds_the_dimension_at_a_sample():
     for d0, d1 in ((MAX_SAMPLE_DIM + 1, 0), (half + 1, MAX_SAMPLE_DIM - half)):
         with pytest.raises(TooLargeError, match="decomposition bound"):
             decompose(one_sample(d0, d1))
+
+
+def test_brute_force_decompose_refuses_three_samples_of_dimension_3(monkeypatch):
+    # |GL_3(F2)| = 168, and 168**3 > 2,000,000 basis tuples: refused at the
+    # third sample, before any tuple is tried
+    def refuse(*args):
+        raise AssertionError("the basis changes were enumerated")
+
+    monkeypatch.setattr(oracles, "product", refuse)
+    sp = Spectrum.of([], 0, 2)
+    m = SampledModule(sp, (rational(1, 2), rational(1), rational(3, 2)), ((3, 0),) * 3,
+                      ((ident(3), ident(0)),) * 2)
+    assert validate_module(m) == []
+    with pytest.raises(TooLargeError, match="^basis enumeration bound exceeded$"):
+        brute_force_decompose(m)
 
 
 def test_snap_point_requires_unique_point():

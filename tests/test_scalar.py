@@ -48,6 +48,16 @@ def test_order_matches_fractions(a, b):
     assert (Scalar(a) < Scalar(b)) == (a < b)
 
 
+def test_scalar_equality_is_between_scalars_only():
+    # an int builds the Scalar of its Fraction, a string builds none, and a
+    # Scalar equals no int or Fraction: __eq__ hands those NotImplemented
+    assert Scalar(3) == rational(3)
+    with pytest.raises(TypeError, match="scalar value must be Fraction"):
+        Scalar("3/2")
+    assert (rational(1) == 1) is False and (rational(1) == Fraction(1)) is False
+    assert rational(1).__eq__(1) is NotImplemented
+
+
 def test_extended_order():
     assert NEG_INF < rational(-10**9) < rational(10**9) < POS_INF
     assert not (POS_INF < POS_INF)

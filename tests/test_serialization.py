@@ -154,6 +154,13 @@ def test_version_is_checked():
     del d2["cpv"]
     with pytest.raises(ValueError):
         loads(json.dumps(d2))
+    # JSON true and 1.0 equal 1 in Python, but only the integer 1 is version 1
+    for doc in (d, d2):
+        for version in (True, 1.0):
+            doc["cpv"] = version
+            with pytest.raises(ParseError) as caught:
+                loads(json.dumps(doc))
+            assert str(caught.value) == f"unsupported schema version: {version!r}"
 
 
 def test_loads_is_the_one_reader():
