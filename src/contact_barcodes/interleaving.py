@@ -58,12 +58,12 @@ class _Regions:
     reads between them."""
 
     def __init__(self, m: SampledModule):
-        gaps = _valid_placement(m)[0]
+        below = _valid_placement(m)
         if m.n_samples == 0:
             raise InvalidModuleError("module has no samples")
         self.module = m
         self.cuts = m.spectrum.points
-        self.reps = (0, *(i + 1 for i, between in enumerate(gaps) if between))
+        self.reps = (0, *(i + 1 for i, (lo, hi) in enumerate(zip(below, below[1:])) if lo < hi))
         self.n = len(self.reps)
         self.dims = tuple(m.dims[i] for i in self.reps)
         # per parity, jumps[k][a] is the map from region a to region a + 2**k

@@ -50,7 +50,7 @@ def brute_force_decompose(m: SampledModule) -> Barcode:
     partial permutation, then reads the intervals off the surviving threads.
     The structure theorem guarantees some tuple works.
     """
-    gaps = _valid_placement(m)[0]
+    gaps = _gaps(m)
     bars: List[Bar] = []
     for parity in (0, 1):
         dims = [d[parity] for d in m.dims]
@@ -89,7 +89,7 @@ def rank_formula_decompose(m: SampledModule) -> Barcode:
     composite maps per parity, so it is quadratic in the number of samples,
     but it needs no basis enumeration and so scales to wide modules.
     """
-    gaps = _valid_placement(m)[0]
+    gaps = _gaps(m)
     k = m.n_samples
     bars: List[Bar] = []
     for parity in (0, 1):
@@ -115,6 +115,13 @@ def rank_formula_decompose(m: SampledModule) -> Barcode:
                 if mult:
                     bars.extend([_make_bar(gaps, i, j, parity)] * mult)
     return Barcode(m.spectrum, tuple(bars))
+
+
+def _gaps(m: SampledModule) -> List[Tuple[Scalar, ...]]:
+    """The spectrum points of each sample gap of a valid module m."""
+    below = _valid_placement(m)
+    points = m.spectrum.points
+    return [points[lo:hi] for lo, hi in zip(below, below[1:])]
 
 
 def _only_point(between: Sequence[Scalar], gap_index: int) -> Scalar:

@@ -20,22 +20,21 @@ elder rule).
 Every placement is of the samples among the spectrum points: one merge,
 `_count_below`, which gives each sample the number of points below it and
 at or below it, comparing numerator and denominator ints (only an invalid
-module's samples are sorted first).  Those counts give each sample gap its
-points and `validate_module` its collisions and unstraddled points
-(`_placement`), which runs once per module: the module keeps the result
-in a private slot, which `validate_module`, `decompose`, the regions of
-`interleaving` and the `oracles` all read.  Every finite bar end is a
-spectrum point, so a bar end is its int position among the points:
-`decompose` reads each end's position off the counts and sorts and
-recounts its bars on those ints, building each `Bar` unchecked, since the
-sorted ints already put its ends in order; `module_from_barcode` bisects
-the positions of a barcode's ends (`barcode._end_positions`) into the
-counts for the bars alive at each sample (`_alive`).
+module's samples are sorted first).  Validation reads both counts for
+collisions, crowded gaps and unstraddled points (`_placement`), which runs
+once per module: the module keeps its issues and the count below each
+sample in a private slot.  A valid module's samples avoid the spectrum,
+so that one count places it: `decompose`, the regions of `interleaving`
+and the `oracles` read it.  Every finite bar end is a spectrum point, so
+a bar end is its int position among the points: `decompose` reads each
+end's position off `below` and sorts and recounts its bars on those
+ints, building each `Bar` unchecked, since the sorted ints already put
+its ends in order.  `module_from_barcode` places nothing: it reads the
+region of each sample off the grid it lays out (`_sample_positions`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from typing import List, Sequence, Tuple
@@ -82,24 +81,20 @@ class SampledModule(Frozen):
 def validate_module(m: SampledModule) -> List[str]:
     """Collect invariant violations, in a new list on every call; an empty
     list means the module is valid."""
-    return list(_placement(m)[1])
+    return list(_placement(m)[0])
 
 
-Counts = Tuple[List[int], List[int]]
+def _placement(m: SampledModule) -> Tuple[List[str], List[int]]:
+    """The module's invariant violations, and `below`: below[i] counts the
+    spectrum points below samples[i].
 
-
-def _placement(m: SampledModule
-               ) -> Tuple[List[Tuple[Scalar, ...]], List[str], Counts]:
-    """The spectrum points of every sample gap, the module's invariant
-    violations, and the placement they come from: the counts (below, upto)
-    of the samples among the spectrum points.
-
-    below[i] and upto[i] count the points below samples[i] and at or below
-    it; any sample order is read as given.  Gap i holds the points from
-    upto[i] to below[i + 1], a sample lies on a point exactly when its two
-    counts differ, and the points before below[0] or from upto[-1] on are
-    not straddled; without samples, no point is.  A valid module's checks
-    compare ints only.
+    The checks also read upto[i], the points at or below samples[i]; any
+    sample order is read as given.  Gap i holds the hi - lo points from
+    lo = upto[i] to hi = below[i + 1], none when hi <= lo (as for samples
+    that descend), a sample lies on a point exactly when its two counts
+    differ, and the points before below[0] or from upto[-1] on are not
+    straddled; without samples, no point is.  A valid module's checks
+    compare ints only, and its samples lie on no point, so below == upto.
 
     A module is immutable, so this runs once per module: the result is
     kept in its `_placed` slot, and every later call returns that same
@@ -112,7 +107,6 @@ def _placement(m: SampledModule
     pts = m.spectrum.points
     rising = _rising(samples)
     below, upto = _count_below(samples, pts, rising)
-    gaps = [pts[lo:hi] for lo, hi in zip(upto, below[1:])]
     issues: List[str] = []
     if below != upto or not rising:
         for i, s in enumerate(samples):
@@ -134,11 +128,10 @@ def _placement(m: SampledModule
     outside = pts[:below[0]] + pts[max(below[0], upto[-1]):] if samples else pts
     for p in outside:
         issues.append(f"spectrum point {p} is not straddled by the samples")
-    for i, between in enumerate(gaps):
-        if len(between) > 1:
-            issues.append(
-                f"{len(between)} spectrum points between samples {i} and {i + 1}")
-        if not between:
+    for i, (lo, hi) in enumerate(zip(upto, below[1:])):
+        if hi - lo > 1:
+            issues.append(f"{hi - lo} spectrum points between samples {i} and {i + 1}")
+        if hi <= lo:
             for parity in (0, 1):
                 mat = m.maps[i][parity]
                 if mat.shape == (dims[i + 1][parity], dims[i][parity]) \
@@ -146,7 +139,7 @@ def _placement(m: SampledModule
                     issues.append(
                         f"map {i} parity {parity} crosses no spectrum point "
                         "but is not invertible")
-    placed = (gaps, issues, (below, upto))
+    placed = (issues, below)
     object.__setattr__(m, "_placed", placed)
     return placed
 
@@ -163,12 +156,14 @@ def composite_map(m: SampledModule, i: int, j: int, parity: Parity) -> Gf2Matrix
     return acc
 
 
-def _valid_placement(m: SampledModule) -> Tuple[List[Tuple[Scalar, ...]], Counts]:
-    """The gaps and counts of `_placement` of m; an invalid m is refused."""
-    gaps, issues, counts = _placement(m)
+def _valid_placement(m: SampledModule) -> List[int]:
+    """`below` of `_placement` of m: the number of spectrum points below
+    each sample, whose gap i holds the points from below[i] to
+    below[i + 1].  An invalid m is refused."""
+    issues, below = _placement(m)
     if issues:
         raise InvalidModuleError("invalid module: " + "; ".join(issues))
-    return gaps, counts
+    return below
 
 
 # The largest total dimension d0 + d1 at one sample that `decompose` takes.
@@ -201,14 +196,14 @@ def decompose(m: SampledModule) -> Barcode:
     Bar ends are int positions among the spectrum points, as in
     `barcode._end_positions`: a bar dying at sample i or born at sample
     i+1 ends at the one point of the gap between them, at position
-    upto[i]; -inf is -1 and +inf len(points).  The sorted (birth, death,
+    below[i]; -inf is -1 and +inf len(points).  The sorted (birth, death,
     parity) ints are `Barcode`'s order, and they also recount the bars
     alive at each sample for the closing check.
     `oracles.rank_formula_decompose` recomputes the same barcode from the
     inclusion-exclusion of composite ranks.  A module with more than
     MAX_SAMPLE_DIM dimensions at some sample raises TooLargeError.
     """
-    below, upto = _valid_placement(m)[1]
+    below = _valid_placement(m)
     if any(d0 + d1 > MAX_SAMPLE_DIM for d0, d1 in m.dims):
         raise TooLargeError(
             f"per-sample total dimension exceeds the decomposition bound ({MAX_SAMPLE_DIM})")
@@ -241,7 +236,7 @@ def decompose(m: SampledModule) -> Barcode:
             dead = alive ^ kept
             # a valid module has one point in a gap that a bar ends in: a gap
             # without points carries invertible maps, which end no bar
-            at = upto[i]
+            at = below[i]
             while dead:
                 low = dead & -dead
                 ends.append((births[made - low.bit_length()], at, parity))
@@ -270,42 +265,22 @@ def decompose(m: SampledModule) -> Barcode:
     # the sorted int ends are in order, so no bar check is left to make
     code = Barcode._sorted(m.spectrum, tuple([
         Bar._unchecked(line[b + 1], line[d + 1], parity) for b, d, parity in ends]))
-    # A bar from position b to d contains sample s when b < below[s] and
-    # upto[s] <= d, and below[s] == upto[s] in a valid module: the bars at
-    # s are those born before below[s] less those dead before upto[s].
+    # A bar from position b to d contains sample s when b < below[s] <= d:
+    # the bars at s are those born before below[s] less those dead before it.
     tally = [[0] * (top + 2) for _ in range(4)]  # births, deaths at position + 1
     for b, d, parity in ends:
         tally[parity][b + 1] += 1
         tally[2 + parity][d + 1] += 1
     born0, born1, died0, died1 = (list(accumulate(c)) for c in tally)
-    for idx, (lo, hi, dims) in enumerate(zip(below, upto, m.dims)):
-        count = (born0[lo] - died0[hi], born1[lo] - died1[hi])
+    for idx, (at, dims) in enumerate(zip(below, m.dims)):
+        count = (born0[at] - died0[at], born1[at] - died1[at])
         if count != dims:
             raise AssertionError(f"decomposition loses rank at sample {idx}: {count} != {dims}")
     return code
 
 
-def _alive(code: Barcode, below: List[int], upto: List[int]
-           ) -> List[Tuple[List[int], List[int]]]:
-    """For each of the sorted samples, the indices of the bars of code
-    containing it, one list per parity, in bar order.
-
-    below[i] and upto[i] count the spectrum points below samples[i] and at
-    or below it (`_count_below`); both lists ascend.  The bar from point
-    position b to point position d contains samples[i] exactly when
-    b < below[i] and upto[i] <= d, so it contains the samples from
-    bisect_right(below, b) up to bisect_right(upto, d).
-    """
-    alive: List[Tuple[List[int], List[int]]] = [([], []) for _ in below]
-    ends = _end_positions(code.spectrum.points, code.bars)
-    for idx, ((b, d), bar) in enumerate(zip(ends, code.bars)):
-        for s in range(bisect_right(below, b), bisect_right(upto, d)):
-            alive[s][bar.parity].append(idx)
-    return alive
-
-
 def _count_below(values: Sequence[Scalar], ref: Sequence[Scalar], rising: bool = False
-                 ) -> Counts:
+                 ) -> Tuple[List[int], List[int]]:
     """For each value, the numbers of the sorted finite scalars `ref` below
     it and at most it (bisect_left and bisect_right of the value into ref),
     from one merge of the sorted values into ref.
@@ -345,6 +320,9 @@ def _sample_positions(spectrum: Spectrum, density: int) -> List[Scalar]:
     are spread inside each region.  When an extreme spectrum point sits on
     the horizon boundary the outer sample is placed just beyond it, since a
     one-sided point could not be told apart from an unbounded bar end.
+    So there are len(points) + 1 regions, region r lies between points
+    r - 1 and r, and sample s lies in region s // density: the grid rule
+    that `module_from_barcode` and `random_instances.random_module` read.
     """
     lo, hi = spectrum.lo, spectrum.hi
     if not (lo < hi):
@@ -375,12 +353,20 @@ def module_from_barcode(b: Barcode, grid_density_hint: int = 1) -> SampledModule
 
     Dimensions count the bars strictly containing each sample; structure
     matrices are the 0/1 matrices that follow each bar from one sample to
-    the next and kill it in between otherwise.
+    the next and kill it in between otherwise.  Sample s lies in region
+    s // grid_density_hint (`_sample_positions`), and a bar between point
+    positions b and d (`barcode._end_positions`) spans regions b + 1 to d.
     """
     if grid_density_hint < 1:
         raise NonPositiveDensityError("grid_density_hint must be a positive integer")
     samples = _sample_positions(b.spectrum, grid_density_hint)
-    alive = _alive(b, *_count_below(samples, b.spectrum.points, rising=True))
+    points = b.spectrum.points
+    # the indices of the bars containing each region, one list per parity, in bar order
+    regions: List[Tuple[List[int], List[int]]] = [([], []) for _ in range(len(points) + 1)]
+    for idx, ((lo, hi), bar) in enumerate(zip(_end_positions(points, b.bars), b.bars)):
+        for r in range(lo + 1, hi + 1):
+            regions[r][bar.parity].append(idx)
+    alive = [here for here in regions for _ in range(grid_density_hint)]
     dims = tuple((len(a0), len(a1)) for a0, a1 in alive)
     # a bar at column c of the source sample has row units[c] at the next
     # one; a bar born in between has the zero row

@@ -151,13 +151,15 @@ def _module_from_dict(d: Dict[str, Any]) -> SampledModule:
 
 def _dims(dims: list) -> Tuple[Tuple[int, int], ...]:
     if {list}.issuperset(map(type, dims)) and {2}.issuperset(map(len, dims)) \
-            and {int}.issuperset(map(type, chain.from_iterable(dims))):
+            and {int}.issuperset(map(type, chain.from_iterable(dims))) \
+            and min(chain.from_iterable(dims), default=0) >= 0:
         return tuple(map(tuple, dims))
-    read = []
     for i, pair in enumerate(dims):
-        a, b = _pair(pair, f"dims[{i}]")
-        read.append((_int(a, f"dims[{i}][0]"), _int(b, f"dims[{i}][1]")))
-    return tuple(read)
+        for parity, value in enumerate(_pair(pair, f"dims[{i}]")):
+            path = f"dims[{i}][{parity}]"
+            if _int(value, path) < 0:
+                raise ParseError(f"{path}: expected a nonnegative integer, got {value}")
+    return tuple(map(tuple, dims))
 
 
 def _maps(maps: list, dims: Tuple[Tuple[int, int], ...]

@@ -283,6 +283,8 @@ MODULE_FAULTS = [
     (_even_map(2, 2, [[1, 0], [1]]), "maps[0][0][1]"),
     (_set(["dims", 0, 0], 1.5), "dims[0][0]"),
     (_set(["dims", 0, 1], "1"), "dims[0][1]"),
+    (_set(["dims", 0, 0], -1), "dims[0][0]: expected a nonnegative integer, got -1"),
+    (_set(["dims", 1, 0], -1), "dims[1][0]: expected a nonnegative integer, got -1"),
     (_drop(["dims", 1]), "document: dims and samples disagree in length"),
 ]
 COMMANDS = [

@@ -34,7 +34,7 @@ from contact_barcodes.interleaving import (
 from contact_barcodes.oracles import bar_cost, endpoint_gap, exhaustive_bottleneck
 from contact_barcodes.persistence import (
     SampledModule,
-    _placement,
+    _valid_placement,
     composite_map,
     decompose,
     module_from_barcode,
@@ -862,8 +862,10 @@ def gap_walk_regions(m):
     """The region cuts and representative samples as the search first
     read them: the first spectrum point of each sample gap that holds one,
     and the sample just after that gap, with sample 0 for region 0."""
+    below, points = _valid_placement(m), m.spectrum.points
     cuts, reps = [], [0]
-    for i, between in enumerate(_placement(m)[0]):
+    for i in range(m.n_samples - 1):
+        between = points[below[i]:below[i + 1]]
         if between:
             cuts.append(between[0])
             reps.append(i + 1)

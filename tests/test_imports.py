@@ -87,6 +87,32 @@ def test_no_module_imports_dataclasses():
             assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name
 
 
+def _unused_imports(path):
+    """The names that the module at path imports but never loads; names
+    read only in annotations count as loaded, since ast parses them."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    loaded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+    return sorted(f"{path.relative_to(ROOT)}:{line}: {name}"
+                  for name, line in imported.items() if name not in loaded)
+
+
+def test_no_module_imports_a_name_it_never_loads():
+    paths = [path for folder in ("src", "scripts", "tests")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(paths) > 20
+    assert [fault for path in paths for fault in _unused_imports(path)] == []
+
+
 def test_invariants_import_only_barcode_errors_and_scalar():
     # the invariants are reads of one barcode, loaded by four cpv commands:
     # no distance, module or random code, not even inside a function

@@ -28,6 +28,7 @@ from contact_barcodes.interleaving import (
 )
 from contact_barcodes import oracles
 from contact_barcodes.oracles import (
+    _gaps,
     _make_bar,
     _only_point,
     brute_force_decompose,
@@ -36,17 +37,20 @@ from contact_barcodes.oracles import (
 from contact_barcodes.persistence import (
     MAX_SAMPLE_DIM,
     SampledModule,
-    _alive,
     _count_below,
     _placement,
     _sample_positions,
-    _valid_placement,
     composite_map,
     decompose,
     module_from_barcode,
     validate_module,
 )
-from contact_barcodes.random_instances import random_barcode, random_module, scramble
+from contact_barcodes.random_instances import (
+    random_barcode,
+    random_module,
+    random_spectrum,
+    scramble,
+)
 from contact_barcodes.serialization import dumps
 from contact_barcodes.scalar import NEG_INF, POS_INF, ZERO, Scalar, rational
 from contact_barcodes.suite import CriterionResult
@@ -270,10 +274,8 @@ def test_brute_force_decompose_refuses_three_samples_of_dimension_3(monkeypatch)
 
 def test_snap_point_requires_unique_point():
     sp = Spectrum.of([1, 2], 0, 3)
-    m = SampledModule(sp, (rational(1, 2), rational(5, 2)),
-                      ((1, 0), (1, 0)), ((ident(1), ident(0)),))
     with pytest.raises(NonUniqueSnapError):
-        _only_point(_placement(m)[0][0], 0)
+        _only_point(sp.points, 0)
 
 
 def test_module_from_barcode_trivial():
@@ -491,7 +493,7 @@ def column_push_decompose(m):
     """decompose as it was before its basis went coordinate-major: a list
     of (vector, birth) pairs, each vector pushed through the columns of
     the transposed structure map, images inserted oldest first."""
-    gaps, counts = _valid_placement(m)
+    gaps = _gaps(m)
     k = m.n_samples
     bars = []
     for parity in (0, 1):
@@ -615,17 +617,12 @@ def test_birthless_runs_across_a_squeeze_match_both_references(monkeypatch):
     assert got.same_bars(rank_formula_decompose(m)) and got.same_bars(code)
 
 
-def graded_counts(code, below, upto):
-    """Graded number of bars containing each sample, from the counts of
-    the sorted samples among the spectrum points (see `_alive`)."""
-    return [(len(a0), len(a1)) for a0, a1 in _alive(code, below, upto)]
-
-
 def scalar_route_decompose(m):
     """decompose as it was before its bar ends became int positions: the
     same sweep over spans of samples, each span snapped to Scalar ends by
-    `_make_bar`, sorted by `Barcode`, and checked by `graded_counts`."""
-    gaps, counts = _valid_placement(m)
+    `_make_bar`, sorted by `Barcode`, and checked by `graded_dim_at` at
+    each sample."""
+    gaps = _gaps(m)
     k = m.n_samples
     bars = []
     for parity in (0, 1):
@@ -670,7 +667,8 @@ def scalar_route_decompose(m):
         spans.extend((births[made - 1 - b], k - 1) for b in range(made) if alive >> b & 1)
         bars.extend(_make_bar(gaps, i, j, parity) for i, j in spans)
     code = Barcode(m.spectrum, tuple(bars))
-    for idx, (count, dims) in enumerate(zip(graded_counts(code, *counts), m.dims)):
+    for idx, (s, dims) in enumerate(zip(m.samples, m.dims)):
+        count = code.graded_dim_at(s)
         if count != dims:
             raise AssertionError(f"decomposition loses rank at sample {idx}: {count} != {dims}")
     return code
@@ -710,22 +708,11 @@ def test_sweep_agrees_with_rank_formula_on_random_modules():
 
 def test_graded_counts_match_bar_containment():
     rng = random.Random(146)
-    extra = random.Random(149)
     for _ in range(40):
         b = random_barcode(rng, max_bars=10, max_points=8)
         m = module_from_barcode(b, grid_density_hint=rng.choice((1, 2)))
-        assert graded_counts(b, *_count_below(m.samples, b.spectrum.points)) == \
-            [b.graded_dim_at(s) for s in m.samples]
-        # samples on bar endpoints and empty bars (birth = death) at samples,
-        # where bisect_right of births and bisect_left of deaths differ
-        points = b.spectrum.points
-        empty = tuple(Bar(p, p, extra.randint(0, 1))
-                      for p in extra.sample(points, len(points) // 2))
-        on_ends = Barcode(b.spectrum, b.bars + empty)
-        samples = sorted(set(m.samples) | set(extra.sample(points, len(points) // 2)))
-        assert graded_counts(on_ends, *_count_below(samples, points)) == \
-            [on_ends.graded_dim_at(s) for s in samples]
-        assert _placement(m)[0] == [
+        assert list(m.dims) == [b.graded_dim_at(s) for s in m.samples]
+        assert _gaps(m) == [
             tuple(p for p in m.spectrum.points if m.samples[i] < p < m.samples[i + 1])
             for i in range(m.n_samples - 1)]
 
@@ -787,6 +774,39 @@ def test_event_sweep_module_matches_bar_testing_construction():
             dumps(bar_testing_module(b, density))
 
 
+def test_sample_grid_puts_density_samples_in_each_region():
+    # the grid rule that module_from_barcode and random_module read: sample
+    # s lies in region s // density, past s // density spectrum points, on
+    # random spectra and on spectra without points or with points on one
+    # or both horizon ends
+    rng = random.Random(163)
+    spectra = [random_spectrum(rng, max_points=8) for _ in range(150)]
+    spectra += [Spectrum.of([], 0, 1), Spectrum.of([0], 0, 1), Spectrum.of([1], 0, 1),
+                Spectrum.of([0, 1], 0, 1), Spectrum.of([0, "1/3", 1], 0, 1)]
+    for sp in spectra:
+        for density in (1, 2, 3):
+            samples = _sample_positions(sp, density)
+            assert len(samples) == density * (len(sp.points) + 1)
+            grid = [s // density for s in range(len(samples))]
+            assert _count_below(samples, sp.points) == (grid, grid)
+
+
+def test_module_from_barcode_places_no_sample(monkeypatch):
+    # module_from_barcode reads each sample's region off the grid it lays
+    # out: the merge that places samples among the points never runs
+    rng = random.Random(164)
+    codes = [random_barcode(rng, max_bars=12, max_points=8) for _ in range(30)]
+    codes.append(ellipsoid_barcode(EllipsoidParams.of([1, "3/2"], 9)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("module_from_barcode placed its samples")
+
+    monkeypatch.setattr("contact_barcodes.persistence._count_below", refuse)
+    for k, b in enumerate(codes):
+        density = 1 + k % 3
+        assert dumps(module_from_barcode(b, density)) == dumps(bar_testing_module(b, density))
+
+
 def test_gap_points_match_linear_filter():
     # samples reach past both ends of the spectrum, sit on spectrum points,
     # leave gaps empty, and (for invalid modules, which validate_module
@@ -806,7 +826,9 @@ def test_gap_points_match_linear_filter():
         k = len(samples)
         m = SampledModule(sp, tuple(samples), ((0, 0),) * k,
                           ((ident(0), ident(0)),) * max(k - 1, 0))
-        assert _placement(m)[0] == [
+        below, upto = _count_below(samples, sp.points)
+        assert _placement(m)[1] == below
+        assert [sp.points[upto[i]:below[i + 1]] for i in range(k - 1)] == [
             tuple(p for p in points if samples[i] < p < samples[i + 1])
             for i in range(k - 1)]
 
@@ -1074,7 +1096,7 @@ def test_stored_placement_equals_a_fresh_one():
     for m in placement_modules(rng, 200):
         first = _placement(m)
         assert _placement(m) is first
-        if first[1]:
+        if first[0]:
             invalid += 1
         else:
             decompose(m)

@@ -473,6 +473,7 @@ LATER_INDEX_FAULTS = [
     (["dims", 3, 0], 1.0, "dims[3][0]: expected an integer, got 1.0"),
     (["dims", 1, 1], True, "dims[1][1]: expected an integer, got True"),
     (["dims", 1, 0], [0], "dims[1][0]: expected an integer, got [0]"),
+    (["dims", 2, 1], -3, "dims[2][1]: expected a nonnegative integer, got -3"),
     # samples
     (["samples", 2], 4, "samples[2]: expected a scalar string, got 4"),
     (["samples", 3], ["11/2"], "samples[3]: expected a scalar string, got ['11/2']"),
